@@ -22,7 +22,6 @@ from .engine import (
 )
 from .errors import (
     CarrierMismatch,
-    CombinatorialLimit,
     DegenerateStack,
     KindMismatch,
     LtbeError,
@@ -49,7 +48,6 @@ from .polyfunctor import (
     StateRef,
     TupleTerm,
     UNIT,
-    enumerate_terms,
     expr_to_text,
     parse_expr,
     validate_term,
@@ -120,7 +118,6 @@ __all__ = [
     "parse_expr",
     "expr_to_text",
     "linear_part",
-    "enumerate_terms",
     "validate_term",
     "validate_branchval",
     "value_key",

@@ -5,8 +5,6 @@ Subcommands: ``behaviour``, ``bisim``, ``common``, ``oracle`` and
 a convergence footer where applicable.  Exit codes: 0 success/converged,
 1 invalid input or failed law check, 2 I/O failure, 3 fixpoint not
 converged (the matrix is still emitted).
-
-The environment variable LTBE_ENUM_CAP overrides the term-enumeration cap.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Greatest-fixpoint computation of linear-time behaviour values.
 
 The one-step operator pushes the current relation through the shared type
-stack from the innermost layer outwards (polynomial layers act on both
-sides, branching layers abstract the system side) and finally reads the
-lifted relation back along the two transition maps.  Iterating it from the
-everywhere-1 relation produces a descending chain whose limit measures,
-for every pair of a system state and a specification state, the extent to
-which the former can exhibit the latter's behaviour.
+stack from the innermost layer outwards, over only the values that occur
+in the two models (polynomial layers act on both sides, branching layers
+abstract the system side), and finally reads the lifted relation back
+along the two transition maps.  Iterating it from the everywhere-1
+relation produces a descending chain whose limit measures, for every pair
+of a system state and a specification state, the extent to which the
+former can exhibit the latter's behaviour.
 
 Iteration is truncated at finitely many steps.  Bool converges exactly on
 finite carriers; prob converges up to a tolerance; tropical chains may
@@ -82,40 +83,6 @@ def _check_behaviour_inputs(sys: System, spec: SpecSystem) -> None:
         )
 
 
-def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
-    """One refinement step of the behaviour relation between system and spec."""
-    _check_behaviour_inputs(sys, spec)
-    if rel.kind is not sys.stack.kind:
-        raise KindMismatch("relation kind does not match the system kind")
-    if rel.rows != sys.states or rel.cols != spec.states:
-        raise CarrierMismatch("relation carriers must be the two state sets")
-    cur = rel
-    layers = sys.stack.layers
-    for idx in range(len(layers) - 1, -1, -1):
-        layer = layers[idx]
-        if isinstance(layer, BranchLayer):
-            cur = lift_extension(cur, sys.branch_values_at(idx))
-        else:
-            cur = lift_poly(layer.expr, cur)
-    f = {c: value_key(sys.transitions[c]) for c in sys.states}
-    g = {z: value_key(spec.transitions[z]) for z in spec.states}
-    return reindex(f, g, cur)
-
-
-def _pair_step(sysA: System, sysB: System, rel: ValRel, branch_lift) -> ValRel:
-    cur = rel
-    layers = sysA.stack.layers
-    for idx in range(len(layers) - 1, -1, -1):
-        layer = layers[idx]
-        if isinstance(layer, BranchLayer):
-            cur = branch_lift(cur, sysA.branch_values_at(idx), sysB.branch_values_at(idx))
-        else:
-            cur = lift_poly(layer.expr, cur)
-    f = {c: value_key(sysA.transitions[c]) for c in sysA.states}
-    g = {d: value_key(sysB.transitions[d]) for d in sysB.states}
-    return reindex(f, g, cur)
-
-
 def _check_pair_inputs(sysA: System, sysB: System, rel: ValRel) -> None:
     if sysA.stack != sysB.stack:
         raise StackMismatch("the two systems must share one type stack")
@@ -123,6 +90,64 @@ def _check_pair_inputs(sysA: System, sysB: System, rel: ValRel) -> None:
         raise KindMismatch("relation kind does not match the systems")
     if rel.rows != sysA.states or rel.cols != sysB.states:
         raise CarrierMismatch("relation carriers must be the two state sets")
+
+
+def _extend_left(rel: ValRel, left_values, right_values) -> ValRel:
+    return lift_extension(rel, left_values)
+
+
+def _walker(
+    left: System, right: System, branch_lift: Callable[..., ValRel]
+) -> Callable[[ValRel], ValRel]:
+    """The one-step operator of a run between the states of two models.
+
+    Each step pushes the relation through the left model's layers, from
+    the innermost outwards, over the values that occur in the two models:
+    ``lift_poly`` at a polynomial layer, ``branch_lift`` at a branching
+    layer.  It then reads the result back along the two transition maps.
+    A specification has no branching layers, so its layer ``j`` is the
+    left model's ``j``-th polynomial layer and ``branch_lift`` gets no
+    values for it.  Values and key maps are gathered once, here.
+    """
+    plan = []
+    j = 0
+    for idx, layer in enumerate(left.stack.layers):
+        if isinstance(layer, BranchLayer) and right.stack.is_linear:
+            plan.append((layer, left.values_at(idx), ()))
+        else:
+            plan.append((layer, left.values_at(idx), right.values_at(j)))
+            j += 1
+    plan.reverse()
+    f = {c: value_key(left.transitions[c]) for c in left.states}
+    g = {d: value_key(right.transitions[d]) for d in right.states}
+
+    def step(rel: ValRel) -> ValRel:
+        cur = rel
+        for layer, left_values, right_values in plan:
+            if isinstance(layer, BranchLayer):
+                cur = branch_lift(cur, left_values, right_values)
+            else:
+                cur = lift_poly(layer.expr, cur, left_values, right_values)
+        return reindex(f, g, cur)
+
+    return step
+
+
+def _chain(step: Callable[[ValRel], ValRel], start: ValRel, steps: int) -> list[ValRel]:
+    out = [start]
+    for _ in range(steps):
+        out.append(step(out[-1]))
+    return out
+
+
+def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
+    """One refinement step of the behaviour relation between system and spec."""
+    _check_behaviour_inputs(sys, spec)
+    if rel.kind is not sys.stack.kind:
+        raise KindMismatch("relation kind does not match the system kind")
+    if rel.rows != sys.states or rel.cols != spec.states:
+        raise CarrierMismatch("relation carriers must be the two state sets")
+    return _walker(sys, spec, _extend_left)(rel)
 
 
 def _strictly_below(entry: SemiringValue, threshold: SemiringValue) -> bool:
@@ -181,16 +206,14 @@ def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None
     _check_behaviour_inputs(sys, spec)
     opts = opts or FixpointOptions()
     start = ValRel.top(sys.states, spec.states, sys.stack.kind)
-    return _run_fixpoint(lambda r: step_operator(sys, spec, r), start, opts)
+    return _run_fixpoint(_walker(sys, spec, _extend_left), start, opts)
 
 
 def iterates(sys: System, spec: SpecSystem, steps: int) -> list[ValRel]:
     """The first ``steps`` refinement iterates, starting from the top relation."""
     _check_behaviour_inputs(sys, spec)
-    out = [ValRel.top(sys.states, spec.states, sys.stack.kind)]
-    for _ in range(steps):
-        out.append(step_operator(sys, spec, out[-1]))
-    return out
+    start = ValRel.top(sys.states, spec.states, sys.stack.kind)
+    return _chain(_walker(sys, spec, _extend_left), start, steps)
 
 
 def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None) -> FixpointReport:
@@ -202,18 +225,13 @@ def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None
     opts = opts or FixpointOptions()
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
     _check_pair_inputs(sysA, sysB, start)
-    return _run_fixpoint(
-        lambda r: _pair_step(sysA, sysB, r, lift_double_extension), start, opts
-    )
+    return _run_fixpoint(_walker(sysA, sysB, lift_double_extension), start, opts)
 
 
 def common_iterates(sysA: System, sysB: System, steps: int) -> list[ValRel]:
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
     _check_pair_inputs(sysA, sysB, start)
-    out = [start]
-    for _ in range(steps):
-        out.append(_pair_step(sysA, sysB, out[-1], lift_double_extension))
-    return out
+    return _chain(_walker(sysA, sysB, lift_double_extension), start, steps)
 
 
 def bisimilarity(sysA: System, sysB: System) -> FixpointReport:
@@ -227,9 +245,7 @@ def bisimilarity(sysA: System, sysB: System) -> FixpointReport:
         raise KindMismatch("bisimilarity is only defined for bool systems")
     start = ValRel.top(sysA.states, sysB.states, SemiringKind.BOOL)
     _check_pair_inputs(sysA, sysB, start)
-    return _run_fixpoint(
-        lambda r: _pair_step(sysA, sysB, r, lift_egli_milner), start, FixpointOptions()
-    )
+    return _run_fixpoint(_walker(sysA, sysB, lift_egli_milner), start, FixpointOptions())
 
 
 # --- desk-scale monad consistency checks -----------------------------------------

@@ -13,10 +13,6 @@ class CarrierMismatch(LtbeError):
     """A relation was indexed or combined with keys outside its carriers."""
 
 
-class CombinatorialLimit(LtbeError):
-    """Term enumeration would exceed the configured size cap."""
-
-
 class UndefinedSum(LtbeError):
     """A partial semiring addition came out undefined during a fold."""
 

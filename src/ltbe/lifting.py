@@ -3,7 +3,7 @@
 Given a relation R between carriers X and Y:
 
 * :func:`lift_poly` pushes R through a polynomial layer on both sides,
-  by structural recursion on the expression (identity keeps R, constants
+  by structural recursion on the expression (identity reads R, constants
   become the equality relation, products multiply the component values,
   mismatched coproduct injections go to bottom).
 * :func:`lift_extension` abstracts branching on the left only:
@@ -15,9 +15,11 @@ Given a relation R between carriers X and Y:
 * :func:`lift_egli_milner` is the two-sided forall-exists lifting of a
   boolean relation to successor sets, the branching step of bisimulation.
 
-Branching layers are materialized only on the branching values that occur
-in the models at hand, supplied explicitly as carrier lists; the full
-space of branching values is unbounded.
+Every lifting is materialized only on the values that occur in the models
+at hand, supplied explicitly as carrier lists: the terms of a polynomial
+layer and the branching values of a branching layer.  The number of all
+terms is a polynomial in the carrier size, and the space of branching
+values is unbounded.
 """
 
 from __future__ import annotations
@@ -31,24 +33,33 @@ from .polyfunctor import (
     Coprod,
     Id,
     PolyExpr,
+    PolyTerm,
     Power,
     Prod,
-    enumerate_terms,
     value_key,
 )
 from .relation import ValRel
 from .semiring import SemiringKind, SemiringValue, add, mul, one, zero
 
 
-def lift_poly(expr: PolyExpr, rel: ValRel) -> ValRel:
-    """Push a relation through a polynomial layer on both carriers."""
+def lift_poly(
+    expr: PolyExpr,
+    rel: ValRel,
+    row_terms: Sequence[PolyTerm],
+    col_terms: Sequence[PolyTerm],
+) -> ValRel:
+    """Push a relation through a polynomial layer on both carriers.
+
+    The new rows and columns are the supplied terms of ``expr``; an
+    identity position reads ``rel`` at the keys of the two targets.
+    """
     kind = rel.kind
     top_value = one(kind)
     bot_value = zero(kind)
 
     def ev(e: PolyExpr, u, v) -> SemiringValue:
         if isinstance(e, Id):
-            return rel.get(u.target, v.target)
+            return rel.get(value_key(u.target), value_key(v.target))
         if isinstance(e, Const):
             return top_value if u.label == v.label else bot_value
         if isinstance(e, Prod):
@@ -63,8 +74,6 @@ def lift_poly(expr: PolyExpr, rel: ValRel) -> ValRel:
             acc = mul(acc, ev(e.body, cu, cv))
         return acc
 
-    row_terms = enumerate_terms(expr, rel.rows)
-    col_terms = enumerate_terms(expr, rel.cols)
     grid = [[ev(expr, u, v) for v in col_terms] for u in row_terms]
     return ValRel(
         kind,

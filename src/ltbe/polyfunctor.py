@@ -10,30 +10,16 @@ The textual grammar, used in model files, is:
     atom   := 'Id' | '{' names '}' | '(' expr ')'
 
 so ``{*} + {a,b} * Id`` is "terminate, or emit a label and continue".
-Terms of an expression over a finite carrier are enumerated in a fixed
-order so relation carriers are reproducible across runs.
+Terms render to canonical keys, so relation carriers built from them are
+reproducible across runs.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 
-from .errors import CombinatorialLimit, ParseError
-
-DEFAULT_ENUM_CAP = 10**6
-
-
-def enum_cap() -> int:
-    """Enumeration size cap; the LTBE_ENUM_CAP env var overrides the default."""
-    raw = os.environ.get("LTBE_ENUM_CAP")
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LTBE_ENUM_CAP must be an int, got {raw!r}") from exc
+from .errors import ParseError
 
 
 # --- expressions -------------------------------------------------------------
@@ -155,7 +141,7 @@ def value_key(value: object) -> str:
     return value.key()  # type: ignore[attr-defined]
 
 
-# --- validation and enumeration ----------------------------------------------
+# --- validation ----------------------------------------------------------------
 
 def validate_term(expr: PolyExpr, term: PolyTerm, states) -> bool:
     """True iff ``term`` is well typed for ``expr`` over the carrier ``states``.
@@ -185,53 +171,6 @@ def validate_term(expr: PolyExpr, term: PolyTerm, states) -> bool:
         )
 
     return walk(expr, term)
-
-
-def count_terms(expr: PolyExpr, n_states: int) -> int:
-    """Number of terms: the polynomial evaluated at the carrier size."""
-    if isinstance(expr, Id):
-        return n_states
-    if isinstance(expr, Const):
-        return len(expr.labels)
-    if isinstance(expr, Prod):
-        return count_terms(expr.left, n_states) * count_terms(expr.right, n_states)
-    if isinstance(expr, Coprod):
-        return sum(count_terms(b, n_states) for b in expr.branches)
-    assert isinstance(expr, Power)
-    return count_terms(expr.body, n_states) ** len(expr.exponent)
-
-
-def enumerate_terms(expr: PolyExpr, states, cap: int | None = None) -> list[PolyTerm]:
-    """All well-typed terms over ``states``, each exactly once, in fixed order.
-
-    Raises :class:`CombinatorialLimit` (before materializing anything) when
-    the count exceeds the cap.
-    """
-    states = list(states)
-    if cap is None:
-        cap = enum_cap()
-    n = count_terms(expr, len(states))
-    if n > cap:
-        raise CombinatorialLimit(f"{n} terms exceed the enumeration cap of {cap}")
-
-    def build(e: PolyExpr) -> list[PolyTerm]:
-        if isinstance(e, Id):
-            return [StateRef(s) for s in states]
-        if isinstance(e, Const):
-            return [Atom(label) for label in e.labels]
-        if isinstance(e, Prod):
-            rights = build(e.right)
-            return [Pair(u, v) for u in build(e.left) for v in rights]
-        if isinstance(e, Coprod):
-            return [Inj(i, t) for i, b in enumerate(e.branches) for t in build(b)]
-        assert isinstance(e, Power)
-        body = build(e.body)
-        combos: list[tuple[PolyTerm, ...]] = [()]
-        for _ in e.exponent:
-            combos = [prefix + (t,) for prefix in combos for t in body]
-        return [TupleTerm(c) for c in combos]
-
-    return build(expr)
 
 
 # --- textual grammar -----------------------------------------------------------

@@ -61,6 +61,8 @@ class SemiringValue:
             if isinstance(p, bool) or not isinstance(p, (int, float)):
                 raise ValidationError(f"prob payload must be a real, got {p!r}")
             p = float(p)
+            if not math.isfinite(p):
+                raise ValidationError(f"prob payload {p!r} is not a finite real")
             if p < -PROB_EPS or p > 1.0 + PROB_EPS:
                 raise ValidationError(f"prob payload {p!r} outside [0, 1]")
             object.__setattr__(self, "payload", min(max(p, 0.0), 1.0))

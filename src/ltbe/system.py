@@ -50,6 +50,7 @@ from .polyfunctor import (
     TupleTerm,
     expr_to_text,
     parse_expr,
+    value_key,
 )
 from .semiring import SemiringKind, from_json_value, one, to_json_value
 
@@ -236,18 +237,19 @@ class System:
         return self.transitions[state]
 
     @cached_property
-    def _branch_values(self) -> dict[int, tuple[BranchVal, ...]]:
-        found: dict[int, dict[str, BranchVal]] = {
-            i: {} for i, layer in enumerate(self.stack.layers) if isinstance(layer, BranchLayer)
-        }
+    def _values(self) -> tuple[tuple[object, ...], ...]:
+        layers = self.stack.layers
+        found: list[dict[str, object]] = [{} for _ in layers]
 
         def walk(idx: int, value) -> None:
-            if idx >= len(self.stack.layers):
+            if idx == len(layers):
                 return
-            layer = self.stack.layers[idx]
+            key = value_key(value)
+            if key in found[idx]:
+                return  # equal keys mean equal values, whose parts are already found
+            found[idx][key] = value
+            layer = layers[idx]
             if isinstance(layer, BranchLayer):
-                assert isinstance(value, BranchVal)
-                found[idx].setdefault(value.key(), value)
                 for item, _ in value.entries:
                     walk(idx + 1, item)
             else:
@@ -267,11 +269,16 @@ class System:
 
         for state in self.states:
             walk(0, self.transitions[state])
-        return {i: tuple(vals[k] for k in sorted(vals)) for i, vals in found.items()}
+        return tuple(tuple(vals[k] for k in sorted(vals)) for vals in found)
 
-    def branch_values_at(self, layer_index: int) -> tuple[BranchVal, ...]:
-        """Branching values occurring at one branching layer, in canonical order."""
-        return self._branch_values[layer_index]
+    def values_at(self, layer_index: int) -> tuple[object, ...]:
+        """The values occurring at one layer, in canonical key order.
+
+        These are the branching values at a branching layer and the terms
+        of the layer's expression at a polynomial layer; they are collected
+        once, on first use.
+        """
+        return self._values[layer_index]
 
     def to_json(self) -> dict:
         return {
@@ -298,6 +305,15 @@ class SpecSystem(System):
 
 
 def _parse_common(text: str) -> tuple[TypeStack, tuple[str, ...], dict]:
+    # the JSON decoder, the functor grammar and the value decoder all recurse
+    # once per nesting level, so over-deep input ends here, not in a traceback
+    try:
+        return _parse_model(text)
+    except RecursionError:
+        raise ParseError("input is nested too deeply") from None
+
+
+def _parse_model(text: str) -> tuple[TypeStack, tuple[str, ...], dict]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -13,7 +13,7 @@ from ltbe import (
     parse_spec,
     parse_system,
 )
-from ltbe.polyfunctor import Const, Coprod, Id, Power, Prod
+from ltbe.polyfunctor import Atom, Const, Coprod, Id, Inj, Pair, Power, Prod, StateRef
 
 F_EXPRS = ("{*} + {a} * Id", "{*} + {a,b} * Id", "{a,b} * Id")
 G_EXPRS = ("{o1,o2} * Id", "({*} + Id)^{i}")
@@ -23,6 +23,17 @@ SHAPES = ("TF", "GT", "GTF")
 # --- hand-built models -------------------------------------------------------
 
 LTS_F = "{*} + {a} * Id"
+
+
+def lts_terms(labels, keys):
+    """Every term of ``{*} + {<labels>} * Id`` over ``keys``: 1 + len(labels) * len(keys).
+
+    Listed in the order of the lexicographic enumeration: termination
+    first, then label-major, key-minor.
+    """
+    return [Inj(0, Atom("*"))] + [
+        Inj(1, Pair(Atom(label), StateRef(k))) for label in labels for k in keys
+    ]
 
 
 def stop_term():
@@ -242,6 +253,11 @@ def gen_model_pair(rng, kind, shape, n_states=None, n_spec=None):
     texts = _stack_texts(rng, shape)
     n_states = n_states or rng.randint(2, 6)
     n_spec = n_spec or rng.randint(1, 4)
+    return gen_models_on(rng, kind, texts, n_states, n_spec)
+
+
+def gen_models_on(rng, kind, texts, n_states, n_spec):
+    """A random system over the stack ``texts`` and a random spec of its linear part."""
     states = [f"c{i}" for i in range(n_states)]
     zs = [f"z{i}" for i in range(n_spec)]
     sys_doc = _gen_doc(rng, kind, texts, states)

@@ -35,6 +35,7 @@ from modelgen import (
     loop_exit_system,
     loop_with_exit_to_deadlock,
     lowered,
+    lts_terms,
     omega_spec,
     pure_loop_system,
     random_branchvals,
@@ -116,7 +117,10 @@ def test_c04_monotonicity():
         below = lowered(rng, upper)
         ts = random_branchvals(rng, kind, rows, 3)
         us = random_branchvals(rng, kind, cols, 3)
-        if not lift_poly(expr, below).pointwise_leq(lift_poly(expr, upper)):
+        row_terms, col_terms = lts_terms("ab", rows), lts_terms("ab", cols)
+        if not lift_poly(expr, below, row_terms, col_terms).pointwise_leq(
+            lift_poly(expr, upper, row_terms, col_terms)
+        ):
             violations += 1
         if not lift_extension(below, ts).pointwise_leq(lift_extension(upper, ts)):
             violations += 1

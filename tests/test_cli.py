@@ -129,6 +129,54 @@ class TestBehaviourCommand:
         code = main(["behaviour", "--system", str(bad), "--spec", str(DATA / "spec_a_omega.json")])
         assert code == 1
 
+    def test_nan_threshold_rejected(self, capsys):
+        code = main(
+            [
+                "behaviour",
+                "--system",
+                str(DATA / "coin.json"),
+                "--spec",
+                str(DATA / "spec_chain2.json"),
+                "--threshold",
+                "nan",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "ValidationError" in err and "nan" in err
+
+    def test_nan_weight_rejected(self, tmp_path, capsys):
+        doc = json.loads((DATA / "coin.json").read_text())
+        doc["transitions"]["c"][0]["weight"] = float("nan")
+        bad = tmp_path / "nan_coin.json"
+        bad.write_text(json.dumps(doc))  # json writes the token NaN, which json reads back
+        code = main(["behaviour", "--system", str(bad), "--spec", str(DATA / "spec_chain2.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "ValidationError" in err and "nan" in err
+        assert "more than 1" not in err
+
+    @pytest.mark.parametrize(
+        "transitions,stack_f",
+        [
+            ("[]", "(" * 400 + "{*} + {a} * Id" + ")" * 400),
+            ("[" * 100_000 + "]" * 100_000, "{*} + {a} * Id"),
+        ],
+        ids=["deep-expression", "deep-json"],
+    )
+    def test_over_deep_input_is_parse_error(self, tmp_path, transitions, stack_f):
+        deep = tmp_path / "deep.json"
+        deep.write_text(
+            '{"kind": "bool", "stack": ["T", %s], "states": ["c"], "transitions": {"c": %s}}'
+            % (json.dumps(stack_f), transitions)
+        )
+        code, out, err = run_cli(
+            "behaviour", "--system", str(deep), "--spec", str(DATA / "spec_a_omega.json")
+        )
+        assert code == 1
+        assert b"ltbe: ParseError" in err
+        assert b"Traceback" not in err
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["behaviour", "--system", str(DATA / "coin.json")]) == 1
         assert main(["no-such-command"]) == 1

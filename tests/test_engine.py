@@ -26,6 +26,7 @@ from modelgen import (
     chain_spec,
     corpus,
     gen_model_pair,
+    gen_models_on,
     gen_system_pair,
     loop_exit_system,
     loop_with_exit_to_deadlock,
@@ -332,3 +333,16 @@ class TestEngineOracleAgreement:
                     assert rel.max_gap(reference) <= 1e-9
                 else:
                     assert rel == reference
+
+    def test_wide_automaton_agreement(self):
+        # 19 branching values occur, so the observation layer has 2 * 19**3
+        # terms over them against 2 * 3**3 over the spec states, but a step
+        # reads only 10 * 3 cells
+        from ltbe import oracle_matrix
+
+        rng = random.Random(2)
+        sys_model, spec = gen_models_on(rng, B, ["{n,y} * Id^{a,b,c}", "T"], 10, 3)
+        chain = iterates(sys_model, spec, 4)
+        assert chain[4] != chain[0]
+        for depth, rel in enumerate(chain):
+            assert rel == oracle_matrix(sys_model, spec, depth)

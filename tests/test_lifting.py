@@ -3,11 +3,16 @@ import random
 import pytest
 
 from ltbe import (
+    Atom,
     BranchVal,
     INF,
+    Inj,
     KindMismatch,
+    Pair,
     SemiringKind,
     SemiringValue,
+    StateRef,
+    TupleTerm,
     UndefinedSum,
     ValRel,
     dirac,
@@ -17,7 +22,7 @@ from ltbe import (
     lift_poly,
     parse_expr,
 )
-from modelgen import lowered, random_branchvals, random_valrel
+from modelgen import lowered, lts_terms, random_branchvals, random_valrel
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
 
@@ -39,7 +44,7 @@ def bv_bool(*keys):
 class TestLiftPoly:
     def test_tropical_closed_form(self):
         rel = ValRel(T, ["x"], ["y"], [[tv(7)]])
-        out = lift_poly(LTS_A, rel)
+        out = lift_poly(LTS_A, rel, lts_terms("a", ["x"]), lts_terms("a", ["y"]))
         assert out.get("i0(@*)", "i0(@*)") == tv(0)
         assert out.get("i1((@a,x))", "i1((@a,y))") == tv(7)
         assert out.get("i0(@*)", "i1((@a,y))") == tv(INF)
@@ -47,7 +52,7 @@ class TestLiftPoly:
 
     def test_prob_closed_form(self):
         rel = ValRel(P, ["x"], ["y"], [[pv(0.25)]])
-        out = lift_poly(LTS_A, rel)
+        out = lift_poly(LTS_A, rel, lts_terms("a", ["x"]), lts_terms("a", ["y"]))
         assert out.get("i0(@*)", "i0(@*)") == pv(1.0)
         assert out.get("i1((@a,x))", "i1((@a,y))") == pv(0.25)
         assert out.get("i0(@*)", "i1((@a,y))") == pv(0.0)
@@ -55,17 +60,22 @@ class TestLiftPoly:
     def test_label_mismatch_is_bottom(self):
         expr = parse_expr("{a,b} * Id")
         rel = ValRel.top(["x"], ["y"], B)
-        out = lift_poly(expr, rel)
+        rows = [Pair(Atom(label), StateRef("x")) for label in "ab"]
+        cols = [Pair(Atom(label), StateRef("y")) for label in "ab"]
+        out = lift_poly(expr, rel, rows, cols)
         assert out.get("(@a,x)", "(@a,y)").payload is True
         assert out.get("(@a,x)", "(@b,y)").payload is False
 
     def test_identity_returns_same_relation(self):
         rel = random_valrel(random.Random(3), T, ["x", "y"], ["p", "q"])
-        assert lift_poly(parse_expr("Id"), rel) == rel
+        rows = [StateRef(k) for k in rel.rows]
+        cols = [StateRef(k) for k in rel.cols]
+        assert lift_poly(parse_expr("Id"), rel, rows, cols) == rel
 
     def test_constant_becomes_equality(self):
         rel = random_valrel(random.Random(4), P, ["x"], ["y"])
-        out = lift_poly(parse_expr("{m,n}"), rel)
+        labels = [Atom("m"), Atom("n")]
+        out = lift_poly(parse_expr("{m,n}"), rel, labels, labels)
         assert out.get("@m", "@m") == pv(1.0)
         assert out.get("@m", "@n") == pv(0.0)
 
@@ -75,8 +85,20 @@ class TestLiftPoly:
         pair = parse_expr("({*} + Id) * ({*} + Id)")
         rng = random.Random(9)
         rel = random_valrel(rng, T, ["x", "y"], ["p"])
-        left = lift_poly(power, rel)
-        right = lift_poly(pair, rel)
+        body_rows = [Inj(0, Atom("*"))] + [Inj(1, StateRef(k)) for k in rel.rows]
+        body_cols = [Inj(0, Atom("*"))] + [Inj(1, StateRef(k)) for k in rel.cols]
+        left = lift_poly(
+            power,
+            rel,
+            [TupleTerm((u, v)) for u in body_rows for v in body_rows],
+            [TupleTerm((u, v)) for u in body_cols for v in body_cols],
+        )
+        right = lift_poly(
+            pair,
+            rel,
+            [Pair(u, v) for u in body_rows for v in body_rows],
+            [Pair(u, v) for u in body_cols for v in body_cols],
+        )
         assert [
             [left.at(i, j) for j in range(len(left.cols))] for i in range(len(left.rows))
         ] == [[right.at(i, j) for j in range(len(right.cols))] for i in range(len(right.rows))]
@@ -250,7 +272,10 @@ class TestMonotonicity:
             cols = [f"y{i}" for i in range(rng.randint(1, 4))]
             upper = random_valrel(rng, kind, rows, cols)
             below = lowered(rng, upper)
-            assert lift_poly(expr, below).pointwise_leq(lift_poly(expr, upper))
+            row_terms, col_terms = lts_terms("ab", rows), lts_terms("ab", cols)
+            assert lift_poly(expr, below, row_terms, col_terms).pointwise_leq(
+                lift_poly(expr, upper, row_terms, col_terms)
+            )
             ts = random_branchvals(rng, kind, rows, 3)
             us = random_branchvals(rng, kind, cols, 3)
             assert lift_extension(below, ts).pointwise_leq(lift_extension(upper, ts))

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from ltbe import (
     Atom,
-    CombinatorialLimit,
     Const,
     Coprod,
     Id,
@@ -16,13 +15,11 @@ from ltbe import (
     StateRef,
     TupleTerm,
     UNIT,
-    enumerate_terms,
     expr_to_text,
     parse_expr,
     validate_term,
     value_key,
 )
-from ltbe.polyfunctor import count_terms
 
 LTS = Coprod((UNIT, Prod(Const(("a",)), Id())))
 
@@ -104,53 +101,12 @@ class TestValidate:
         assert not validate_term(expr, TupleTerm((StateRef("c"),)), {"c"})
 
 
-class TestEnumerate:
-    def test_lts_count(self):
-        expr = parse_expr("{*} + {a,b} * Id")
-        terms = enumerate_terms(expr, ["s", "t"])
-        assert len(terms) == 5  # 1 + 2 * 2
-
-    def test_constant(self):
-        assert enumerate_terms(Const(("x",)), ["s", "t"]) == [Atom("x")]
-
-    def test_identity(self):
-        assert enumerate_terms(Id(), ["s", "t"]) == [StateRef("s"), StateRef("t")]
-
-    @given(exprs, st.integers(0, 3))
-    def test_enumeration_is_complete_and_valid(self, expr, n):
-        states = [f"s{i}" for i in range(n)]
-        try:
-            terms = enumerate_terms(expr, states, cap=3000)
-        except CombinatorialLimit:
-            return
-        assert len(terms) == count_terms(expr, n)
-        keys = [value_key(t) for t in terms]
-        assert len(set(keys)) == len(keys)
-        assert all(validate_term(expr, t, states) for t in terms)
-
-    def test_power_is_iterated_product(self):
-        expr = Power(("x", "y"), Coprod((UNIT, Id())))
-        body_count = count_terms(Coprod((UNIT, Id())), 3)
-        assert count_terms(expr, 3) == body_count**2
-
-    def test_cap_enforced_before_materializing(self):
-        huge = Power(tuple(f"e{i}" for i in range(10)), Id())
-        with pytest.raises(CombinatorialLimit):
-            enumerate_terms(huge, [f"s{i}" for i in range(10)])
-
-    def test_env_var_overrides_cap(self, monkeypatch):
-        monkeypatch.setenv("LTBE_ENUM_CAP", "3")
-        with pytest.raises(CombinatorialLimit):
-            enumerate_terms(Id(), ["a", "b", "c", "d"])
-
-    def test_explicit_cap_wins(self):
-        assert len(enumerate_terms(Id(), ["a", "b"], cap=10)) == 2
-
-
 class TestKeys:
     def test_keys_are_structural(self):
         expr = parse_expr("{*} + {a} * Id")
-        keys = [value_key(t) for t in enumerate_terms(expr, ["s"])]
+        terms = [Inj(0, Atom("*")), Inj(1, Pair(Atom("a"), StateRef("s")))]
+        assert all(validate_term(expr, t, ["s"]) for t in terms)
+        keys = [value_key(t) for t in terms]
         assert keys == ["i0(@*)", "i1((@a,s))"]
 
     def test_state_refs_are_transparent(self):

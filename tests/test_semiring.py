@@ -52,6 +52,8 @@ class TestConstruction:
             p(1.5)
         with pytest.raises(ValidationError):
             p(-0.2)
+        with pytest.raises(ValidationError, match="nan"):
+            p(float("nan"))
 
     def test_prob_eps_overshoot_clamps(self):
         assert p(1.0 + 1e-12).payload == 1.0

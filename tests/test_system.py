@@ -3,11 +3,15 @@ import json
 import pytest
 
 from ltbe import (
+    Atom,
     BranchLayer,
     DegenerateStack,
+    Inj,
+    Pair,
     ParseError,
     PolyLayer,
     SemiringKind,
+    StateRef,
     TransitionTypeError,
     TypeStack,
     ValidationError,
@@ -195,7 +199,7 @@ class TestRoundTrip:
 class TestBranchValues:
     def test_lts_branch_values(self):
         sys_model = loop_exit_system("bool")
-        (values,) = (sys_model.branch_values_at(0),)
+        (values,) = (sys_model.values_at(0),)
         assert len(values) == 1
         assert values[0].support_keys() == ("i0(@*)", "i1((@a,c))")
 
@@ -210,7 +214,7 @@ class TestBranchValues:
             },
         }
         sys_model = parse_system(json.dumps(doc))
-        values = sys_model.branch_values_at(1)
+        values = sys_model.values_at(1)
         assert {v.key() for v in values} == {"{}", "{c|d}"}
 
     def test_duplicates_collapse(self):
@@ -224,4 +228,26 @@ class TestBranchValues:
             },
         }
         sys_model = parse_system(json.dumps(doc))
-        assert len(sys_model.branch_values_at(0)) == 1
+        assert len(sys_model.values_at(0)) == 1
+
+    def test_polynomial_layer_terms(self):
+        doc = {
+            "kind": "bool",
+            "stack": ["T", LTS_F],
+            "states": ["c", "d", "e"],
+            "transitions": {
+                "c": [stop_term(), step_term("a", "c"), step_term("a", "d")],
+                "d": [step_term("a", "c")],
+                "e": [],
+            },
+        }
+        sys_model = parse_system(json.dumps(doc))
+        assert sys_model.values_at(1) == (
+            Inj(0, Atom("*")),
+            Inj(1, Pair(Atom("a"), StateRef("c"))),
+            Inj(1, Pair(Atom("a"), StateRef("d"))),
+        )
+
+    def test_spec_layer_terms(self):
+        spec = omega_spec("bool")
+        assert spec.values_at(0) == (Inj(1, Pair(Atom("a"), StateRef("zw"))),)
