@@ -18,21 +18,30 @@ turns into an honest "not converged" report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable
 
 from .branching import BranchVal, dirac
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
-from .lifting import lift_double_extension, lift_egli_milner, lift_extension, lift_poly
+from .lifting import (
+    Compiled,
+    compile_double_extension,
+    compile_egli_milner,
+    compile_extension,
+    compile_poly,
+    lift_extension,
+)
 from .polyfunctor import value_key
-from .relation import ValRel, reindex
+from .relation import ValRel, compile_reindex
 from .semiring import (
     INF,
+    OPS,
     LawCheck,
+    RawOps,
     SemiringKind,
     SemiringValue,
     add,
-    leq,
     mul,
     values_equal,
     zero,
@@ -61,8 +70,10 @@ class FixpointOptions:
     def __post_init__(self) -> None:
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:  # NaN too
             raise ValueError("tolerance must be >= 0")
+        if not self.divergence_cap >= 0:
+            raise ValueError("divergence_cap must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,22 +103,27 @@ def _check_pair_inputs(sysA: System, sysB: System, rel: ValRel) -> None:
         raise CarrierMismatch("relation carriers must be the two state sets")
 
 
-def _extend_left(rel: ValRel, left_values, right_values) -> ValRel:
-    return lift_extension(rel, left_values)
+def _extend_left(kind, rows, cols, left_values, right_values) -> Compiled:
+    return compile_extension(kind, rows, cols, left_values)
+
+
+def _index(keys) -> dict[object, int]:
+    return {k: i for i, k in enumerate(keys)}
 
 
 def _walker(
-    left: System, right: System, branch_lift: Callable[..., ValRel]
-) -> Callable[[ValRel], ValRel]:
+    left: System, right: System, branch_lift: Callable[..., Compiled]
+) -> Callable[[list], list]:
     """The one-step operator of a run between the states of two models.
 
     Each step pushes the relation through the left model's layers, from
     the innermost outwards, over the values that occur in the two models:
-    ``lift_poly`` at a polynomial layer, ``branch_lift`` at a branching
+    ``compile_poly`` at a polynomial layer, ``branch_lift`` at a branching
     layer.  It then reads the result back along the two transition maps.
     A specification has no branching layers, so its layer ``j`` is the
     left model's ``j``-th polynomial layer and ``branch_lift`` gets no
-    values for it.  Values and key maps are gathered once, here.
+    values for it.  Every layer is compiled once, here, and the step maps
+    a row-major list of raw payloads over the two state sets to the next.
     """
     plan = []
     j = 0
@@ -117,26 +133,34 @@ def _walker(
         else:
             plan.append((layer, left.values_at(idx), right.values_at(j)))
             j += 1
-    plan.reverse()
+    kind = left.stack.kind
+    rows, cols = _index(left.states), _index(right.states)
+    runs = []
+    for layer, left_values, right_values in reversed(plan):
+        compile_layer = (
+            branch_lift if isinstance(layer, BranchLayer) else partial(compile_poly, layer.expr)
+        )
+        run, row_keys, col_keys = compile_layer(kind, rows, cols, left_values, right_values)
+        runs.append(run)
+        rows, cols = _index(row_keys), _index(col_keys)
     f = {c: value_key(left.transitions[c]) for c in left.states}
     g = {d: value_key(right.transitions[d]) for d in right.states}
+    runs.append(compile_reindex(f, g, rows, cols))
 
-    def step(rel: ValRel) -> ValRel:
-        cur = rel
-        for layer, left_values, right_values in plan:
-            if isinstance(layer, BranchLayer):
-                cur = branch_lift(cur, left_values, right_values)
-            else:
-                cur = lift_poly(layer.expr, cur, left_values, right_values)
-        return reindex(f, g, cur)
+    def step(cur: list) -> list:
+        for run in runs:
+            cur = run(cur)
+        return cur
 
     return step
 
 
-def _chain(step: Callable[[ValRel], ValRel], start: ValRel, steps: int) -> list[ValRel]:
+def _chain(step: Callable[[list], list], start: ValRel, steps: int) -> list[ValRel]:
     out = [start]
+    cur = start.payloads()
     for _ in range(steps):
-        out.append(step(out[-1]))
+        cur = step(cur)
+        out.append(ValRel.from_payloads(start.kind, start.rows, start.cols, cur))
     return out
 
 
@@ -147,58 +171,62 @@ def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
         raise KindMismatch("relation kind does not match the system kind")
     if rel.rows != sys.states or rel.cols != spec.states:
         raise CarrierMismatch("relation carriers must be the two state sets")
-    return _walker(sys, spec, _extend_left)(rel)
+    cur = _walker(sys, spec, _extend_left)(rel.payloads())
+    return ValRel.from_payloads(rel.kind, rel.rows, rel.cols, cur)
 
 
-def _strictly_below(entry: SemiringValue, threshold: SemiringValue) -> bool:
-    return leq(entry, threshold) and not leq(threshold, entry)
-
-
-def _threshold_settled(cur: ValRel, prev: ValRel, threshold: SemiringValue) -> bool:
-    exact = cur.kind is not SemiringKind.PROB
-    for (_, _, now), (_, _, before) in zip(cur.entries(), prev.entries()):
-        if not _strictly_below(now, threshold):
-            return False
-        if exact and now != before:
-            return False
-    return True
-
-
-def _tropical_overflow(cur: ValRel, cap: int) -> bool:
-    return any(v.payload != INF and v.payload > cap for _, _, v in cur.entries())
+def _threshold_settled(cur: list, prev: list, threshold, ops: RawOps, exact: bool) -> bool:
+    if exact and cur != prev:
+        return False
+    leq = ops.leq
+    return all(leq(v, threshold) and not leq(threshold, v) for v in cur)
 
 
 def _run_fixpoint(
-    step: Callable[[ValRel], ValRel],
+    step: Callable[[list], list],
     start: ValRel,
     opts: FixpointOptions,
 ) -> FixpointReport:
+    """Iterate ``step`` on raw payload lists from ``start`` and box the last iterate."""
     kind = start.kind
+    ops = OPS[kind]
+    threshold = opts.threshold
+    if threshold is not None and threshold.kind is not kind:
+        raise KindMismatch(f"cannot combine {kind.value} with {threshold.kind.value}")
     limit = opts.max_iterations
     if limit is None:
         limit = 10 * len(start.rows) * len(start.cols) + 10
-    prev = start
-    cur = start
+
+    def report(cur: list, i: int, converged: bool, gap: float, decided: bool = False):
+        result = ValRel.from_payloads(kind, start.rows, start.cols, cur)
+        return FixpointReport(result, i, converged, gap, decided)
+
+    prev = start.payloads()
+    cur = prev
     gap_now = INF
     for i in range(1, limit + 1):
         cur = step(prev)
-        if not cur.pointwise_leq(prev):
+        if not all(map(ops.leq, cur, prev)):
             raise MonotonicityViolation(
                 f"iterate {i} is not below its predecessor; the operator is not descending"
             )
-        gap_now = cur.max_gap(prev)
+        gap_now = max(map(ops.gap, cur, prev), default=0.0)
         if kind is SemiringKind.PROB:
             converged = gap_now <= opts.tolerance
         else:
             converged = gap_now == 0.0
         if converged:
-            return FixpointReport(cur, i, True, gap_now)
-        if kind is SemiringKind.TROPICAL and _tropical_overflow(cur, opts.divergence_cap):
-            return FixpointReport(cur, i, False, gap_now)
-        if opts.threshold is not None and _threshold_settled(cur, prev, opts.threshold):
-            return FixpointReport(cur, i, False, gap_now, threshold_decided=True)
+            return report(cur, i, True, gap_now)
+        if kind is SemiringKind.TROPICAL and any(
+            v != INF and v > opts.divergence_cap for v in cur
+        ):
+            return report(cur, i, False, gap_now)
+        if threshold is not None and _threshold_settled(
+            cur, prev, threshold.payload, ops, kind is not SemiringKind.PROB
+        ):
+            return report(cur, i, False, gap_now, True)
         prev = cur
-    return FixpointReport(cur, limit, False, gap_now)
+    return report(cur, limit, False, gap_now)
 
 
 def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None) -> FixpointReport:
@@ -225,13 +253,13 @@ def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None
     opts = opts or FixpointOptions()
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
     _check_pair_inputs(sysA, sysB, start)
-    return _run_fixpoint(_walker(sysA, sysB, lift_double_extension), start, opts)
+    return _run_fixpoint(_walker(sysA, sysB, compile_double_extension), start, opts)
 
 
 def common_iterates(sysA: System, sysB: System, steps: int) -> list[ValRel]:
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
     _check_pair_inputs(sysA, sysB, start)
-    return _chain(_walker(sysA, sysB, lift_double_extension), start, steps)
+    return _chain(_walker(sysA, sysB, compile_double_extension), start, steps)
 
 
 def bisimilarity(sysA: System, sysB: System) -> FixpointReport:
@@ -245,7 +273,7 @@ def bisimilarity(sysA: System, sysB: System) -> FixpointReport:
         raise KindMismatch("bisimilarity is only defined for bool systems")
     start = ValRel.top(sysA.states, sysB.states, SemiringKind.BOOL)
     _check_pair_inputs(sysA, sysB, start)
-    return _run_fixpoint(_walker(sysA, sysB, lift_egli_milner), start, FixpointOptions())
+    return _run_fixpoint(_walker(sysA, sysB, compile_egli_milner), start, FixpointOptions())
 
 
 # --- desk-scale monad consistency checks -----------------------------------------

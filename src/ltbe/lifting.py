@@ -17,70 +17,123 @@ Given a relation R between carriers X and Y:
 
 Every lifting is materialized only on the values that occur in the models
 at hand, supplied explicitly as carrier lists: the terms of a polynomial
-layer and the branching values of a branching layer.  The number of all
-terms is a polynomial in the carrier size, and the space of branching
-values is unbounded.
+layer and the branching values of a branching layer.
+
+Each lifting has one implementation, in two stages.  ``compile_*`` takes
+the positions of the source carriers' keys and the new carrier lists and
+resolves every cell to integer positions in the source; it returns a
+program together with the new row and column keys.  The program maps a
+row-major list of raw payloads (see :data:`~ltbe.semiring.OPS`) to the
+lifted list.  The fixpoint engine compiles each layer once per run and
+runs the programs on every iteration; the public ``lift_*`` functions
+compile, run once and box the result.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial, reduce
+from typing import Callable, Mapping, Sequence
 
 from .branching import BranchVal
-from .errors import KindMismatch, UndefinedSum
-from .polyfunctor import (
-    Const,
-    Coprod,
-    Id,
-    PolyExpr,
-    PolyTerm,
-    Power,
-    Prod,
-    value_key,
-)
+from .errors import CarrierMismatch, KindMismatch, UndefinedSum
+from .polyfunctor import Const, Coprod, Id, PolyExpr, PolyTerm, Prod, value_key
 from .relation import ValRel
-from .semiring import SemiringKind, SemiringValue, add, mul, one, zero
+from .semiring import OPS, SemiringKind
+
+#: The position of each key of a carrier.
+Index = Mapping[object, int]
+
+#: A compiled layer: the program, and the row and column keys of its result.
+Compiled = tuple[Callable[[list], list], tuple, tuple]
+
+#: A compiled polynomial cell that is the unit, whatever the relation.
+_TOP = "top"
 
 
-def lift_poly(
-    expr: PolyExpr,
-    rel: ValRel,
-    row_terms: Sequence[PolyTerm],
-    col_terms: Sequence[PolyTerm],
-) -> ValRel:
-    """Push a relation through a polynomial layer on both carriers.
+def _pos(index: Index, key: object) -> int:
+    try:
+        return index[key]
+    except KeyError:
+        raise CarrierMismatch(f"key {key!r} is not in the carrier") from None
 
-    The new rows and columns are the supplied terms of ``expr``; an
-    identity position reads ``rel`` at the keys of the two targets.
+
+def _times(a, b):
+    """The compiled product of two cells; a unit factor folds away exactly."""
+    return b if a is _TOP else a if b is _TOP else (a, b)
+
+
+def compile_poly(
+    expr: PolyExpr, kind: SemiringKind, rows: Index, cols: Index,
+    row_terms: Sequence[PolyTerm], col_terms: Sequence[PolyTerm],
+) -> Compiled:
+    """Compile the lifting through a polynomial layer.
+
+    A term's shape is its sequence of injection indices and labels; two
+    terms of different shapes give bottom (``None``).  Otherwise the cell is
+    top or a product tree of source positions, one leaf per identity
+    position, nested in the order the expression multiplies.
     """
-    kind = rel.kind
-    top_value = one(kind)
-    bot_value = zero(kind)
+    width = len(cols)
 
-    def ev(e: PolyExpr, u, v) -> SemiringValue:
+    def walk(e: PolyExpr, t, index, shape: list, leaves: list):
+        # the term's product tree, with leaf i standing for leaves[i]
         if isinstance(e, Id):
-            return rel.get(value_key(u.target), value_key(v.target))
+            leaves.append(_pos(index, value_key(t.target)))
+            return len(leaves) - 1
         if isinstance(e, Const):
-            return top_value if u.label == v.label else bot_value
+            shape.append(t.label)
+            return _TOP
         if isinstance(e, Prod):
-            return mul(ev(e.left, u.fst, v.fst), ev(e.right, u.snd, v.snd))
+            return _times(walk(e.left, t.fst, index, shape, leaves),
+                          walk(e.right, t.snd, index, shape, leaves))
         if isinstance(e, Coprod):
-            if u.index != v.index:
-                return bot_value
-            return ev(e.branches[u.index], u.arg, v.arg)
-        assert isinstance(e, Power)
-        acc = top_value
-        for cu, cv in zip(u.components, v.components):
-            acc = mul(acc, ev(e.body, cu, cv))
+            shape.append(t.index)
+            return walk(e.branches[t.index], t.arg, index, shape, leaves)
+        acc = _TOP  # a power: the product of its components, left to right
+        for c in t.components:
+            acc = _times(acc, walk(e.body, c, index, shape, leaves))
         return acc
 
-    grid = [[ev(expr, u, v) for v in col_terms] for u in row_terms]
-    return ValRel(
-        kind,
-        tuple(t.key() for t in row_terms),
-        tuple(t.key() for t in col_terms),
-        grid,
-    )
+    def resolve(terms, index):
+        out = []
+        for t in terms:
+            shape, leaves = [], []
+            tree = walk(expr, t, index, shape, leaves)
+            out.append((tuple(shape), tree, leaves))
+        return out
+
+    def cell(tree, lu, lv):
+        if type(tree) is int:
+            return lu[tree] * width + lv[tree]
+        return tree if tree is _TOP else (cell(tree[0], lu, lv), cell(tree[1], lu, lv))
+
+    right = resolve(col_terms, cols)
+    cells = [
+        cell(tree, lu, lv) if su == sv else None
+        for su, tree, lu in resolve(row_terms, rows)
+        for sv, _, lv in right
+    ]
+    # every cell but a product reads one position: the two constants sit
+    # right after the source cells
+    size = len(rows) * width
+    gather = [size + 1 if c is _TOP else c if type(c) is int else size for c in cells]
+    products = [(k, c) for k, c in enumerate(cells) if type(c) is tuple]
+    ops = OPS[kind]
+    units, mul = [ops.zero, ops.one], ops.mul
+
+    def run(cur: list) -> list:
+        src = cur + units
+        out = list(map(src.__getitem__, gather))
+        if products:
+
+            def ev(t):
+                return src[t] if type(t) is int else mul(ev(t[0]), ev(t[1]))
+
+            for k, t in products:
+                out[k] = ev(t)
+        return out
+
+    return run, tuple(t.key() for t in row_terms), tuple(t.key() for t in col_terms)
 
 
 def _check_branch_kinds(kind: SemiringKind, values: Sequence[BranchVal]) -> None:
@@ -91,6 +144,117 @@ def _check_branch_kinds(kind: SemiringKind, values: Sequence[BranchVal]) -> None
             )
 
 
+def _compile_fold(
+    kind: SemiringKind, rows: Index, width: int, left_values: Sequence[BranchVal],
+    right: list, where: Callable[[int], str],
+) -> Callable[[list], list]:
+    """A cell per left value and entry of ``right``, a list of ``(column, weight)``.
+
+    The cell folds weight * source cell over the pairs of the left value's
+    support and the entry, left-major, in canonical support order.
+    """
+    add, mul, zero = OPS[kind].add, OPS[kind].mul, OPS[kind].zero
+    cells = []
+    for t in left_values:
+        xs = [(_pos(rows, value_key(x)) * width, w.payload) for x, w in t.entries]
+        for u in right:
+            weights = tuple(mul(xw, yw) for _, xw in xs for _, yw in u)
+            cells.append((weights, tuple(xi + yi for xi, _ in xs for yi, _ in u)))
+
+    def run(cur: list) -> list:
+        get = cur.__getitem__
+        out = []
+        for n, (ws, idxs) in enumerate(cells):
+            try:
+                out.append(reduce(add, map(mul, ws, map(get, idxs)), zero))
+            except UndefinedSum:
+                raise UndefinedSum(
+                    f"partial sum undefined while extending over {where(n)}"
+                ) from None
+        return out
+
+    return run
+
+
+def compile_extension(
+    kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal]
+) -> Compiled:
+    """Compile the left extension; the columns stay as they are."""
+    _check_branch_kinds(kind, left_values)
+    width = len(cols)
+    one = OPS[kind].one  # weight * one is the weight, exactly
+    right = [[(j, one)] for j in range(width)]
+    run = _compile_fold(
+        kind, rows, width, left_values, right, lambda n: repr(left_values[n // width].key())
+    )
+    return run, tuple(bv.key() for bv in left_values), tuple(cols)
+
+
+def compile_double_extension(
+    kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal],
+    right_values: Sequence[BranchVal],
+) -> Compiled:
+    """Compile the two-sided extension."""
+    _check_branch_kinds(kind, left_values)
+    _check_branch_kinds(kind, right_values)
+    right = [[(_pos(cols, value_key(y)), w.payload) for y, w in u.entries] for u in right_values]
+
+    def where(n: int) -> str:
+        t, u = divmod(n, len(right_values))
+        return f"{left_values[t].key()!r} x {right_values[u].key()!r}"
+
+    run = _compile_fold(kind, rows, len(cols), left_values, right, where)
+    return run, tuple(t.key() for t in left_values), tuple(u.key() for u in right_values)
+
+
+def compile_egli_milner(
+    kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal],
+    right_values: Sequence[BranchVal],
+) -> Compiled:
+    """Compile the forall-exists lifting.
+
+    A cell holds, per left successor, its source cells against every right
+    successor, and per right successor its cells against every left one.
+    """
+    if kind is not SemiringKind.BOOL:
+        raise KindMismatch("the forall-exists lifting is only defined for bool relations")
+    _check_branch_kinds(kind, left_values)
+    _check_branch_kinds(kind, right_values)
+    width = len(cols)
+    cells = []
+    for t in left_values:
+        xs = [_pos(rows, k) * width for k in t.support_keys()]
+        for u in right_values:
+            ys = [_pos(cols, k) for k in u.support_keys()]
+            cells.append(([[x + y for y in ys] for x in xs], [[x + y for x in xs] for y in ys]))
+
+    def run(cur: list) -> list:
+        get = cur.__getitem__
+        return [
+            all(any(map(get, row)) for row in forward)
+            and all(any(map(get, col)) for col in backward)
+            for forward, backward in cells
+        ]
+
+    return run, tuple(t.key() for t in left_values), tuple(u.key() for u in right_values)
+
+
+def _apply(compile_layer: Callable[..., Compiled], rel: ValRel, *values) -> ValRel:
+    run, row_keys, col_keys = compile_layer(rel.kind, rel.row_index, rel.col_index, *values)
+    return ValRel.from_payloads(rel.kind, row_keys, col_keys, run(rel.payloads()))
+
+
+def lift_poly(
+    expr: PolyExpr, rel: ValRel, row_terms: Sequence[PolyTerm], col_terms: Sequence[PolyTerm]
+) -> ValRel:
+    """Push a relation through a polynomial layer on both carriers.
+
+    The new rows and columns are the supplied terms of ``expr``; an
+    identity position reads ``rel`` at the keys of the two targets.
+    """
+    return _apply(partial(compile_poly, expr), rel, row_terms, col_terms)
+
+
 def lift_extension(rel: ValRel, left_values: Sequence[BranchVal]) -> ValRel:
     """Abstract branching on the left carrier.
 
@@ -98,24 +262,7 @@ def lift_extension(rel: ValRel, left_values: Sequence[BranchVal]) -> ValRel:
     the bottom value.  Folds run in canonical support order, so results are
     reproducible bit for bit.
     """
-    kind = rel.kind
-    _check_branch_kinds(kind, left_values)
-    bot_value = zero(kind)
-
-    def extend(bv: BranchVal, y) -> SemiringValue:
-        acc = bot_value
-        for item, weight in bv.entries:
-            term = mul(weight, rel.get(value_key(item), y))
-            nxt = add(acc, term)
-            if nxt is None:
-                raise UndefinedSum(
-                    f"partial sum undefined while extending over {bv.key()!r}"
-                )
-            acc = nxt
-        return acc
-
-    grid = [[extend(bv, y) for y in rel.cols] for bv in left_values]
-    return ValRel(kind, tuple(bv.key() for bv in left_values), rel.cols, grid)
+    return _apply(compile_extension, rel, left_values)
 
 
 def lift_double_extension(
@@ -126,32 +273,7 @@ def lift_double_extension(
     Equivalent to extending on the left and then on the right; computed
     directly as a double fold over both supports.
     """
-    kind = rel.kind
-    _check_branch_kinds(kind, left_values)
-    _check_branch_kinds(kind, right_values)
-    bot_value = zero(kind)
-
-    def extend(t: BranchVal, u: BranchVal) -> SemiringValue:
-        acc = bot_value
-        for x_item, x_weight in t.entries:
-            xk = value_key(x_item)
-            for y_item, y_weight in u.entries:
-                term = mul(mul(x_weight, y_weight), rel.get(xk, value_key(y_item)))
-                nxt = add(acc, term)
-                if nxt is None:
-                    raise UndefinedSum(
-                        f"partial sum undefined while extending over {t.key()!r} x {u.key()!r}"
-                    )
-                acc = nxt
-        return acc
-
-    grid = [[extend(t, u) for u in right_values] for t in left_values]
-    return ValRel(
-        kind,
-        tuple(t.key() for t in left_values),
-        tuple(u.key() for u in right_values),
-        grid,
-    )
+    return _apply(compile_double_extension, rel, left_values, right_values)
 
 
 def lift_egli_milner(
@@ -162,26 +284,4 @@ def lift_egli_milner(
     Two successor sets are related iff every element of each has a related
     partner in the other.  Only defined for the boolean kind.
     """
-    kind = rel.kind
-    if kind is not SemiringKind.BOOL:
-        raise KindMismatch("the forall-exists lifting is only defined for bool relations")
-    _check_branch_kinds(kind, left_values)
-    _check_branch_kinds(kind, right_values)
-
-    def related(x: str, y: str) -> bool:
-        return bool(rel.get(x, y).payload)
-
-    def match(t: BranchVal, u: BranchVal) -> SemiringValue:
-        xs = t.support_keys()
-        ys = u.support_keys()
-        forward = all(any(related(x, y) for y in ys) for x in xs)
-        backward = all(any(related(x, y) for x in xs) for y in ys)
-        return SemiringValue(kind, forward and backward)
-
-    grid = [[match(t, u) for u in right_values] for t in left_values]
-    return ValRel(
-        kind,
-        tuple(t.key() for t in left_values),
-        tuple(u.key() for u in right_values),
-        grid,
-    )
+    return _apply(compile_egli_milner, rel, left_values, right_values)

@@ -2,8 +2,9 @@
 
 A relation assigns a truth value to every pair drawn from an ordered row
 carrier and an ordered column carrier.  Carrier elements are opaque keys
-(state ids or canonical term keys).  Matrices are immutable; fixpoint
-iteration always builds fresh ones.
+(state ids or canonical term keys).  Matrices are immutable.  The
+fixpoint engine iterates on row-major lists of raw payloads instead and
+boxes them into a matrix only where it hands one out.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .semiring import (
 class ValRel:
     """An immutable dense matrix of semiring values."""
 
-    __slots__ = ("kind", "rows", "cols", "_row_index", "_col_index", "_grid")
+    __slots__ = ("kind", "rows", "cols", "row_index", "col_index", "_grid")
 
     def __init__(self, kind: SemiringKind, rows, cols, grid) -> None:
         rows = tuple(rows)
@@ -45,8 +46,8 @@ class ValRel:
         self.kind = kind
         self.rows = rows
         self.cols = cols
-        self._row_index = {k: i for i, k in enumerate(rows)}
-        self._col_index = {k: j for j, k in enumerate(cols)}
+        self.row_index = {k: i for i, k in enumerate(rows)}
+        self.col_index = {k: j for j, k in enumerate(cols)}
         self._grid = grid
 
     @classmethod
@@ -65,9 +66,21 @@ class ValRel:
         cols = tuple(cols)
         return cls(kind, rows, cols, [[fn(r, c) for c in cols] for r in rows])
 
+    @classmethod
+    def from_payloads(cls, kind: SemiringKind, rows, cols, flat: list) -> "ValRel":
+        """Box a row-major list of raw payloads, the engine's working form."""
+        rows, cols = tuple(rows), tuple(cols)
+        n = len(cols)
+        grid = [[SemiringValue(kind, p) for p in flat[i * n : i * n + n]] for i in range(len(rows))]
+        return cls(kind, rows, cols, grid)
+
+    def payloads(self) -> list:
+        """The raw payloads, row-major."""
+        return [v.payload for row in self._grid for v in row]
+
     def get(self, row: object, col: object) -> SemiringValue:
         try:
-            return self._grid[self._row_index[row]][self._col_index[col]]
+            return self._grid[self.row_index[row]][self.col_index[col]]
         except KeyError as exc:
             raise CarrierMismatch(f"key {exc.args[0]!r} is not in the carrier") from None
 
@@ -141,21 +154,31 @@ class ValRel:
         ]
 
 
+def compile_reindex(
+    f: Mapping[object, object], g: Mapping[object, object], rows: Mapping, cols: Mapping
+) -> Callable[[list], list]:
+    """Precomposition with a pair of carrier maps, on row-major payload lists.
+
+    ``rows`` and ``cols`` give the position of each key of the source
+    carriers; every image under ``f`` and ``g`` must be among them.  The
+    result reads one source cell per pair of keys of ``f`` and ``g``.
+    """
+    for x, fx in f.items():
+        if fx not in rows:
+            raise CarrierMismatch(f"row image {fx!r} of {x!r} is outside the carrier")
+    for y, gy in g.items():
+        if gy not in cols:
+            raise CarrierMismatch(f"column image {gy!r} of {y!r} is outside the carrier")
+    n = len(cols)
+    gather = [rows[f[x]] * n + cols[g[y]] for x in f for y in g]
+    return lambda cur: list(map(cur.__getitem__, gather))
+
+
 def reindex(f: Mapping[object, object], g: Mapping[object, object], rel: ValRel) -> ValRel:
     """Precompose a relation with a pair of carrier maps.
 
     The result is indexed by the keys of ``f`` and ``g``; every image must
     lie inside the carriers of ``rel``.
     """
-    for x, fx in f.items():
-        if fx not in rel._row_index:
-            raise CarrierMismatch(f"row image {fx!r} of {x!r} is outside the carrier")
-    for y, gy in g.items():
-        if gy not in rel._col_index:
-            raise CarrierMismatch(f"column image {gy!r} of {y!r} is outside the carrier")
-    return ValRel(
-        rel.kind,
-        tuple(f.keys()),
-        tuple(g.keys()),
-        [[rel.get(f[x], g[y]) for y in g] for x in f],
-    )
+    run = compile_reindex(f, g, rel.row_index, rel.col_index)
+    return ValRel.from_payloads(rel.kind, f.keys(), g.keys(), run(rel.payloads()))

@@ -13,18 +13,22 @@ Each branching discipline induces a carrier of truth values with a
 
 Values carry their kind and mixing kinds raises :class:`KindMismatch`.
 Probabilities are binary floats, so all comparisons use the global
-tolerance :data:`PROB_EPS`.
+tolerance :data:`PROB_EPS`.  :data:`OPS` holds each kind's arithmetic on
+bare payloads; the boxed :func:`add`, :func:`mul`, :func:`leq` and
+:func:`gap` wrap it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import Callable, NamedTuple
 
-from .errors import KindMismatch, ValidationError
+from .errors import KindMismatch, UndefinedSum, ValidationError
 
 #: Comparison tolerance for probability values (floats need a slack policy).
 PROB_EPS = 1e-9
@@ -65,7 +69,8 @@ class SemiringValue:
                 raise ValidationError(f"prob payload {p!r} is not a finite real")
             if p < -PROB_EPS or p > 1.0 + PROB_EPS:
                 raise ValidationError(f"prob payload {p!r} outside [0, 1]")
-            object.__setattr__(self, "payload", min(max(p, 0.0), 1.0))
+            # 0.0 first, so that -0.0 becomes 0.0
+            object.__setattr__(self, "payload", min(max(0.0, p), 1.0))
         else:
             if isinstance(p, float) and not isinstance(p, bool):
                 if p == INF:
@@ -79,22 +84,62 @@ class SemiringValue:
             object.__setattr__(self, "payload", p)
 
 
+def _prob_add(a: float, b: float) -> float:
+    s = a + b
+    if s > 1.0:
+        if s > 1.0 + PROB_EPS:
+            raise UndefinedSum(f"{a!r} + {b!r} exceeds 1")
+        return 1.0
+    return s
+
+
+def _tropical_gap(a: int | float, b: int | float) -> float:
+    if a == b:
+        return 0.0
+    if a == INF or b == INF:
+        return INF
+    return float(abs(a - b))
+
+
+class RawOps(NamedTuple):
+    """The semiring of one kind on bare payloads, the form the engine iterates on.
+
+    ``add`` raises :class:`UndefinedSum` where a prob sum exceeds 1 by more
+    than :data:`PROB_EPS` and clamps it to 1 otherwise.  ``leq`` is the
+    natural order (prob with :data:`PROB_EPS` slack, tropical numerically
+    reversed).  ``gap`` is the convergence distance: the discrete 0/1 metric
+    for bool, the absolute difference for prob, and for tropical the
+    absolute difference with any finite-to-infinite jump reported as
+    ``math.inf``, so truncated iteration never declares convergence across it.
+    """
+
+    zero: bool | int | float
+    one: bool | int | float
+    add: Callable
+    mul: Callable
+    leq: Callable
+    gap: Callable
+
+
+OPS = {
+    SemiringKind.BOOL: RawOps(
+        False, True, operator.or_, operator.and_, operator.le, lambda a, b: float(a != b)
+    ),
+    SemiringKind.PROB: RawOps(
+        0.0, 1.0, _prob_add, operator.mul, lambda a, b: a <= b + PROB_EPS, lambda a, b: abs(a - b)
+    ),
+    SemiringKind.TROPICAL: RawOps(INF, 0, min, operator.add, operator.ge, _tropical_gap),
+}
+
+
 def zero(kind: SemiringKind) -> SemiringValue:
     """Additive unit: bottom of the natural order."""
-    if kind is SemiringKind.BOOL:
-        return SemiringValue(kind, False)
-    if kind is SemiringKind.PROB:
-        return SemiringValue(kind, 0.0)
-    return SemiringValue(kind, INF)
+    return SemiringValue(kind, OPS[kind].zero)
 
 
 def one(kind: SemiringKind) -> SemiringValue:
     """Multiplicative unit: top of the natural order."""
-    if kind is SemiringKind.BOOL:
-        return SemiringValue(kind, True)
-    if kind is SemiringKind.PROB:
-        return SemiringValue(kind, 1.0)
-    return SemiringValue(kind, 0)
+    return SemiringValue(kind, OPS[kind].one)
 
 
 def _same_kind(a: SemiringValue, b: SemiringValue) -> SemiringKind:
@@ -110,57 +155,26 @@ def add(a: SemiringValue, b: SemiringValue) -> SemiringValue | None:
     only when a + b <= 1 (up to :data:`PROB_EPS`, then clamped to 1).
     """
     kind = _same_kind(a, b)
-    if kind is SemiringKind.BOOL:
-        return SemiringValue(kind, a.payload or b.payload)
-    if kind is SemiringKind.TROPICAL:
-        return SemiringValue(kind, min(a.payload, b.payload))
-    s = a.payload + b.payload
-    if s > 1.0 + PROB_EPS:
+    try:
+        return SemiringValue(kind, OPS[kind].add(a.payload, b.payload))
+    except UndefinedSum:
         return None
-    return SemiringValue(kind, min(s, 1.0))
 
 
 def mul(a: SemiringValue, b: SemiringValue) -> SemiringValue:
     """Semiring multiplication (total): and / * / cost addition."""
     kind = _same_kind(a, b)
-    if kind is SemiringKind.BOOL:
-        return SemiringValue(kind, a.payload and b.payload)
-    if kind is SemiringKind.TROPICAL:
-        return SemiringValue(kind, a.payload + b.payload)
-    return SemiringValue(kind, a.payload * b.payload)
+    return SemiringValue(kind, OPS[kind].mul(a.payload, b.payload))
 
 
 def leq(a: SemiringValue, b: SemiringValue) -> bool:
-    """Natural order of the semiring; note tropical is numerically reversed.
-
-    Prob comparisons allow :data:`PROB_EPS` slack so float rounding cannot
-    flip an equality into a strict violation.
-    """
-    kind = _same_kind(a, b)
-    if kind is SemiringKind.BOOL:
-        return (not a.payload) or b.payload
-    if kind is SemiringKind.TROPICAL:
-        return a.payload >= b.payload
-    return a.payload <= b.payload + PROB_EPS
+    """Natural order of the semiring; see :class:`RawOps`."""
+    return OPS[_same_kind(a, b)].leq(a.payload, b.payload)
 
 
 def gap(a: SemiringValue, b: SemiringValue) -> float:
-    """Convergence distance between two values of the same kind.
-
-    Bool is the discrete 0/1 metric; prob is absolute difference; tropical
-    is absolute difference with any finite-to-infinite jump reported as
-    ``math.inf`` so truncated iteration never declares convergence across it.
-    """
-    kind = _same_kind(a, b)
-    if a.payload == b.payload:
-        return 0.0
-    if kind is SemiringKind.BOOL:
-        return 1.0
-    if kind is SemiringKind.TROPICAL:
-        if a.payload == INF or b.payload == INF:
-            return INF
-        return float(abs(a.payload - b.payload))
-    return abs(a.payload - b.payload)
+    """Convergence distance between two values of the same kind; see :class:`RawOps`."""
+    return OPS[_same_kind(a, b)].gap(a.payload, b.payload)
 
 
 def values_equal(a: SemiringValue, b: SemiringValue) -> bool:

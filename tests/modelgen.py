@@ -265,6 +265,22 @@ def gen_models_on(rng, kind, texts, n_states, n_spec):
     return parse_system(json.dumps(sys_doc)), parse_spec(json.dumps(spec_doc))
 
 
+def gen_layered_spec(rng, kind, texts, n_spec, stop):
+    """A random spec of the linear part of ``texts`` with finite behaviours only.
+
+    State ``z0`` has the transition ``stop``, a raw term with no state
+    reference; every other state ``z<i>`` refers only to ``z0`` .. ``z<i-1>``.
+    """
+    layers = [parse_expr(t) for t in texts if t != "T"]
+    zs = [f"z{i}" for i in range(n_spec)]
+    transitions = {"z0": stop}
+    for i in range(1, n_spec):
+        transitions[zs[i]] = _gen_value(rng, layers, kind, zs[:i])
+    doc = {"kind": kind.value, "stack": [t for t in texts if t != "T"], "states": zs,
+           "transitions": transitions}
+    return parse_spec(json.dumps(doc))
+
+
 def gen_system_pair(rng, kind, shape, n_a=None, n_b=None):
     """Two random systems over one shared stack, for pair operators."""
     texts = _stack_texts(rng, shape)

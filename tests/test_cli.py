@@ -145,6 +145,25 @@ class TestBehaviourCommand:
         assert code == 1
         assert "ValidationError" in err and "nan" in err
 
+    def test_nan_tolerance_rejected(self, capsys):
+        # NaN passes a "< 0" test, and no gap is ever <= NaN, so the run
+        # would spend its whole budget and exit 3
+        code = main(
+            [
+                "behaviour",
+                "--system",
+                str(DATA / "coin.json"),
+                "--spec",
+                str(DATA / "spec_chain2.json"),
+                "--tol",
+                "nan",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "tolerance" in captured.err
+
     def test_nan_weight_rejected(self, tmp_path, capsys):
         doc = json.loads((DATA / "coin.json").read_text())
         doc["transitions"]["c"][0]["weight"] = float("nan")

@@ -7,6 +7,7 @@ from ltbe import (
     CarrierMismatch,
     FixpointOptions,
     KindMismatch,
+    MonotonicityViolation,
     SemiringKind,
     SemiringValue,
     StackMismatch,
@@ -17,10 +18,13 @@ from ltbe import (
     common_iterates,
     common_trace,
     iterates,
+    one,
     parse_spec,
     parse_system,
     step_operator,
+    zero,
 )
+from ltbe.engine import _run_fixpoint
 from modelgen import (
     LTS_F,
     chain_spec,
@@ -194,6 +198,58 @@ class TestThreshold:
         opts = FixpointOptions(threshold=SemiringValue(B, True))
         report = behaviour(sys_model, spec, opts)
         assert report.converged and not report.threshold_decided
+
+
+    def test_threshold_of_another_kind_rejected(self):
+        sys_model = loop_exit_system("prob")
+        spec = omega_spec("prob")
+        opts = FixpointOptions(threshold=SemiringValue(B, True))
+        with pytest.raises(KindMismatch, match="cannot combine prob with bool"):
+            behaviour(sys_model, spec, opts)
+
+
+class TestFixpointOptions:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_iterations": 0},
+            {"tolerance": -1e-9},
+            {"tolerance": float("nan")},
+            {"divergence_cap": -1},
+        ],
+        ids=["max-iterations", "negative-tolerance", "nan-tolerance", "negative-cap"],
+    )
+    def test_invalid_options_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            FixpointOptions(**kwargs)
+
+    def test_zero_tolerance_and_cap_accepted(self):
+        FixpointOptions(tolerance=0.0, divergence_cap=0)
+
+
+class TestMonotonicityGuard:
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_climbing_step_is_rejected(self, kind):
+        # from bottom everywhere, a step that returns top everywhere climbs
+        bottom = ValRel.tabulate(kind, ["x", "y"], ["z"], lambda r, c: zero(kind))
+
+        def climb(flat):
+            return [one(kind).payload] * len(flat)
+
+        with pytest.raises(MonotonicityViolation, match="iterate 1 is not below"):
+            _run_fixpoint(climb, bottom, FixpointOptions())
+
+    def test_climb_after_descent_is_rejected(self):
+        steps = iter([[0.5], [0.25], [0.75]])
+        start = ValRel.top(["x"], ["z"], P)
+        with pytest.raises(MonotonicityViolation, match="iterate 3 is not below"):
+            _run_fixpoint(lambda flat: next(steps), start, FixpointOptions())
+
+    def test_climb_within_prob_slack_is_tolerated(self):
+        steps = iter([[0.5], [0.5 + 1e-10]])
+        start = ValRel.top(["x"], ["z"], P)
+        report = _run_fixpoint(lambda flat: next(steps), start, FixpointOptions())
+        assert report.converged and report.iterations == 2
 
 
 class TestCommonTrace:

@@ -7,6 +7,7 @@ from ltbe import (
     KindMismatch,
     SemiringKind,
     SemiringValue,
+    UndefinedSum,
     ValidationError,
     add,
     check_semiring_laws,
@@ -16,7 +17,7 @@ from ltbe import (
     one,
     zero,
 )
-from ltbe.semiring import from_text, to_text, values_equal
+from ltbe.semiring import OPS, from_text, to_text, values_equal
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
 
@@ -58,6 +59,9 @@ class TestConstruction:
     def test_prob_eps_overshoot_clamps(self):
         assert p(1.0 + 1e-12).payload == 1.0
 
+    def test_prob_negative_zero_normalizes(self):
+        assert repr(p(-0.0).payload) == "0.0"
+
     def test_tropical_rejects_negatives_and_fractions(self):
         with pytest.raises(ValidationError):
             t(-1)
@@ -92,6 +96,33 @@ class TestAdd:
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatch):
             add(b(True), p(0.5))
+
+
+class TestRawOps:
+    def test_prob_sum_within_slack_clamps_to_one(self):
+        assert OPS[P].add(0.5, 0.5 + 1e-12) == 1.0
+
+    def test_prob_sum_beyond_slack_raises(self):
+        with pytest.raises(UndefinedSum):
+            OPS[P].add(0.7, 0.6)
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_units(self, kind):
+        assert zero(kind).payload == OPS[kind].zero and one(kind).payload == OPS[kind].one
+
+    @given(any_kind.flatmap(lambda k: st.tuples(values_for(k), values_for(k))))
+    def test_boxed_ops_wrap_raw_ops(self, pair):
+        x, y = pair
+        ops = OPS[x.kind]
+        assert mul(x, y).payload == ops.mul(x.payload, y.payload)
+        assert leq(x, y) == ops.leq(x.payload, y.payload)
+        assert gap(x, y) == ops.gap(x.payload, y.payload)
+        try:
+            raw = ops.add(x.payload, y.payload)
+        except UndefinedSum:
+            assert add(x, y) is None
+        else:
+            assert add(x, y).payload == raw
 
 
 class TestMul:
