@@ -13,7 +13,7 @@ orders downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import KindMismatch, ValidationError
 from .polyfunctor import value_key
@@ -22,10 +22,17 @@ from .semiring import PROB_EPS, SemiringKind, SemiringValue, one, zero
 
 @dataclass(frozen=True)
 class BranchVal:
-    """A finite-support weight function representing one branching step."""
+    """A finite-support weight function representing one branching step.
+
+    The support keys are kept on construction, and the canonical key is
+    rendered on first use, in fields that take no part in equality,
+    hashing or repr.
+    """
 
     kind: SemiringKind
     entries: tuple[tuple[object, SemiringValue], ...]
+    _support_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         z = zero(self.kind)
@@ -43,24 +50,27 @@ class BranchVal:
                     continue  # set semantics: repeated successors collapse
                 raise ValidationError(f"duplicate entry {k!r} in branching value")
             keyed[k] = (item, weight)
-        normal = tuple(keyed[k] for k in sorted(keyed))
-        object.__setattr__(self, "entries", normal)
+        support = tuple(sorted(keyed))
+        object.__setattr__(self, "entries", tuple(keyed[k] for k in support))
+        object.__setattr__(self, "_support_keys", support)
 
     def key(self) -> str:
-        if self.kind is SemiringKind.BOOL:
-            inner = "|".join(value_key(item) for item, _ in self.entries)
-        else:
-            inner = "|".join(
-                f"{value_key(item)}:{weight.payload!r}" for item, weight in self.entries
-            )
-        return "{" + inner + "}"
+        if self._key is None:
+            if self.kind is SemiringKind.BOOL:
+                inner = "|".join(self._support_keys)
+            else:
+                inner = "|".join(
+                    f"{k}:{w.payload!r}" for k, (_, w) in zip(self._support_keys, self.entries)
+                )
+            object.__setattr__(self, "_key", "{" + inner + "}")
+        return self._key
 
     @property
     def is_empty(self) -> bool:
         return not self.entries
 
     def support_keys(self) -> tuple[str, ...]:
-        return tuple(value_key(item) for item, _ in self.entries)
+        return self._support_keys
 
     def total_mass(self) -> float:
         """Sum of weights; only meaningful for prob values."""

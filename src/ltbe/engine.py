@@ -9,6 +9,15 @@ relation produces a descending chain whose limit measures, for every pair
 of a system state and a specification state, the extent to which the
 former can exhibit the latter's behaviour.
 
+The step is compiled once per run into a program of layers of cells (see
+:mod:`ltbe.relation`).  A layer whose cells are single reads (the
+read-back, or a polynomial layer with at most one ``Id`` per summand) is
+fused into its neighbour, so a ``[T, F]`` step is one layer of folds read
+straight off the relation.  Iteration is semi-naive: after the first
+round, only the cells reading a position that changed are re-evaluated,
+by the same operations in the same order, so every iterate is the full
+pass's bit for bit.
+
 Iteration is truncated at finitely many steps.  Bool converges exactly on
 finite carriers; prob converges up to a tolerance; tropical chains may
 climb towards infinity without ever stabilizing, which a divergence cap
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from .branching import BranchVal, dirac
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
@@ -33,12 +42,11 @@ from .lifting import (
     lift_extension,
 )
 from .polyfunctor import value_key
-from .relation import ValRel, compile_reindex
+from .relation import ValRel, compile_reindex, evaluator, reads
 from .semiring import (
     INF,
     OPS,
     LawCheck,
-    RawOps,
     SemiringKind,
     SemiringValue,
     add,
@@ -78,13 +86,18 @@ class FixpointOptions:
 
 @dataclass(frozen=True, slots=True)
 class FixpointReport:
-    """Outcome of one fixpoint run; ``result`` is the last iterate."""
+    """Outcome of one fixpoint run; ``result`` is the last iterate.
+
+    ``stop_reason`` is ``converged``, ``budget`` (``max_iterations`` ran
+    out), ``divergence_cap`` or ``threshold``.
+    """
 
     result: ValRel
     iterations: int
     converged: bool
     final_gap: float
     threshold_decided: bool = False
+    stop_reason: str = "converged"
 
 
 def _check_behaviour_inputs(sys: System, spec: SpecSystem) -> None:
@@ -103,18 +116,32 @@ def _check_pair_inputs(sysA: System, sysB: System, rel: ValRel) -> None:
         raise CarrierMismatch("relation carriers must be the two state sets")
 
 
-def _extend_left(kind, rows, cols, left_values, right_values) -> Compiled:
-    return compile_extension(kind, rows, cols, left_values)
+def _extend_left(kind, rows, cols, left_values, right_values, source=None) -> Compiled:
+    return compile_extension(kind, rows, cols, left_values, source)
 
 
 def _index(keys) -> dict[object, int]:
     return {k: i for i, k in enumerate(keys)}
 
 
-def _walker(
-    left: System, right: System, branch_lift: Callable[..., Compiled]
-) -> Callable[[list], list]:
-    """The one-step operator of a run between the states of two models.
+def _select(below: list, cells: list) -> None:
+    """Fold a layer of single reads into the layer ``below`` by picking its cells."""
+    picked, base, _ = below
+    n = len(picked)  # reads past the end are the two constants
+    below[0] = [picked[p] if p < n else base + p - n for p in cells]
+
+
+def _layer(cells: list, size: int) -> tuple[list, list]:
+    """A layer of the program: its cells, and the cells that read each source position."""
+    users = [[] for _ in range(size + 2)]
+    for k, c in enumerate(cells):
+        for p in reads(c):
+            users[p].append(k)
+    return cells, users
+
+
+def _walker(left: System, right: System, branch_lift: Callable[..., Compiled]) -> list:
+    """The one-step operator of a run between the states of two models, as a program.
 
     Each step pushes the relation through the left model's layers, from
     the innermost outwards, over the values that occur in the two models:
@@ -122,8 +149,9 @@ def _walker(
     layer.  It then reads the result back along the two transition maps.
     A specification has no branching layers, so its layer ``j`` is the
     left model's ``j``-th polynomial layer and ``branch_lift`` gets no
-    values for it.  Every layer is compiled once, here, and the step maps
-    a row-major list of raw payloads over the two state sets to the next.
+    values for it.  The program is the list of fused layers (see
+    :func:`_layer`); the first reads and the last writes the relation, a
+    row-major payload list over the two state sets.
     """
     plan = []
     j = 0
@@ -135,32 +163,69 @@ def _walker(
             j += 1
     kind = left.stack.kind
     rows, cols = _index(left.states), _index(right.states)
-    runs = []
+    program = []  # the fused layers: [cells, source size, every cell a single read]
     for layer, left_values, right_values in reversed(plan):
-        compile_layer = (
-            branch_lift if isinstance(layer, BranchLayer) else partial(compile_poly, layer.expr)
+        branching = isinstance(layer, BranchLayer)
+        compile_layer = branch_lift if branching else partial(compile_poly, layer.expr)
+        below = program[-1] if program and program[-1][2] else None
+        source = below[0] + [below[1], below[1] + 1] if below else None
+        cells, row_keys, col_keys = compile_layer(
+            kind, rows, cols, left_values, right_values, source=source
         )
-        run, row_keys, col_keys = compile_layer(kind, rows, cols, left_values, right_values)
-        runs.append(run)
+        pure = all(type(c) is int for c in cells)
+        if below is not None:  # compiled to read through the layer below
+            program[-1] = [cells, below[1], pure]
+        elif program and pure:
+            _select(program[-1], cells)
+        else:
+            program.append([cells, len(rows) * len(cols), pure])
         rows, cols = _index(row_keys), _index(col_keys)
     f = {c: value_key(left.transitions[c]) for c in left.states}
     g = {d: value_key(right.transitions[d]) for d in right.states}
-    runs.append(compile_reindex(f, g, rows, cols))
-
-    def step(cur: list) -> list:
-        for run in runs:
-            cur = run(cur)
-        return cur
-
-    return step
+    _select(program[-1], compile_reindex(f, g, rows, cols)[0])
+    return [_layer(cells, size) for cells, size, _ in program]
 
 
-def _chain(step: Callable[[list], list], start: ValRel, steps: int) -> list[ValRel]:
+def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[list, list]]:
+    """Iterate ``program`` from the payload list ``flat``, semi-naively.
+
+    A round evaluates, layer by layer and in cell order, the cells that read
+    a position changed (``!=``) in the round, or for the first layer in the
+    round before; the first round evaluates every cell.  The last layer's
+    changes are applied after it has run, since the relation is both its
+    input and its output.  Each round yields the relation, updated in place
+    and followed by the two constants, and its ``(position, old, new)``
+    changes.
+    """
+    evaluate = evaluator(kind)
+    consts = [OPS[kind].zero, OPS[kind].one]
+    cur = flat + consts
+    outs: list = [None] * len(program)
+    last = len(program) - 1
+    changed = None  # every position, in the first round
+    while True:
+        src = cur
+        for depth, (cells, users) in enumerate(program):
+            todo = range(len(cells)) if changed is None else sorted(
+                {k for p in changed for k in users[p]})
+            old = cur if depth == last else outs[depth]
+            if old is None:
+                outs[depth] = src = [evaluate(c, src) for c in cells] + consts
+                continue
+            new = [evaluate(cells[k], src) for k in todo]
+            changes = [(k, old[k], v) for k, v in zip(todo, new) if v != old[k]]
+            changed = [k for k, _, _ in changes]
+            for k, _, v in changes:
+                old[k] = v
+            src = old
+        yield cur, changes
+
+
+def _chain(program: list, start: ValRel, steps: int) -> list[ValRel]:
     out = [start]
-    cur = start.payloads()
-    for _ in range(steps):
-        cur = step(cur)
-        out.append(ValRel.from_payloads(start.kind, start.rows, start.cols, cur))
+    n = len(start.rows) * len(start.cols)
+    for _, (cur, _) in zip(range(steps), _rounds(program, start.kind, start.payloads())):
+        out.append(ValRel.from_payloads(start.kind, start.rows, start.cols, cur[:n]))
     return out
 
 
@@ -171,62 +236,46 @@ def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
         raise KindMismatch("relation kind does not match the system kind")
     if rel.rows != sys.states or rel.cols != spec.states:
         raise CarrierMismatch("relation carriers must be the two state sets")
-    cur = _walker(sys, spec, _extend_left)(rel.payloads())
-    return ValRel.from_payloads(rel.kind, rel.rows, rel.cols, cur)
+    return _chain(_walker(sys, spec, _extend_left), rel, 1)[1]
 
 
-def _threshold_settled(cur: list, prev: list, threshold, ops: RawOps, exact: bool) -> bool:
-    if exact and cur != prev:
-        return False
-    leq = ops.leq
-    return all(leq(v, threshold) and not leq(threshold, v) for v in cur)
+def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> FixpointReport:
+    """Iterate ``program`` from ``start`` and box the last iterate.
 
-
-def _run_fixpoint(
-    step: Callable[[list], list],
-    start: ValRel,
-    opts: FixpointOptions,
-) -> FixpointReport:
-    """Iterate ``step`` on raw payload lists from ``start`` and box the last iterate."""
+    The monotonicity, gap and divergence-cap checks read the changed cells
+    only, since an unchanged cell has gap 0 and is below itself.
+    """
     kind = start.kind
     ops = OPS[kind]
     threshold = opts.threshold
     if threshold is not None and threshold.kind is not kind:
         raise KindMismatch(f"cannot combine {kind.value} with {threshold.kind.value}")
-    limit = opts.max_iterations
-    if limit is None:
-        limit = 10 * len(start.rows) * len(start.cols) + 10
+    n = len(start.rows) * len(start.cols)
+    limit = opts.max_iterations or 10 * n + 10
 
-    def report(cur: list, i: int, converged: bool, gap: float, decided: bool = False):
-        result = ValRel.from_payloads(kind, start.rows, start.cols, cur)
-        return FixpointReport(result, i, converged, gap, decided)
+    def report(cur: list, i: int, reason: str, gap: float):
+        result = ValRel.from_payloads(kind, start.rows, start.cols, cur[:n])
+        return FixpointReport(result, i, reason == "converged", gap, reason == "threshold", reason)
 
-    prev = start.payloads()
-    cur = prev
-    gap_now = INF
-    for i in range(1, limit + 1):
-        cur = step(prev)
-        if not all(map(ops.leq, cur, prev)):
+    leq, gap = ops.leq, ops.gap
+    # bool and tropical settle below a threshold only by an exact repeat, which converges
+    bound = threshold.payload if threshold is not None and kind is SemiringKind.PROB else None
+    for i, (cur, changes) in zip(range(1, limit + 1), _rounds(program, kind, start.payloads())):
+        _, olds, news = zip(*changes) if changes else ((), (), ())
+        if not all(map(leq, news, olds)):
             raise MonotonicityViolation(
                 f"iterate {i} is not below its predecessor; the operator is not descending"
             )
-        gap_now = max(map(ops.gap, cur, prev), default=0.0)
-        if kind is SemiringKind.PROB:
-            converged = gap_now <= opts.tolerance
-        else:
-            converged = gap_now == 0.0
-        if converged:
-            return report(cur, i, True, gap_now)
+        gap_now = max(map(gap, news, olds), default=0.0)
+        if (gap_now <= opts.tolerance if kind is SemiringKind.PROB else gap_now == 0.0):
+            return report(cur, i, "converged", gap_now)
         if kind is SemiringKind.TROPICAL and any(
-            v != INF and v > opts.divergence_cap for v in cur
+            v != INF and v > opts.divergence_cap for v in news
         ):
-            return report(cur, i, False, gap_now)
-        if threshold is not None and _threshold_settled(
-            cur, prev, threshold.payload, ops, kind is not SemiringKind.PROB
-        ):
-            return report(cur, i, False, gap_now, True)
-        prev = cur
-    return report(cur, limit, False, gap_now)
+            return report(cur, i, "divergence_cap", gap_now)
+        if bound is not None and all(leq(v, bound) and not leq(bound, v) for v in cur[:n]):
+            return report(cur, i, "threshold", gap_now)
+    return report(cur, limit, "budget", gap_now)
 
 
 def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None) -> FixpointReport:

@@ -20,31 +20,32 @@ at hand, supplied explicitly as carrier lists: the terms of a polynomial
 layer and the branching values of a branching layer.
 
 Each lifting has one implementation, in two stages.  ``compile_*`` takes
-the positions of the source carriers' keys and the new carrier lists and
-resolves every cell to integer positions in the source; it returns a
-program together with the new row and column keys.  The program maps a
-row-major list of raw payloads (see :data:`~ltbe.semiring.OPS`) to the
-lifted list.  The fixpoint engine compiles each layer once per run and
-runs the programs on every iteration; the public ``lift_*`` functions
-compile, run once and box the result.
+the positions of the source carriers' keys and the new carrier lists, and
+resolves every cell of the lifted matrix to data over source positions
+(see :mod:`ltbe.relation`): a single read, a fold of weights and
+positions, a product tree, or a forall-exists pair of position lists.
+The public ``lift_*`` functions compile, run the one cell evaluator over
+every cell in order and box the result; the engine passes ``source`` to
+compile a layer that reads through a layer of single reads below it.
 """
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .branching import BranchVal
-from .errors import CarrierMismatch, KindMismatch, UndefinedSum
+from .errors import CarrierMismatch, KindMismatch
 from .polyfunctor import Const, Coprod, Id, PolyExpr, PolyTerm, Prod, value_key
-from .relation import ValRel
+from .relation import Fold, ForallExists, ValRel, run_cells
 from .semiring import OPS, SemiringKind
 
 #: The position of each key of a carrier.
 Index = Mapping[object, int]
 
-#: A compiled layer: the program, and the row and column keys of its result.
-Compiled = tuple[Callable[[list], list], tuple, tuple]
+#: A compiled layer: its cells, and the row and column keys of its result.
+Compiled = tuple[list, tuple, tuple]
 
 #: A compiled polynomial cell that is the unit, whatever the relation.
 _TOP = "top"
@@ -57,6 +58,11 @@ def _pos(index: Index, key: object) -> int:
         raise CarrierMismatch(f"key {key!r} is not in the carrier") from None
 
 
+def _through(source: Sequence[int] | None, rows: Index, cols: Index) -> Callable[[int], int]:
+    """Where a cell reads each position of the source and its two constants."""
+    return (range(len(rows) * len(cols) + 2) if source is None else source).__getitem__
+
+
 def _times(a, b):
     """The compiled product of two cells; a unit factor folds away exactly."""
     return b if a is _TOP else a if b is _TOP else (a, b)
@@ -64,16 +70,17 @@ def _times(a, b):
 
 def compile_poly(
     expr: PolyExpr, kind: SemiringKind, rows: Index, cols: Index,
-    row_terms: Sequence[PolyTerm], col_terms: Sequence[PolyTerm],
+    row_terms: Sequence[PolyTerm], col_terms: Sequence[PolyTerm], source=None,
 ) -> Compiled:
     """Compile the lifting through a polynomial layer.
 
     A term's shape is its sequence of injection indices and labels; two
-    terms of different shapes give bottom (``None``).  Otherwise the cell is
-    top or a product tree of source positions, one leaf per identity
-    position, nested in the order the expression multiplies.
+    terms of different shapes give bottom.  Otherwise the cell is top, one
+    source position, or a product tree of source positions, one leaf per
+    identity position, nested in the order the expression multiplies.
     """
     width = len(cols)
+    at = _through(source, rows, cols)
 
     def walk(e: PolyExpr, t, index, shape: list, leaves: list):
         # the term's product tree, with leaf i standing for leaves[i]
@@ -104,112 +111,75 @@ def compile_poly(
 
     def cell(tree, lu, lv):
         if type(tree) is int:
-            return lu[tree] * width + lv[tree]
-        return tree if tree is _TOP else (cell(tree[0], lu, lv), cell(tree[1], lu, lv))
+            return at(lu[tree] * width + lv[tree])
+        return cell(tree[0], lu, lv), cell(tree[1], lu, lv)
 
+    # bottom and top read the two constant slots right after the source cells
+    bottom, top = at(len(rows) * width), at(len(rows) * width + 1)
     right = resolve(col_terms, cols)
     cells = [
-        cell(tree, lu, lv) if su == sv else None
+        (top if tree is _TOP else cell(tree, lu, lv)) if su == sv else bottom
         for su, tree, lu in resolve(row_terms, rows)
         for sv, _, lv in right
     ]
-    # every cell but a product reads one position: the two constants sit
-    # right after the source cells
-    size = len(rows) * width
-    gather = [size + 1 if c is _TOP else c if type(c) is int else size for c in cells]
-    products = [(k, c) for k, c in enumerate(cells) if type(c) is tuple]
-    ops = OPS[kind]
-    units, mul = [ops.zero, ops.one], ops.mul
-
-    def run(cur: list) -> list:
-        src = cur + units
-        out = list(map(src.__getitem__, gather))
-        if products:
-
-            def ev(t):
-                return src[t] if type(t) is int else mul(ev(t[0]), ev(t[1]))
-
-            for k, t in products:
-                out[k] = ev(t)
-        return out
-
-    return run, tuple(t.key() for t in row_terms), tuple(t.key() for t in col_terms)
+    return cells, tuple(t.key() for t in row_terms), tuple(t.key() for t in col_terms)
 
 
-def _check_branch_kinds(kind: SemiringKind, values: Sequence[BranchVal]) -> None:
-    for bv in values:
+def _check_branch_kinds(kind: SemiringKind, *values: Sequence[BranchVal]) -> None:
+    for bv in chain.from_iterable(values):
         if bv.kind is not kind:
             raise KindMismatch(
                 f"{bv.kind.value} branching value used with a {kind.value} relation"
             )
 
 
-def _compile_fold(
-    kind: SemiringKind, rows: Index, width: int, left_values: Sequence[BranchVal],
-    right: list, where: Callable[[int], str],
-) -> Callable[[list], list]:
-    """A cell per left value and entry of ``right``, a list of ``(column, weight)``.
+def compile_extension(
+    kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal], source=None
+) -> Compiled:
+    """Compile the left extension; the columns stay as they are.
 
-    The cell folds weight * source cell over the pairs of the left value's
-    support and the entry, left-major, in canonical support order.
+    The cell of ``(t, y)`` folds the support of ``t`` against column ``y``
+    in canonical support order.
     """
-    add, mul, zero = OPS[kind].add, OPS[kind].mul, OPS[kind].zero
+    _check_branch_kinds(kind, left_values)
+    at, width, mul, one = _through(source, rows, cols), len(cols), OPS[kind].mul, OPS[kind].one
     cells = []
     for t in left_values:
-        xs = [(_pos(rows, value_key(x)) * width, w.payload) for x, w in t.entries]
-        for u in right:
-            weights = tuple(mul(xw, yw) for _, xw in xs for _, yw in u)
-            cells.append((weights, tuple(xi + yi for xi, _ in xs for yi, _ in u)))
-
-    def run(cur: list) -> list:
-        get = cur.__getitem__
-        out = []
-        for n, (ws, idxs) in enumerate(cells):
-            try:
-                out.append(reduce(add, map(mul, ws, map(get, idxs)), zero))
-            except UndefinedSum:
-                raise UndefinedSum(
-                    f"partial sum undefined while extending over {where(n)}"
-                ) from None
-        return out
-
-    return run
-
-
-def compile_extension(
-    kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal]
-) -> Compiled:
-    """Compile the left extension; the columns stay as they are."""
-    _check_branch_kinds(kind, left_values)
-    width = len(cols)
-    one = OPS[kind].one  # weight * one is the weight, exactly
-    right = [[(j, one)] for j in range(width)]
-    run = _compile_fold(
-        kind, rows, width, left_values, right, lambda n: repr(left_values[n // width].key())
-    )
-    return run, tuple(bv.key() for bv in left_values), tuple(cols)
+        xs = [_pos(rows, k) * width for k in t.support_keys()]
+        weights = [mul(w.payload, one) for _, w in t.entries]  # w * one is w, exactly
+        name = (t.key(),)
+        cells += [Fold((weights, [at(x + y) for x in xs], name)) for y in range(width)]
+    return cells, tuple(bv.key() for bv in left_values), tuple(cols)
 
 
 def compile_double_extension(
     kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal],
-    right_values: Sequence[BranchVal],
+    right_values: Sequence[BranchVal], source=None,
 ) -> Compiled:
-    """Compile the two-sided extension."""
-    _check_branch_kinds(kind, left_values)
-    _check_branch_kinds(kind, right_values)
-    right = [[(_pos(cols, value_key(y)), w.payload) for y, w in u.entries] for u in right_values]
+    """Compile the two-sided extension.
 
-    def where(n: int) -> str:
-        t, u = divmod(n, len(right_values))
-        return f"{left_values[t].key()!r} x {right_values[u].key()!r}"
-
-    run = _compile_fold(kind, rows, len(cols), left_values, right, where)
-    return run, tuple(t.key() for t in left_values), tuple(u.key() for u in right_values)
+    The cell of ``(t, u)`` folds the pairs of the two supports, left-major,
+    in canonical support order.
+    """
+    _check_branch_kinds(kind, left_values, right_values)
+    at, width, mul = _through(source, rows, cols), len(cols), OPS[kind].mul
+    right = [
+        ([_pos(cols, k) for k in u.support_keys()], [w.payload for _, w in u.entries], u.key())
+        for u in right_values
+    ]
+    cells = []
+    for t in left_values:
+        xs = [_pos(rows, k) * width for k in t.support_keys()]
+        xws = [w.payload for _, w in t.entries]
+        for ys, yws, u_key in right:
+            weights = [mul(xw, yw) for xw in xws for yw in yws]
+            cells.append(Fold((weights, [at(x + y) for x in xs for y in ys], (t.key(), u_key))))
+    return cells, tuple(t.key() for t in left_values), tuple(u.key() for u in right_values)
 
 
 def compile_egli_milner(
     kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal],
-    right_values: Sequence[BranchVal],
+    right_values: Sequence[BranchVal], source=None,
 ) -> Compiled:
     """Compile the forall-exists lifting.
 
@@ -218,30 +188,23 @@ def compile_egli_milner(
     """
     if kind is not SemiringKind.BOOL:
         raise KindMismatch("the forall-exists lifting is only defined for bool relations")
-    _check_branch_kinds(kind, left_values)
-    _check_branch_kinds(kind, right_values)
+    _check_branch_kinds(kind, left_values, right_values)
+    at = _through(source, rows, cols)
     width = len(cols)
+    right = [[_pos(cols, k) for k in u.support_keys()] for u in right_values]
     cells = []
     for t in left_values:
         xs = [_pos(rows, k) * width for k in t.support_keys()]
-        for u in right_values:
-            ys = [_pos(cols, k) for k in u.support_keys()]
-            cells.append(([[x + y for y in ys] for x in xs], [[x + y for x in xs] for y in ys]))
-
-    def run(cur: list) -> list:
-        get = cur.__getitem__
-        return [
-            all(any(map(get, row)) for row in forward)
-            and all(any(map(get, col)) for col in backward)
-            for forward, backward in cells
-        ]
-
-    return run, tuple(t.key() for t in left_values), tuple(u.key() for u in right_values)
+        for ys in right:
+            cells.append(ForallExists((
+                [[at(x + y) for y in ys] for x in xs], [[at(x + y) for x in xs] for y in ys]
+            )))
+    return cells, tuple(t.key() for t in left_values), tuple(u.key() for u in right_values)
 
 
 def _apply(compile_layer: Callable[..., Compiled], rel: ValRel, *values) -> ValRel:
-    run, row_keys, col_keys = compile_layer(rel.kind, rel.row_index, rel.col_index, *values)
-    return ValRel.from_payloads(rel.kind, row_keys, col_keys, run(rel.payloads()))
+    cells, row_keys, col_keys = compile_layer(rel.kind, rel.row_index, rel.col_index, *values)
+    return ValRel.from_payloads(rel.kind, row_keys, col_keys, run_cells(cells, rel.kind, rel.payloads()))
 
 
 def lift_poly(

@@ -17,7 +17,7 @@ reproducible across runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 
@@ -84,10 +84,18 @@ class PolyTerm:
     """Base class for terms of a functor expression over a carrier.
 
     Every node renders to a canonical key string via :func:`value_key`;
-    carriers of lifted relations are lists of such keys.
+    carriers of lifted relations are lists of such keys.  Terms are
+    immutable, so a compound term renders its key once, on first use, from
+    the children's keys, and keeps it in a ``_key`` field that takes no
+    part in equality, hashing or repr.
     """
 
     __slots__ = ()
+
+    def key(self) -> str:
+        if self._key is None:  # type: ignore[attr-defined]
+            object.__setattr__(self, "_key", self._render())  # type: ignore[attr-defined]
+        return self._key  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,8 +120,9 @@ class Atom(PolyTerm):
 class Pair(PolyTerm):
     fst: PolyTerm
     snd: PolyTerm
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def key(self) -> str:
+    def _render(self) -> str:
         return f"({self.fst.key()},{self.snd.key()})"
 
 
@@ -121,16 +130,18 @@ class Pair(PolyTerm):
 class Inj(PolyTerm):
     index: int
     arg: PolyTerm
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def key(self) -> str:
+    def _render(self) -> str:
         return f"i{self.index}({self.arg.key()})"
 
 
 @dataclass(frozen=True, slots=True)
 class TupleTerm(PolyTerm):
     components: tuple[PolyTerm, ...]
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def key(self) -> str:
+    def _render(self) -> str:
         return "t(" + ";".join(c.key() for c in self.components) + ")"
 
 

@@ -1,96 +1,159 @@
-"""Dense multi-valued relation matrices over finite carriers.
+"""Dense multi-valued relation matrices over finite carriers, and their cells.
 
 A relation assigns a truth value to every pair drawn from an ordered row
 carrier and an ordered column carrier.  Carrier elements are opaque keys
-(state ids or canonical term keys).  Matrices are immutable.  The
-fixpoint engine iterates on row-major lists of raw payloads instead and
-boxes them into a matrix only where it hands one out.
+(state ids or canonical term keys).  Matrices are immutable; they hold
+row-major raw payloads (see :data:`~ltbe.semiring.OPS`) and box a value
+into a :class:`SemiringValue` only where one is read out.
+
+A *cell* is plain data saying how one entry of a new matrix is computed
+from a source list, the old payloads followed by the constants zero and
+one: an ``int`` reads one position, a :class:`Fold` sums weighted
+positions, a ``tuple`` pair is a product tree over positions, and a
+:class:`ForallExists` is the test of the Egli-Milner lifting.  One
+function, made by :func:`evaluator`, evaluates any cell.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Callable, Iterator, Mapping
+from functools import reduce
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import CarrierMismatch, KindMismatch
-from .semiring import (
-    SemiringKind,
-    SemiringValue,
-    gap,
-    leq,
-    one,
-    to_json_value,
-)
+from .errors import CarrierMismatch, KindMismatch, UndefinedSum
+from .semiring import INF, OPS, SemiringKind, SemiringValue
+
+
+class Fold(tuple):
+    """``(weights, positions, where)``: ``weights[i] * src[positions[i]]`` summed
+    from zero, left to right; ``where`` holds the keys that name the cell if a
+    prob sum is undefined."""
+
+    __slots__ = ()
+
+
+class ForallExists(tuple):
+    """``(forward, backward)``: true iff each of their rows holds a true position."""
+
+    __slots__ = ()
+
+
+def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
+    """The function that evaluates a cell of ``kind`` over a source list."""
+    add, mul, zero = OPS[kind].add, OPS[kind].mul, OPS[kind].zero
+
+    def evaluate(cell, src: list):
+        t = type(cell)
+        if t is int:
+            return src[cell]
+        if t is Fold:
+            try:
+                return reduce(add, map(mul, cell[0], map(src.__getitem__, cell[1])), zero)
+            except UndefinedSum:
+                where = " x ".join(map(repr, cell[2]))
+                raise UndefinedSum(f"partial sum undefined while extending over {where}") from None
+        if t is ForallExists:
+            get = src.__getitem__
+            return all(any(map(get, r)) for r in cell[0]) and all(any(map(get, c)) for c in cell[1])
+        return mul(evaluate(cell[0], src), evaluate(cell[1], src))
+
+    return evaluate
+
+
+def reads(cell) -> Iterable[int]:
+    """The source positions a cell reads."""
+    t = type(cell)
+    if t is int:
+        return (cell,)
+    if t is Fold:
+        return cell[1]
+    if t is ForallExists:
+        return chain.from_iterable(cell[0])
+    return chain(reads(cell[0]), reads(cell[1]))
+
+
+def run_cells(cells: list, kind: SemiringKind, flat: list) -> list:
+    """Evaluate every cell, in order, over ``flat`` and the two constant slots."""
+    evaluate = evaluator(kind)
+    src = flat + [OPS[kind].zero, OPS[kind].one]
+    return [evaluate(c, src) for c in cells]
 
 
 class ValRel:
     """An immutable dense matrix of semiring values."""
 
-    __slots__ = ("kind", "rows", "cols", "row_index", "col_index", "_grid")
+    __slots__ = ("kind", "rows", "cols", "row_index", "col_index", "_flat")
 
     def __init__(self, kind: SemiringKind, rows, cols, grid) -> None:
-        rows = tuple(rows)
-        cols = tuple(cols)
-        if len(set(rows)) != len(rows):
-            raise CarrierMismatch("duplicate keys in the row carrier")
-        if len(set(cols)) != len(cols):
-            raise CarrierMismatch("duplicate keys in the column carrier")
+        self._carriers(kind, rows, cols)
         grid = tuple(tuple(r) for r in grid)
-        if len(grid) != len(rows) or any(len(r) != len(cols) for r in grid):
+        if len(grid) != len(self.rows) or any(len(r) != len(self.cols) for r in grid):
             raise CarrierMismatch("grid shape does not match the carriers")
         for row in grid:
             for v in row:
                 if not isinstance(v, SemiringValue) or v.kind is not kind:
                     raise KindMismatch(f"entry {v!r} does not belong to kind {kind.value}")
+        self._flat = [v.payload for row in grid for v in row]
+
+    def _carriers(self, kind: SemiringKind, rows, cols) -> None:
+        rows, cols = tuple(rows), tuple(cols)
+        if len(set(rows)) != len(rows):
+            raise CarrierMismatch("duplicate keys in the row carrier")
+        if len(set(cols)) != len(cols):
+            raise CarrierMismatch("duplicate keys in the column carrier")
         self.kind = kind
         self.rows = rows
         self.cols = cols
         self.row_index = {k: i for i, k in enumerate(rows)}
         self.col_index = {k: j for j, k in enumerate(cols)}
-        self._grid = grid
 
     @classmethod
     def top(cls, rows, cols, kind: SemiringKind) -> "ValRel":
         """The everywhere-1 relation, the start of every fixpoint iteration."""
-        top_value = one(kind)
-        rows = tuple(rows)
-        cols = tuple(cols)
-        return cls(kind, rows, cols, [[top_value] * len(cols) for _ in rows])
+        rows, cols = tuple(rows), tuple(cols)
+        return cls.from_payloads(kind, rows, cols, [OPS[kind].one] * (len(rows) * len(cols)))
 
     @classmethod
     def tabulate(
         cls, kind: SemiringKind, rows, cols, fn: Callable[[object, object], SemiringValue]
     ) -> "ValRel":
-        rows = tuple(rows)
-        cols = tuple(cols)
+        rows, cols = tuple(rows), tuple(cols)
         return cls(kind, rows, cols, [[fn(r, c) for c in cols] for r in rows])
 
     @classmethod
     def from_payloads(cls, kind: SemiringKind, rows, cols, flat: list) -> "ValRel":
-        """Box a row-major list of raw payloads, the engine's working form."""
-        rows, cols = tuple(rows), tuple(cols)
-        n = len(cols)
-        grid = [[SemiringValue(kind, p) for p in flat[i * n : i * n + n]] for i in range(len(rows))]
-        return cls(kind, rows, cols, grid)
+        """Wrap a row-major list of raw payloads, the engine's working form.
+
+        The list is kept, not copied.  A prob ``-0.0`` becomes ``0.0``, as
+        boxing it would, since ``{:.9f}`` prints it as ``-0.000000000``.
+        """
+        rel = cls.__new__(cls)
+        rel._carriers(kind, rows, cols)
+        if len(flat) != len(rel.rows) * len(rel.cols):
+            raise CarrierMismatch("grid shape does not match the carriers")
+        rel._flat = [p + 0.0 for p in flat] if kind is SemiringKind.PROB else flat
+        return rel
 
     def payloads(self) -> list:
-        """The raw payloads, row-major."""
-        return [v.payload for row in self._grid for v in row]
+        """A copy of the raw payloads, row-major."""
+        return list(self._flat)
 
     def get(self, row: object, col: object) -> SemiringValue:
         try:
-            return self._grid[self.row_index[row]][self.col_index[col]]
+            return self.at(self.row_index[row], self.col_index[col])
         except KeyError as exc:
             raise CarrierMismatch(f"key {exc.args[0]!r} is not in the carrier") from None
 
     def at(self, i: int, j: int) -> SemiringValue:
-        return self._grid[i][j]
+        return SemiringValue(self.kind, self._flat[i * len(self.cols) + j])
 
     def entries(self) -> Iterator[tuple[object, object, SemiringValue]]:
-        for r, row in zip(self.rows, self._grid):
-            for c, v in zip(self.cols, row):
-                yield r, c, v
+        payloads = iter(self._flat)
+        for r in self.rows:
+            for c in self.cols:
+                yield r, c, SemiringValue(self.kind, next(payloads))
 
     def _check_comparable(self, other: "ValRel") -> None:
         if self.kind is not other.kind:
@@ -101,20 +164,12 @@ class ValRel:
     def pointwise_leq(self, other: "ValRel") -> bool:
         """Entrywise natural order."""
         self._check_comparable(other)
-        return all(
-            leq(a, b)
-            for ra, rb in zip(self._grid, other._grid)
-            for a, b in zip(ra, rb)
-        )
+        return all(map(OPS[self.kind].leq, self._flat, other._flat))
 
     def max_gap(self, other: "ValRel") -> float:
         """Largest entrywise convergence distance; 0.0 for equal matrices."""
         self._check_comparable(other)
-        worst = 0.0
-        for ra, rb in zip(self._grid, other._grid):
-            for a, b in zip(ra, rb):
-                worst = max(worst, gap(a, b))
-        return worst
+        return max(map(OPS[self.kind].gap, self._flat, other._flat), default=0.0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValRel):
@@ -123,7 +178,7 @@ class ValRel:
             self.kind is other.kind
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._grid == other._grid
+            and self._flat == other._flat
         )
 
     def __repr__(self) -> str:
@@ -131,33 +186,36 @@ class ValRel:
 
     # --- output -------------------------------------------------------------
 
-    def _cell(self, v: SemiringValue) -> str:
-        if self.kind is SemiringKind.BOOL:
-            return "1" if v.payload else "0"
-        if self.kind is SemiringKind.TROPICAL:
-            return "inf" if v.payload == float("inf") else str(v.payload)
-        return f"{v.payload:.9f}"
-
     def to_csv(self) -> str:
         """Matrix as CSV: first column holds row keys, header row holds column keys."""
+        if self.kind is SemiringKind.BOOL:
+            cells = ["1" if p else "0" for p in self._flat]
+        elif self.kind is SemiringKind.TROPICAL:
+            cells = ["inf" if p == INF else str(p) for p in self._flat]
+        else:
+            cells = [f"{p:.9f}" for p in self._flat]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([""] + [str(c) for c in self.cols])
-        for r, row in zip(self.rows, self._grid):
-            writer.writerow([str(r)] + [self._cell(v) for v in row])
+        n = len(self.cols)
+        for i, r in enumerate(self.rows):
+            writer.writerow([str(r)] + cells[i * n : i * n + n])
         return buf.getvalue()
 
     def to_json_records(self) -> list[dict]:
+        tropical = self.kind is SemiringKind.TROPICAL
+        payloads = iter(self._flat)
         return [
-            {"row": r, "col": c, "value": to_json_value(v)}
-            for r, c, v in self.entries()
+            {"row": r, "col": c, "value": "inf" if tropical and p == INF else p}
+            for r in self.rows
+            for c, p in zip(self.cols, payloads)
         ]
 
 
 def compile_reindex(
     f: Mapping[object, object], g: Mapping[object, object], rows: Mapping, cols: Mapping
-) -> Callable[[list], list]:
-    """Precomposition with a pair of carrier maps, on row-major payload lists.
+) -> tuple[list, tuple, tuple]:
+    """Precomposition with a pair of carrier maps, as a layer of read cells.
 
     ``rows`` and ``cols`` give the position of each key of the source
     carriers; every image under ``f`` and ``g`` must be among them.  The
@@ -170,8 +228,9 @@ def compile_reindex(
         if gy not in cols:
             raise CarrierMismatch(f"column image {gy!r} of {y!r} is outside the carrier")
     n = len(cols)
-    gather = [rows[f[x]] * n + cols[g[y]] for x in f for y in g]
-    return lambda cur: list(map(cur.__getitem__, gather))
+    starts = [rows[fx] * n for fx in f.values()]
+    offsets = [cols[gy] for gy in g.values()]
+    return [i + j for i in starts for j in offsets], tuple(f), tuple(g)
 
 
 def reindex(f: Mapping[object, object], g: Mapping[object, object], rel: ValRel) -> ValRel:
@@ -180,5 +239,5 @@ def reindex(f: Mapping[object, object], g: Mapping[object, object], rel: ValRel)
     The result is indexed by the keys of ``f`` and ``g``; every image must
     lie inside the carriers of ``rel``.
     """
-    run = compile_reindex(f, g, rel.row_index, rel.col_index)
-    return ValRel.from_payloads(rel.kind, f.keys(), g.keys(), run(rel.payloads()))
+    cells, rows, cols = compile_reindex(f, g, rel.row_index, rel.col_index)
+    return ValRel.from_payloads(rel.kind, rows, cols, run_cells(cells, rel.kind, rel._flat))

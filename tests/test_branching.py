@@ -1,14 +1,19 @@
 import pytest
 
 from ltbe import (
+    Atom,
     BranchVal,
     INF,
+    Inj,
     KindMismatch,
+    Pair,
     SemiringKind,
     SemiringValue,
+    StateRef,
     ValidationError,
     dirac,
     validate_branchval,
+    value_key,
 )
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
@@ -53,6 +58,25 @@ class TestCanonicalForm:
         a = BranchVal(P, (("x", pv(0.25)),))
         b = BranchVal(P, (("x", pv(0.5)),))
         assert a != b and a.key() != b.key()
+
+
+class TestKeyCache:
+    def _value(self):
+        step = Inj(1, Pair(Atom("a"), StateRef("c")))
+        return BranchVal(P, ((step, pv(0.25)), ("x", pv(0.5))))
+
+    def test_cached_keys_equal_a_fresh_rendering(self):
+        bv = self._value()
+        first = bv.key()
+        assert first == "{i1((@a,c)):0.25|x:0.5}"
+        assert bv.key() is first  # the second call reads the cache
+        assert bv.support_keys() == tuple(value_key(item) for item, _ in bv.entries)
+
+    def test_cached_keys_leave_eq_hash_and_repr_alone(self):
+        cached, fresh = self._value(), self._value()
+        cached.key()
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh) and "_key" not in repr(cached)
 
 
 class TestValidate:

@@ -18,13 +18,13 @@ from ltbe import (
     common_iterates,
     common_trace,
     iterates,
-    one,
     parse_spec,
     parse_system,
     step_operator,
     zero,
 )
-from ltbe.engine import _run_fixpoint
+from ltbe.engine import _layer, _run_fixpoint
+from ltbe.relation import Fold
 from modelgen import (
     LTS_F,
     chain_spec,
@@ -208,6 +208,28 @@ class TestThreshold:
             behaviour(sys_model, spec, opts)
 
 
+class TestStopReason:
+    def test_converged(self):
+        report = behaviour(loop_exit_system("bool"), omega_spec("bool"))
+        assert report.converged and report.stop_reason == "converged"
+
+    def test_budget(self):
+        sys_model = single_state_system("tropical", [{"term": step_term("a", "c"), "weight": 1}])
+        report = behaviour(sys_model, omega_spec("tropical"), FixpointOptions(max_iterations=7))
+        assert not report.converged and report.stop_reason == "budget"
+
+    def test_divergence_cap(self):
+        sys_model = single_state_system("tropical", [{"term": step_term("a", "c"), "weight": 1}])
+        opts = FixpointOptions(max_iterations=500, divergence_cap=50)
+        report = behaviour(sys_model, omega_spec("tropical"), opts)
+        assert report.iterations < 500 and report.stop_reason == "divergence_cap"
+
+    def test_threshold(self):
+        opts = FixpointOptions(threshold=SemiringValue(P, 0.1), tolerance=0.0)
+        report = behaviour(loop_exit_system("prob"), omega_spec("prob"), opts)
+        assert report.threshold_decided and report.stop_reason == "threshold"
+
+
 class TestFixpointOptions:
     @pytest.mark.parametrize(
         "kwargs",
@@ -227,28 +249,39 @@ class TestFixpointOptions:
         FixpointOptions(tolerance=0.0, divergence_cap=0)
 
 
+class _Schedule:
+    """Fold weights that change from round to round, so the step they make
+    is not monotone, which no program compiled from a model can be."""
+
+    def __init__(self, *weights):
+        self._weights = iter(weights)
+
+    def __iter__(self):
+        yield next(self._weights)
+
+
+def _self_scaling(*weights):
+    """A one-cell prob program whose cell is its own value times the next weight."""
+    return [_layer([Fold((_Schedule(*weights), (0,), ()))], 1)]
+
+
 class TestMonotonicityGuard:
     @pytest.mark.parametrize("kind", list(SemiringKind))
     def test_climbing_step_is_rejected(self, kind):
-        # from bottom everywhere, a step that returns top everywhere climbs
+        # from bottom everywhere, a step that reads top everywhere climbs
         bottom = ValRel.tabulate(kind, ["x", "y"], ["z"], lambda r, c: zero(kind))
-
-        def climb(flat):
-            return [one(kind).payload] * len(flat)
-
+        top_slot = 3  # the two cells are followed by the constants zero and one
         with pytest.raises(MonotonicityViolation, match="iterate 1 is not below"):
-            _run_fixpoint(climb, bottom, FixpointOptions())
+            _run_fixpoint([_layer([top_slot, top_slot], 2)], bottom, FixpointOptions())
 
     def test_climb_after_descent_is_rejected(self):
-        steps = iter([[0.5], [0.25], [0.75]])
-        start = ValRel.top(["x"], ["z"], P)
+        start = ValRel.top(["x"], ["z"], P)  # 1.0, then 0.5, 0.25 and 0.75
         with pytest.raises(MonotonicityViolation, match="iterate 3 is not below"):
-            _run_fixpoint(lambda flat: next(steps), start, FixpointOptions())
+            _run_fixpoint(_self_scaling(0.5, 0.5, 3.0), start, FixpointOptions())
 
     def test_climb_within_prob_slack_is_tolerated(self):
-        steps = iter([[0.5], [0.5 + 1e-10]])
-        start = ValRel.top(["x"], ["z"], P)
-        report = _run_fixpoint(lambda flat: next(steps), start, FixpointOptions())
+        start = ValRel.top(["x"], ["z"], P)  # 1.0, then 0.5 and 0.5 + 1e-10
+        report = _run_fixpoint(_self_scaling(0.5, 1 + 2e-10), start, FixpointOptions())
         assert report.converged and report.iterations == 2
 
 

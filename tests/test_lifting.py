@@ -180,6 +180,13 @@ class TestLiftDoubleExtension:
         out = lift_double_extension(rel, [t], [u])
         assert out.get(t.key(), u.key()) == tv(7)  # min(1+0+7, 1+4+2)
 
+    def test_undefined_sum_names_both_values(self):
+        rel = ValRel.top(["x", "y"], ["u", "v"], P)
+        t = BranchVal(P, (("x", pv(0.9)), ("y", pv(0.9))))
+        fine, heavy = BranchVal(P, (("u", pv(0.2)),)), BranchVal(P, (("u", pv(0.9)), ("v", pv(0.9))))
+        with pytest.raises(UndefinedSum, match=r"over '\{x:0.9\|y:0.9\}' x '\{u:0.9\|v:0.9\}'$"):
+            lift_double_extension(rel, [t], [fine, heavy])
+
     def test_dirac_dirac_is_lookup(self):
         rel = ValRel(P, ["x"], ["y"], [[pv(0.3)]])
         out = lift_double_extension(rel, [dirac(P, "x")], [dirac(P, "y")])

@@ -111,3 +111,18 @@ class TestKeys:
 
     def test_state_refs_are_transparent(self):
         assert value_key(StateRef("s")) == "s"
+
+    def test_cached_key_equals_a_fresh_rendering(self):
+        term = Inj(1, Pair(Atom("a"), TupleTerm((StateRef("c"), StateRef("d")))))
+        first = term.key()
+        assert first == "i1((@a,t(c;d)))" == term._render()
+        assert term.key() is first  # the second call reads the cache
+
+    def test_cached_key_leaves_eq_hash_and_repr_alone(self):
+        cached = Inj(1, Pair(Atom("a"), StateRef("c")))
+        fresh = Inj(1, Pair(Atom("a"), StateRef("c")))
+        cached.key()
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh) == (
+            "Inj(index=1, arg=Pair(fst=Atom(label='a'), snd=StateRef(target='c')))"
+        )

@@ -149,6 +149,13 @@ class TestOutput:
         lines = rel.to_csv().splitlines()
         assert lines[1].startswith('"(a,b)"')
 
+    def test_payloads_box_on_read_and_drop_the_sign_of_zero(self):
+        rel = ValRel.from_payloads(P, ["c"], ["z1", "z0"], [-0.0, 0.5])
+        assert rel.to_csv() == ",z1,z0\nc,0.000000000,0.500000000\n"
+        assert repr(rel.to_json_records()[0]["value"]) == "0.0"
+        assert rel.get("c", "z0") == SemiringValue(P, 0.5) == rel.at(0, 1)
+        assert rel == ValRel(P, ["c"], ["z1", "z0"], [[SemiringValue(P, 0.0), SemiringValue(P, 0.5)]])
+
     def test_json_records(self):
         rel = ValRel(T, ["c"], ["z"], [[SemiringValue(T, INF)]])
         records = rel.to_json_records()
