@@ -11,10 +11,8 @@ from .branching import BranchVal, dirac, validate_branchval
 from .engine import (
     FixpointOptions,
     FixpointReport,
-    MonadReport,
     behaviour,
     bisimilarity,
-    check_monad_consistency,
     common_iterates,
     common_trace,
     iterates,
@@ -32,6 +30,7 @@ from .errors import (
     UndefinedSum,
     ValidationError,
 )
+from .laws import LawCheck, LawReport, MonadReport, check_monad_consistency, check_semiring_laws
 from .lifting import lift_double_extension, lift_egli_milner, lift_extension, lift_poly
 from .oracle import oracle_common, oracle_matrix
 from .polyfunctor import (
@@ -57,12 +56,9 @@ from .relation import ValRel, reindex
 from .semiring import (
     INF,
     PROB_EPS,
-    LawCheck,
-    LawReport,
     SemiringKind,
     SemiringValue,
     add,
-    check_semiring_laws,
     gap,
     leq,
     mul,

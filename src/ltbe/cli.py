@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from . import engine, oracle, semiring
+from . import engine, laws, oracle
 from .errors import LtbeError
 from .semiring import SemiringKind, from_text
 from .system import parse_spec, parse_system
@@ -177,8 +177,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check_laws(args) -> int:
     kind = SemiringKind(args.kind)
-    law_report = semiring.check_semiring_laws(kind, samples=args.samples, seed=args.seed)
-    monad_report = engine.check_monad_consistency(kind, size_bound=args.size_bound)
+    law_report = laws.check_semiring_laws(kind, samples=args.samples, seed=args.seed)
+    monad_report = laws.check_monad_consistency(kind, size_bound=args.size_bound)
     text = law_report.format() + "\n" + monad_report.format() + "\n"
     ok = law_report.passed and monad_report.passed
     text += ("all checks passed" if ok else "CHECKS FAILED") + "\n"

@@ -28,10 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from typing import Callable, Iterator
 
-from .branching import BranchVal, dirac
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
 from .lifting import (
     Compiled,
@@ -39,21 +37,10 @@ from .lifting import (
     compile_egli_milner,
     compile_extension,
     compile_poly,
-    lift_extension,
 )
 from .polyfunctor import value_key
 from .relation import ValRel, compile_reindex, evaluator, reads
-from .semiring import (
-    INF,
-    OPS,
-    LawCheck,
-    SemiringKind,
-    SemiringValue,
-    add,
-    mul,
-    values_equal,
-    zero,
-)
+from .semiring import INF, OPS, SemiringKind, SemiringValue
 from .system import BranchLayer, SpecSystem, System, linear_part
 
 
@@ -89,15 +76,22 @@ class FixpointReport:
     """Outcome of one fixpoint run; ``result`` is the last iterate.
 
     ``stop_reason`` is ``converged``, ``budget`` (``max_iterations`` ran
-    out), ``divergence_cap`` or ``threshold``.
+    out), ``divergence_cap`` or ``threshold``; ``converged`` and
+    ``threshold_decided`` are read off it.
     """
 
     result: ValRel
     iterations: int
-    converged: bool
     final_gap: float
-    threshold_decided: bool = False
-    stop_reason: str = "converged"
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def threshold_decided(self) -> bool:
+        return self.stop_reason == "threshold"
 
 
 def _check_behaviour_inputs(sys: System, spec: SpecSystem) -> None:
@@ -114,10 +108,6 @@ def _check_pair_inputs(sysA: System, sysB: System, rel: ValRel) -> None:
         raise KindMismatch("relation kind does not match the systems")
     if rel.rows != sysA.states or rel.cols != sysB.states:
         raise CarrierMismatch("relation carriers must be the two state sets")
-
-
-def _extend_left(kind, rows, cols, left_values, right_values, source=None) -> Compiled:
-    return compile_extension(kind, rows, cols, left_values, source)
 
 
 def _index(keys) -> dict[object, int]:
@@ -148,8 +138,8 @@ def _walker(left: System, right: System, branch_lift: Callable[..., Compiled]) -
     ``compile_poly`` at a polynomial layer, ``branch_lift`` at a branching
     layer.  It then reads the result back along the two transition maps.
     A specification has no branching layers, so its layer ``j`` is the
-    left model's ``j``-th polynomial layer and ``branch_lift`` gets no
-    values for it.  The program is the list of fused layers (see
+    left model's ``j``-th polynomial layer and ``branch_lift`` gets the
+    left values alone.  The program is the list of fused layers (see
     :func:`_layer`); the first reads and the last writes the relation, a
     row-major payload list over the two state sets.
     """
@@ -157,21 +147,19 @@ def _walker(left: System, right: System, branch_lift: Callable[..., Compiled]) -
     j = 0
     for idx, layer in enumerate(left.stack.layers):
         if isinstance(layer, BranchLayer) and right.stack.is_linear:
-            plan.append((layer, left.values_at(idx), ()))
+            plan.append((layer, (left.values_at(idx),)))
         else:
-            plan.append((layer, left.values_at(idx), right.values_at(j)))
+            plan.append((layer, (left.values_at(idx), right.values_at(j))))
             j += 1
     kind = left.stack.kind
     rows, cols = _index(left.states), _index(right.states)
     program = []  # the fused layers: [cells, source size, every cell a single read]
-    for layer, left_values, right_values in reversed(plan):
+    for layer, values in reversed(plan):
         branching = isinstance(layer, BranchLayer)
         compile_layer = branch_lift if branching else partial(compile_poly, layer.expr)
         below = program[-1] if program and program[-1][2] else None
         source = below[0] + [below[1], below[1] + 1] if below else None
-        cells, row_keys, col_keys = compile_layer(
-            kind, rows, cols, left_values, right_values, source=source
-        )
+        cells, row_keys, col_keys = compile_layer(kind, rows, cols, *values, source=source)
         pure = all(type(c) is int for c in cells)
         if below is not None:  # compiled to read through the layer below
             program[-1] = [cells, below[1], pure]
@@ -236,7 +224,7 @@ def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
         raise KindMismatch("relation kind does not match the system kind")
     if rel.rows != sys.states or rel.cols != spec.states:
         raise CarrierMismatch("relation carriers must be the two state sets")
-    return _chain(_walker(sys, spec, _extend_left), rel, 1)[1]
+    return _chain(_walker(sys, spec, compile_extension), rel, 1)[1]
 
 
 def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> FixpointReport:
@@ -255,7 +243,7 @@ def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> Fixpoi
 
     def report(cur: list, i: int, reason: str, gap: float):
         result = ValRel.from_payloads(kind, start.rows, start.cols, cur[:n])
-        return FixpointReport(result, i, reason == "converged", gap, reason == "threshold", reason)
+        return FixpointReport(result, i, gap, reason)
 
     leq, gap = ops.leq, ops.gap
     # bool and tropical settle below a threshold only by an exact repeat, which converges
@@ -283,14 +271,14 @@ def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None
     _check_behaviour_inputs(sys, spec)
     opts = opts or FixpointOptions()
     start = ValRel.top(sys.states, spec.states, sys.stack.kind)
-    return _run_fixpoint(_walker(sys, spec, _extend_left), start, opts)
+    return _run_fixpoint(_walker(sys, spec, compile_extension), start, opts)
 
 
 def iterates(sys: System, spec: SpecSystem, steps: int) -> list[ValRel]:
     """The first ``steps`` refinement iterates, starting from the top relation."""
     _check_behaviour_inputs(sys, spec)
     start = ValRel.top(sys.states, spec.states, sys.stack.kind)
-    return _chain(_walker(sys, spec, _extend_left), start, steps)
+    return _chain(_walker(sys, spec, compile_extension), start, steps)
 
 
 def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None) -> FixpointReport:
@@ -324,213 +312,3 @@ def bisimilarity(sysA: System, sysB: System) -> FixpointReport:
     _check_pair_inputs(sysA, sysB, start)
     return _run_fixpoint(_walker(sysA, sysB, compile_egli_milner), start, FixpointOptions())
 
-
-# --- desk-scale monad consistency checks -----------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class MonadReport:
-    """Exhaustive small-carrier check that branching and truth values agree.
-
-    ``injective`` states that a branching value over a disjoint union is
-    determined by its two restrictions (partial additivity);
-    ``additive`` states that every pair of restrictions is realized, which
-    fails for prob where the witness pair of masses exceeds 1.
-    """
-
-    kind: SemiringKind
-    size_bound: int
-    injective: bool
-    additive: bool
-    partiality_witness: tuple[BranchVal, BranchVal] | None
-    checks: tuple[LawCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.injective and all(c.passed for c in self.checks)
-
-    def format(self) -> str:
-        lines = [f"monad consistency: kind={self.kind.value} size_bound={self.size_bound}"]
-        lines.append(f"  {'PASS' if self.injective else 'FAIL'} split-map-injective")
-        if self.additive:
-            lines.append("  INFO addition is total on the checked grid")
-        else:
-            w1, w2 = self.partiality_witness
-            lines.append(
-                f"  INFO addition is partial; no joint value for masses "
-                f"{w1.total_mass()!r} and {w2.total_mass()!r}"
-            )
-        for c in self.checks:
-            if c.passed:
-                lines.append(f"  PASS {c.name}")
-            else:
-                lines.append(f"  FAIL {c.name}: {c.counterexample}")
-        return "\n".join(lines)
-
-
-def _weight_grid(kind: SemiringKind) -> tuple[SemiringValue, ...]:
-    if kind is SemiringKind.BOOL:
-        return (SemiringValue(kind, False), SemiringValue(kind, True))
-    if kind is SemiringKind.PROB:
-        return tuple(SemiringValue(kind, w) for w in (0.0, 0.25, 0.5, 0.75, 1.0))
-    return tuple(SemiringValue(kind, w) for w in (INF, 0, 1, 2))
-
-
-def _grid_branchvals(kind: SemiringKind, carrier: list[str]) -> list[BranchVal]:
-    grid = _weight_grid(kind)
-    out = []
-    for combo in product(grid, repeat=len(carrier)):
-        bv = BranchVal(kind, tuple(zip(carrier, combo)))
-        if kind is SemiringKind.PROB and bv.total_mass() > 1.0:
-            continue
-        out.append(bv)
-    seen: dict[str, BranchVal] = {}
-    for bv in out:
-        seen.setdefault(bv.key(), bv)
-    return list(seen.values())
-
-
-def _restrict(bv: BranchVal, carrier: set[str]) -> BranchVal:
-    return BranchVal(bv.kind, tuple((i, w) for i, w in bv.entries if i in carrier))
-
-
-def _mix(kind: SemiringKind, weighted: list[tuple[SemiringValue, BranchVal]]) -> BranchVal:
-    """Flatten a weighted family of branching values into one (monad bind)."""
-    acc: dict[str, tuple[object, SemiringValue]] = {}
-    for outer, bv in weighted:
-        for item, inner in bv.entries:
-            contrib = mul(outer, inner)
-            k = value_key(item)
-            if k in acc:
-                merged = add(acc[k][1], contrib)
-                assert merged is not None
-                acc[k] = (item, merged)
-            else:
-                acc[k] = (item, contrib)
-    return BranchVal(kind, tuple(acc.values()))
-
-
-def check_monad_consistency(kind: SemiringKind, size_bound: int = 2) -> MonadReport:
-    """Verify, on exhaustively enumerated small instances, that the branching
-    representation and the truth-value semiring fit together.
-
-    Checks: the split map from values over a disjoint union to pairs of
-    restrictions is injective; its partiality matches the partiality of
-    the semiring addition; extending a relation along a one-point support
-    with unit weight changes nothing; and extension is linear in weighted
-    mixtures of branching values.
-    """
-    if not 1 <= size_bound <= 4:
-        raise ValueError("size_bound must be between 1 and 4")
-    xs = [f"x{i}" for i in range(size_bound)]
-    ys = [f"y{i}" for i in range(size_bound)]
-
-    union_vals = _grid_branchvals(kind, xs + ys)
-    image: dict[tuple[str, str], list[BranchVal]] = {}
-    xset, yset = set(xs), set(ys)
-    for w in union_vals:
-        pair_key = (_restrict(w, xset).key(), _restrict(w, yset).key())
-        image.setdefault(pair_key, []).append(w)
-    injective = all(len(v) == 1 for v in image.values())
-
-    left_vals = _grid_branchvals(kind, xs)
-    right_vals = _grid_branchvals(kind, ys)
-    witness = None
-    for lv, rv in product(left_vals, right_vals):
-        if (lv.key(), rv.key()) not in image:
-            witness = (lv, rv)
-            break
-    additive = witness is None
-
-    checks = []
-
-    # Induced addition on single points agrees with the semiring addition:
-    # a two-point value over a disjoint union exists iff the sum is defined,
-    # and collapsing the two points onto one yields exactly that sum.
-    failure = None
-    grid = _weight_grid(kind)
-    for a, b in product(grid, repeat=2):
-        summed = add(a, b)
-        joint = BranchVal(kind, (("p", a), ("q", b)))
-        realizable = kind is not SemiringKind.PROB or joint.total_mass() <= 1.0
-        if realizable != (summed is not None):
-            failure = f"definedness of {a.payload!r} + {b.payload!r} disagrees"
-            break
-        if summed is not None:
-            collapsed = _mix(kind, [(a, dirac(kind, "r")), (b, dirac(kind, "r"))])
-            got = collapsed.entries[0][1] if collapsed.entries else zero(kind)
-            if not values_equal(got, summed):
-                failure = (
-                    f"collapsed weight of ({a.payload!r}, {b.payload!r}) is "
-                    f"{got.payload!r}, expected {summed.payload!r}"
-                )
-                break
-    checks.append(LawCheck("induced-add-agrees", failure is None, failure))
-
-    # Unit law: extending along a one-point unit-weight support is a no-op.
-    failure = None
-    rel_rows = xs[: min(2, len(xs))]
-    rel_cols = ys[:1]
-    for combo in product(grid, repeat=len(rel_rows) * len(rel_cols)):
-        it = iter(combo)
-        rel = ValRel(
-            kind, rel_rows, rel_cols, [[next(it) for _ in rel_cols] for _ in rel_rows]
-        )
-        for x in rel_rows:
-            d = dirac(kind, x)
-            lifted = lift_extension(rel, [d])
-            for y in rel_cols:
-                if lifted.get(d.key(), y) != rel.get(x, y):
-                    failure = f"unit extension changed the value at ({x!r}, {y!r})"
-                    break
-        if failure:
-            break
-    checks.append(LawCheck("extension-unit", failure is None, failure))
-
-    # Linearity: extension of a weighted mixture is the weighted sum of extensions.
-    failure = None
-    inner_vals = _grid_branchvals(kind, rel_rows)
-    outer_pairs = [
-        (wa, wb)
-        for wa, wb in product(grid, repeat=2)
-        if kind is not SemiringKind.PROB or wa.payload + wb.payload <= 1.0
-    ]
-    rel_grid = list(product(grid, repeat=len(rel_rows) * len(rel_cols)))
-    for combo in rel_grid[:: max(1, len(rel_grid) // 8)]:
-        it = iter(combo)
-        sample_rel = ValRel(
-            kind, rel_rows, rel_cols, [[next(it) for _ in rel_cols] for _ in rel_rows]
-        )
-        for t1, t2 in product(inner_vals, repeat=2):
-            for wa, wb in outer_pairs:
-                mixed = _mix(kind, [(wa, t1), (wb, t2)])
-                lifted = lift_extension(sample_rel, [mixed])
-                part1 = lift_extension(sample_rel, [t1])
-                part2 = lift_extension(sample_rel, [t2])
-                for y in rel_cols:
-                    lhs = lifted.get(mixed.key(), y)
-                    rhs = add(
-                        mul(wa, part1.get(t1.key(), y)),
-                        mul(wb, part2.get(t2.key(), y)),
-                    )
-                    if rhs is None or not values_equal(lhs, rhs):
-                        failure = (
-                            f"linearity fails for weights ({wa.payload!r}, {wb.payload!r})"
-                        )
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    checks.append(LawCheck("extension-linear", failure is None, failure))
-
-    return MonadReport(
-        kind=kind,
-        size_bound=size_bound,
-        injective=injective,
-        additive=additive,
-        partiality_witness=witness,
-        checks=tuple(checks),
-    )

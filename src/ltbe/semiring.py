@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Callable, NamedTuple
 
 from .errors import KindMismatch, UndefinedSum, ValidationError
@@ -64,7 +62,10 @@ class SemiringValue:
         elif self.kind is SemiringKind.PROB:
             if isinstance(p, bool) or not isinstance(p, (int, float)):
                 raise ValidationError(f"prob payload must be a real, got {p!r}")
-            p = float(p)
+            try:
+                p = float(p)
+            except OverflowError:  # an int beyond the float range
+                raise ValidationError("prob payload is beyond the float range") from None
             if not math.isfinite(p):
                 raise ValidationError(f"prob payload {p!r} is not a finite real")
             if p < -PROB_EPS or p > 1.0 + PROB_EPS:
@@ -231,190 +232,3 @@ def from_json_value(kind: SemiringKind, raw: object) -> SemiringValue:
         raise ValidationError(f"bad {kind.value} value {raw!r}")
     return SemiringValue(kind, raw)
 
-
-# --- law checking ----------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class LawCheck:
-    """Outcome of one algebraic law over the sampled triples."""
-
-    name: str
-    passed: bool
-    counterexample: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class LawReport:
-    """Result of :func:`check_semiring_laws` for one kind."""
-
-    kind: SemiringKind
-    samples: int
-    seed: int
-    checks: tuple[LawCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def format(self) -> str:
-        lines = [f"semiring laws: kind={self.kind.value} samples={self.samples} seed={self.seed}"]
-        for c in self.checks:
-            if c.passed:
-                lines.append(f"  PASS {c.name}")
-            else:
-                lines.append(f"  FAIL {c.name}: {c.counterexample}")
-        return "\n".join(lines)
-
-
-_TROPICAL_SAMPLE_GRID = tuple(range(33)) + (INF,)
-
-
-def _sample_triples(kind: SemiringKind, samples: int, seed: int):
-    if kind is SemiringKind.BOOL:
-        vals = (SemiringValue(kind, False), SemiringValue(kind, True))
-        yield from product(vals, repeat=3)
-        return
-    rng = random.Random(seed)
-    for _ in range(samples):
-        if kind is SemiringKind.PROB:
-            yield tuple(SemiringValue(kind, rng.random()) for _ in range(3))
-        else:
-            yield tuple(SemiringValue(kind, rng.choice(_TROPICAL_SAMPLE_GRID)) for _ in range(3))
-
-
-def _law_add_unit(s, t, u):
-    r = add(zero(s.kind), s)
-    if r is None or not values_equal(r, s):
-        return f"add(0, {s.payload!r}) != {s.payload!r}"
-    return None
-
-
-def _law_add_commutative(s, t, u):
-    ab, ba = add(s, t), add(t, s)
-    if (ab is None) != (ba is None):
-        return f"definedness of add({s.payload!r}, {t.payload!r}) is not symmetric"
-    if ab is not None and not values_equal(ab, ba):
-        return f"add({s.payload!r}, {t.payload!r}) != add({t.payload!r}, {s.payload!r})"
-    return None
-
-
-def _law_add_associative(s, t, u):
-    st = add(s, t)
-    left = add(st, u) if st is not None else None
-    tu = add(t, u)
-    right = add(s, tu) if tu is not None else None
-    if (left is None) != (right is None):
-        return f"definedness of ({s.payload!r}+{t.payload!r})+{u.payload!r} differs between groupings"
-    if left is not None and not values_equal(left, right):
-        return f"({s.payload!r}+{t.payload!r})+{u.payload!r} != {s.payload!r}+({t.payload!r}+{u.payload!r})"
-    return None
-
-
-def _law_mul_unit(s, t, u):
-    if not values_equal(mul(one(s.kind), s), s):
-        return f"mul(1, {s.payload!r}) != {s.payload!r}"
-    return None
-
-
-def _law_mul_commutative(s, t, u):
-    if not values_equal(mul(s, t), mul(t, s)):
-        return f"mul({s.payload!r}, {t.payload!r}) not commutative"
-    return None
-
-
-def _law_mul_associative(s, t, u):
-    if not values_equal(mul(mul(s, t), u), mul(s, mul(t, u))):
-        return f"mul not associative on ({s.payload!r}, {t.payload!r}, {u.payload!r})"
-    return None
-
-
-def _law_mul_annihilates(s, t, u):
-    if not values_equal(mul(s, zero(s.kind)), zero(s.kind)):
-        return f"mul({s.payload!r}, 0) != 0"
-    return None
-
-
-def _law_distributivity(s, t, u):
-    tu = add(t, u)
-    if tu is None:
-        return None
-    lhs = add(mul(s, t), mul(s, u))
-    if lhs is None:
-        return f"add({t.payload!r}, {u.payload!r}) defined but the sum of products is not (s={s.payload!r})"
-    if not values_equal(lhs, mul(s, tu)):
-        return f"s*(t+u) != s*t+s*u for s={s.payload!r}, t={t.payload!r}, u={u.payload!r}"
-    return None
-
-
-def _law_order_reflexive(s, t, u):
-    if not leq(s, s):
-        return f"leq({s.payload!r}, {s.payload!r}) is false"
-    return None
-
-
-def _law_order_transitive(s, t, u):
-    if leq(s, t) and leq(t, u) and not leq(s, u):
-        return f"transitivity fails on ({s.payload!r}, {t.payload!r}, {u.payload!r})"
-    return None
-
-
-def _law_order_bounds(s, t, u):
-    if not leq(zero(s.kind), s):
-        return f"0 is not below {s.payload!r}"
-    if not leq(s, one(s.kind)):
-        return f"{s.payload!r} is not below 1"
-    return None
-
-
-def _law_add_inflationary(s, t, u):
-    st = add(s, t)
-    if st is not None and not leq(s, st):
-        return f"s not below s+t for s={s.payload!r}, t={t.payload!r}"
-    return None
-
-
-def _law_mul_monotone(s, t, u):
-    if leq(s, t):
-        if not leq(mul(s, u), mul(t, u)) or not leq(mul(u, s), mul(u, t)):
-            return f"mul not monotone on ({s.payload!r}, {t.payload!r}) with {u.payload!r}"
-    return None
-
-
-_LAWS = (
-    ("add-unit", _law_add_unit),
-    ("add-commutative", _law_add_commutative),
-    ("add-associative", _law_add_associative),
-    ("add-inflationary", _law_add_inflationary),
-    ("mul-unit", _law_mul_unit),
-    ("mul-commutative", _law_mul_commutative),
-    ("mul-associative", _law_mul_associative),
-    ("mul-annihilates", _law_mul_annihilates),
-    ("distributivity-partial", _law_distributivity),
-    ("order-reflexive", _law_order_reflexive),
-    ("order-transitive", _law_order_transitive),
-    ("order-bounds", _law_order_bounds),
-    ("mul-monotone", _law_mul_monotone),
-)
-
-
-def check_semiring_laws(kind: SemiringKind, samples: int = 10000, seed: int = 0) -> LawReport:
-    """Check the (partial) commutative semiring and order laws on sampled triples.
-
-    Bool is checked exhaustively regardless of ``samples``.  Prob samples
-    uniformly on [0, 1]; tropical samples from {0..32, inf}.  The report
-    carries the first counterexample found for each failing law.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    failures: dict[str, str] = {}
-    for s, t, u in _sample_triples(kind, samples, seed):
-        for name, law in _LAWS:
-            if name in failures:
-                continue
-            msg = law(s, t, u)
-            if msg is not None:
-                failures[name] = msg
-    checks = tuple(
-        LawCheck(name, name not in failures, failures.get(name)) for name, _ in _LAWS
-    )
-    return LawReport(kind=kind, samples=samples, seed=seed, checks=checks)

@@ -105,6 +105,8 @@ def _decode_value(layers: tuple[Layer, ...], kind: SemiringKind, raw: object, st
         if not (isinstance(raw, dict) and set(raw) == {"state"}):
             raise TransitionTypeError(f"{path}: expected a state reference, got {raw!r}")
         target = raw["state"]
+        if not isinstance(target, str):
+            raise TransitionTypeError(f"{path}: expected a state id, got {target!r}")
         if target not in states:
             raise ValidationError(f"{path}: unknown state id {target!r}")
         return target
@@ -233,9 +235,6 @@ class System:
         self.states = states
         self.transitions = dict(transitions)
 
-    def transition(self, state: str):
-        return self.transitions[state]
-
     @cached_property
     def _values(self) -> tuple[tuple[object, ...], ...]:
         layers = self.stack.layers
@@ -316,7 +315,7 @@ def _parse_common(text: str) -> tuple[TypeStack, tuple[str, ...], dict]:
 def _parse_model(text: str) -> tuple[TypeStack, tuple[str, ...], dict]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer of over 4300 digits
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("model file must be a JSON object")

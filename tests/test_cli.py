@@ -175,6 +175,26 @@ class TestBehaviourCommand:
         assert "ValidationError" in err and "nan" in err
         assert "more than 1" not in err
 
+    def test_state_reference_to_object_rejected(self, tmp_path, capsys):
+        doc = json.loads((DATA / "pure_loop.json").read_text())
+        doc["transitions"]["c"][0]["of"]["pair"][1] = {"state": {"state": "zz"}}
+        bad = tmp_path / "nested_ref.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["behaviour", "--system", str(bad), "--spec", str(DATA / "spec_a_omega.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "TransitionTypeError" in err and "expected a state id" in err
+
+    def test_overflowing_prob_weight_rejected(self, tmp_path, capsys):
+        doc = json.loads((DATA / "coin.json").read_text())
+        doc["transitions"]["c"][0]["weight"] = 10**400  # json writes all 401 digits
+        bad = tmp_path / "huge_coin.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["behaviour", "--system", str(bad), "--spec", str(DATA / "spec_chain2.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "ValidationError" in err and "beyond the float range" in err
+
     @pytest.mark.parametrize(
         "transitions,stack_f",
         [

@@ -6,6 +6,7 @@ import pytest
 from ltbe import (
     CarrierMismatch,
     FixpointOptions,
+    FixpointReport,
     KindMismatch,
     MonotonicityViolation,
     SemiringKind,
@@ -228,6 +229,12 @@ class TestStopReason:
         opts = FixpointOptions(threshold=SemiringValue(P, 0.1), tolerance=0.0)
         report = behaviour(loop_exit_system("prob"), omega_spec("prob"), opts)
         assert report.threshold_decided and report.stop_reason == "threshold"
+
+    @pytest.mark.parametrize("reason", ["converged", "budget", "divergence_cap", "threshold"])
+    def test_flags_are_read_off_the_reason(self, reason):
+        report = FixpointReport(ValRel.top(["c"], ["d"], B), 3, 0.0, reason)
+        assert report.converged == (reason == "converged")
+        assert report.threshold_decided == (reason == "threshold")
 
 
 class TestFixpointOptions:

@@ -1,0 +1,44 @@
+"""The FAIL path of the algebraic self-checks, driven by a broken extension."""
+
+import pytest
+
+import ltbe.laws
+from ltbe import SemiringKind, ValRel, check_monad_consistency
+from ltbe.cli import main
+
+B = SemiringKind.BOOL
+
+
+def _lift_to_top(rel, left_values):
+    """A broken extension: every lifted entry is the unit, whatever ``rel`` says."""
+    return ValRel.top([bv.key() for bv in left_values], rel.cols, rel.kind)
+
+
+@pytest.fixture
+def broken_extension(monkeypatch):
+    monkeypatch.setattr(ltbe.laws, "lift_extension", _lift_to_top)
+
+
+def test_monad_check_reports_first_counterexamples(broken_extension):
+    report = check_monad_consistency(B, 2)
+    checks = {c.name: c for c in report.checks}
+    assert checks["induced-add-agrees"].passed
+    # the all-false relation is the first sample; x0 is its first row
+    assert not checks["extension-unit"].passed
+    assert checks["extension-unit"].counterexample == (
+        "unit extension changed the value at ('x0', 'y0')"
+    )
+    # zero weights mix to the empty value, whose top entry is no weighted sum
+    assert checks["extension-linear"].counterexample == "linearity fails for weights (False, False)"
+    assert not report.passed
+    text = report.format()
+    assert "  FAIL extension-unit: unit extension changed the value at ('x0', 'y0')" in text
+    assert "  FAIL extension-linear: linearity fails for weights (False, False)" in text
+
+
+def test_check_laws_command_fails(broken_extension, capsys):
+    code = main(["check-laws", "--kind", "bool", "--size-bound", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL extension-unit" in out and "FAIL extension-linear" in out
+    assert out.endswith("CHECKS FAILED\n")

@@ -55,6 +55,8 @@ class TestConstruction:
             p(-0.2)
         with pytest.raises(ValidationError, match="nan"):
             p(float("nan"))
+        with pytest.raises(ValidationError, match="float range"):
+            p(10**400)
 
     def test_prob_eps_overshoot_clamps(self):
         assert p(1.0 + 1e-12).payload == 1.0

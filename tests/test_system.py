@@ -69,6 +69,15 @@ class TestParseSystem:
         with pytest.raises(ValidationError):
             parse_system(text)
 
+    @pytest.mark.parametrize(
+        "target", [{"state": "c"}, ["c"], 5], ids=["object", "array", "number"]
+    )
+    def test_state_reference_must_be_an_id(self, target):
+        ref = {"inj": 1, "of": {"pair": [{"atom": "a"}, {"state": target}]}}
+        text = doc_text(transitions={"c": [ref]})
+        with pytest.raises(TransitionTypeError, match="expected a state id"):
+            parse_system(text)
+
     def test_ill_typed_value_rejected(self):
         text = doc_text(transitions={"c": [{"inj": 1, "of": {"atom": "a"}}]})
         with pytest.raises(TransitionTypeError):
@@ -102,6 +111,8 @@ class TestParseSystem:
             doc_text(stack=[]),
             doc_text(stack=["T", "{a"]),
             doc_text(stack=["T", 17]),
+            # the JSON decoder refuses integers of over 4300 digits with a plain ValueError
+            pytest.param(doc_text()[:-1] + ', "padding": ' + "1" * 5000 + "}", id="5000-digits"),
         ],
     )
     def test_parse_errors(self, mutant):
