@@ -50,11 +50,13 @@ class FixpointOptions:
 
     ``max_iterations`` defaults to ``10 * rows * cols + 10`` for the run at
     hand.  ``tolerance`` is the prob convergence bound (bool and tropical
-    require an exact repeat).  When ``threshold`` is set, iteration may
-    stop early once every entry is strictly below it and can never climb
-    back, reported via ``threshold_decided``.  ``divergence_cap`` bounds
-    finite tropical entries; beyond it a still-moving chain is reported as
-    non-convergent.
+    require an exact repeat).  When ``threshold`` is set, a prob or
+    tropical run stops early once every entry is strictly below it, since
+    the iterates descend and an entry can never climb back; this is
+    reported via ``threshold_decided``.  A bool run needs no such stop:
+    below ``true`` means ``false`` everywhere, which repeats on the next
+    round.  ``divergence_cap`` bounds finite tropical entries; beyond it a
+    still-moving chain is reported as non-convergent.
     """
 
     max_iterations: int | None = None
@@ -101,13 +103,9 @@ def _check_behaviour_inputs(sys: System, spec: SpecSystem) -> None:
         )
 
 
-def _check_pair_inputs(sysA: System, sysB: System, rel: ValRel) -> None:
+def _check_pair_inputs(sysA: System, sysB: System) -> None:
     if sysA.stack != sysB.stack:
         raise StackMismatch("the two systems must share one type stack")
-    if rel.kind is not sysA.stack.kind:
-        raise KindMismatch("relation kind does not match the systems")
-    if rel.rows != sysA.states or rel.cols != sysB.states:
-        raise CarrierMismatch("relation carriers must be the two state sets")
 
 
 def _index(keys) -> dict[object, int]:
@@ -246,8 +244,8 @@ def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> Fixpoi
         return FixpointReport(result, i, gap, reason)
 
     leq, gap = ops.leq, ops.gap
-    # bool and tropical settle below a threshold only by an exact repeat, which converges
-    bound = threshold.payload if threshold is not None and kind is SemiringKind.PROB else None
+    # an all-false bool iterate repeats on the next round, so it converges instead
+    bound = threshold.payload if threshold is not None and kind is not SemiringKind.BOOL else None
     for i, (cur, changes) in zip(range(1, limit + 1), _rounds(program, kind, start.payloads())):
         _, olds, news = zip(*changes) if changes else ((), (), ())
         if not all(map(leq, news, olds)):
@@ -287,15 +285,15 @@ def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None
     Branching is abstracted on both sides, so the fixpoint entry at (c, d)
     is trace existence, joint probability, or joint minimal cost.
     """
+    _check_pair_inputs(sysA, sysB)
     opts = opts or FixpointOptions()
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
-    _check_pair_inputs(sysA, sysB, start)
     return _run_fixpoint(_walker(sysA, sysB, compile_double_extension), start, opts)
 
 
 def common_iterates(sysA: System, sysB: System, steps: int) -> list[ValRel]:
+    _check_pair_inputs(sysA, sysB)
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
-    _check_pair_inputs(sysA, sysB, start)
     return _chain(_walker(sysA, sysB, compile_double_extension), start, steps)
 
 
@@ -308,7 +306,7 @@ def bisimilarity(sysA: System, sysB: System) -> FixpointReport:
     """
     if sysA.stack.kind is not SemiringKind.BOOL:
         raise KindMismatch("bisimilarity is only defined for bool systems")
+    _check_pair_inputs(sysA, sysB)
     start = ValRel.top(sysA.states, sysB.states, SemiringKind.BOOL)
-    _check_pair_inputs(sysA, sysB, start)
     return _run_fixpoint(_walker(sysA, sysB, compile_egli_milner), start, FixpointOptions())
 

@@ -5,7 +5,9 @@ expression or a branching layer of the stack's kind; ``[G, T, F]`` means
 "a G-shaped observation of branching over F-shaped steps".  A system is a
 finite carrier with one transition value per state, well typed against the
 stack.  A specification is the branching-free case and describes the
-linear-time behaviours to test against.
+linear-time behaviours to test against.  A model's constructor decodes its
+transitions and, in the same walk, collects the distinct values at each
+layer of the stack, which :meth:`System.values_at` lists.
 
 The file format is JSON::
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .branching import BranchVal, validate_branchval
 from .errors import (
@@ -100,7 +101,13 @@ def linear_part(stack: TypeStack) -> TypeStack:
 
 # --- transition value codec ----------------------------------------------------
 
-def _decode_value(layers: tuple[Layer, ...], kind: SemiringKind, raw: object, states, path: str):
+def _decode_value(layers: tuple[Layer, ...], kind: SemiringKind, raw: object, states, found,
+                  path: str):
+    """Decode ``raw`` as a value of ``layers`` and record it under its key.
+
+    ``found`` has one table per layer of the whole stack, so the table of
+    the head of ``layers`` is ``found[-len(layers)]``.
+    """
     if not layers:
         if not (isinstance(raw, dict) and set(raw) == {"state"}):
             raise TransitionTypeError(f"{path}: expected a state reference, got {raw!r}")
@@ -118,27 +125,30 @@ def _decode_value(layers: tuple[Layer, ...], kind: SemiringKind, raw: object, st
         for i, elem in enumerate(raw):
             at = f"{path}[{i}]"
             if kind is SemiringKind.BOOL:
-                pairs.append((_decode_value(rest, kind, elem, states, at), one(kind)))
+                pairs.append((_decode_value(rest, kind, elem, states, found, at), one(kind)))
             else:
                 if not isinstance(elem, dict) or set(elem) != {"term", "weight"}:
                     raise TransitionTypeError(
                         f"{at}: expected {{'term': ..., 'weight': ...}}, got {elem!r}"
                     )
                 weight = from_json_value(kind, elem["weight"])
-                pairs.append((_decode_value(rest, kind, elem["term"], states, at), weight))
+                pairs.append((_decode_value(rest, kind, elem["term"], states, found, at), weight))
         try:
-            bv = BranchVal(kind, tuple(pairs))
+            value = BranchVal(kind, tuple(pairs))
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
-        if not validate_branchval(bv):
+        if not validate_branchval(value):
             raise ValidationError(f"{path}: branching weights sum to more than 1")
-        return bv
-    return _decode_term(head.expr, rest, kind, raw, states, path)
+    else:
+        value = _decode_term(head.expr, rest, kind, raw, states, found, path)
+    found[-len(layers)].setdefault(value_key(value), value)
+    return value
 
 
-def _decode_term(expr: PolyExpr, rest: tuple[Layer, ...], kind, raw, states, path: str):
+def _decode_term(expr: PolyExpr, rest: tuple[Layer, ...], kind, raw, states, found,
+                 path: str):
     if isinstance(expr, Id):
-        return StateRef(_decode_value(rest, kind, raw, states, path))
+        return StateRef(_decode_value(rest, kind, raw, states, found, path))
     if not isinstance(raw, dict):
         raise TransitionTypeError(f"{path}: expected a term node, got {raw!r}")
     if isinstance(expr, Const):
@@ -150,8 +160,8 @@ def _decode_term(expr: PolyExpr, rest: tuple[Layer, ...], kind, raw, states, pat
     if isinstance(expr, Prod):
         if set(raw) != {"pair"} or not isinstance(raw["pair"], list) or len(raw["pair"]) != 2:
             raise TransitionTypeError(f"{path}: expected a pair node, got {raw!r}")
-        fst = _decode_term(expr.left, rest, kind, raw["pair"][0], states, path + ".pair[0]")
-        snd = _decode_term(expr.right, rest, kind, raw["pair"][1], states, path + ".pair[1]")
+        fst = _decode_term(expr.left, rest, kind, raw["pair"][0], states, found, path + ".pair[0]")
+        snd = _decode_term(expr.right, rest, kind, raw["pair"][1], states, found, path + ".pair[1]")
         return Pair(fst, snd)
     if isinstance(expr, Coprod):
         if set(raw) != {"inj", "of"}:
@@ -159,7 +169,9 @@ def _decode_term(expr: PolyExpr, rest: tuple[Layer, ...], kind, raw, states, pat
         index = raw["inj"]
         if not isinstance(index, int) or not 0 <= index < len(expr.branches):
             raise TransitionTypeError(f"{path}: injection index {index!r} out of range")
-        arg = _decode_term(expr.branches[index], rest, kind, raw["of"], states, path + f".inj{index}")
+        arg = _decode_term(
+            expr.branches[index], rest, kind, raw["of"], states, found, path + f".inj{index}"
+        )
         return Inj(index, arg)
     assert isinstance(expr, Power)
     if set(raw) != {"tuple"} or not isinstance(raw["tuple"], dict):
@@ -169,7 +181,7 @@ def _decode_term(expr: PolyExpr, rest: tuple[Layer, ...], kind, raw, states, pat
             f"{path}: tuple components {sorted(raw['tuple'])!r} do not match exponent {expr.exponent!r}"
         )
     comps = tuple(
-        _decode_term(expr.body, rest, kind, raw["tuple"][a], states, path + f".{a}")
+        _decode_term(expr.body, rest, kind, raw["tuple"][a], states, found, path + f".{a}")
         for a in expr.exponent
     )
     return TupleTerm(comps)
@@ -222,60 +234,42 @@ class System:
     """A finite coalgebraic model: states plus one transition value each."""
 
     def __init__(self, stack: TypeStack, states, transitions: dict) -> None:
+        """Decode ``transitions``, each state's value as read from a model file,
+        collecting on the way the values that :meth:`values_at` lists."""
         states = tuple(states)
-        if len(set(states)) != len(states):
+        known = set(states)
+        found: list[dict[str, object]] = [{} for _ in stack.layers]
+        decoded = {
+            state: _decode_value(
+                stack.layers, stack.kind, raw, known, found, f"transitions[{state!r}]"
+            )
+            for state, raw in transitions.items()
+        }
+        # a malformed transition is reported first, then the stack, then the carrier
+        self._check_stack(stack)
+        if len(known) != len(states):
             raise ValidationError("duplicate state ids")
-        missing = [s for s in states if s not in transitions]
+        missing = [s for s in states if s not in decoded]
         if missing:
             raise ValidationError(f"states without transitions: {missing!r}")
-        extra = [s for s in transitions if s not in states]
+        extra = [s for s in decoded if s not in known]
         if extra:
             raise ValidationError(f"transitions for unknown states: {extra!r}")
         self.stack = stack
         self.states = states
-        self.transitions = dict(transitions)
+        self.transitions = decoded
+        self._values = tuple(tuple(vals[k] for k in sorted(vals)) for vals in found)
 
-    @cached_property
-    def _values(self) -> tuple[tuple[object, ...], ...]:
-        layers = self.stack.layers
-        found: list[dict[str, object]] = [{} for _ in layers]
-
-        def walk(idx: int, value) -> None:
-            if idx == len(layers):
-                return
-            key = value_key(value)
-            if key in found[idx]:
-                return  # equal keys mean equal values, whose parts are already found
-            found[idx][key] = value
-            layer = layers[idx]
-            if isinstance(layer, BranchLayer):
-                for item, _ in value.entries:
-                    walk(idx + 1, item)
-            else:
-                walk_term(layer.expr, idx, value)
-
-        def walk_term(expr: PolyExpr, idx: int, term) -> None:
-            if isinstance(expr, Id):
-                walk(idx + 1, term.target)
-            elif isinstance(expr, Prod):
-                walk_term(expr.left, idx, term.fst)
-                walk_term(expr.right, idx, term.snd)
-            elif isinstance(expr, Coprod):
-                walk_term(expr.branches[term.index], idx, term.arg)
-            elif isinstance(expr, Power):
-                for c in term.components:
-                    walk_term(expr.body, idx, c)
-
-        for state in self.states:
-            walk(0, self.transitions[state])
-        return tuple(tuple(vals[k] for k in sorted(vals)) for vals in found)
+    @staticmethod
+    def _check_stack(stack: TypeStack) -> None:
+        """Reject a stack this kind of model cannot have; a system may have any."""
 
     def values_at(self, layer_index: int) -> tuple[object, ...]:
         """The values occurring at one layer, in canonical key order.
 
         These are the branching values at a branching layer and the terms
         of the layer's expression at a polynomial layer; they are collected
-        once, on first use.
+        while the transitions are decoded.
         """
         return self._values[layer_index]
 
@@ -297,22 +291,22 @@ class System:
 class SpecSystem(System):
     """A branching-free model describing linear-time behaviours."""
 
-    def __init__(self, stack: TypeStack, states, transitions: dict) -> None:
+    @staticmethod
+    def _check_stack(stack: TypeStack) -> None:
         if not stack.is_linear:
             raise ValidationError("a specification stack must not contain branching layers")
-        super().__init__(stack, states, transitions)
 
 
-def _parse_common(text: str) -> tuple[TypeStack, tuple[str, ...], dict]:
+def _parse_common(model: type[System], text: str) -> System:
     # the JSON decoder, the functor grammar and the value decoder all recurse
     # once per nesting level, so over-deep input ends here, not in a traceback
     try:
-        return _parse_model(text)
+        return model(*_parse_model(text))
     except RecursionError:
         raise ParseError("input is nested too deeply") from None
 
 
-def _parse_model(text: str) -> tuple[TypeStack, tuple[str, ...], dict]:
+def _parse_model(text: str) -> tuple[TypeStack, list[str], dict]:
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a decode error, or an integer of over 4300 digits
@@ -342,21 +336,16 @@ def _parse_model(text: str) -> tuple[TypeStack, tuple[str, ...], dict]:
     stack = TypeStack(kind, tuple(layers))
     if not isinstance(doc["states"], list) or not all(isinstance(s, str) for s in doc["states"]):
         raise ParseError("'states' must be a list of state ids")
-    states = tuple(doc["states"])
     if not isinstance(doc["transitions"], dict):
         raise ParseError("'transitions' must be an object")
-    transitions = {
-        state: _decode_value(stack.layers, kind, raw, set(states), f"transitions[{state!r}]")
-        for state, raw in doc["transitions"].items()
-    }
-    return stack, states, transitions
+    return stack, doc["states"], doc["transitions"]
 
 
 def parse_system(text: str) -> System:
     """Parse and validate a system file."""
-    return System(*_parse_common(text))
+    return _parse_common(System, text)
 
 
 def parse_spec(text: str) -> SpecSystem:
     """Parse and validate a specification file (no branching layers allowed)."""
-    return SpecSystem(*_parse_common(text))
+    return _parse_common(SpecSystem, text)

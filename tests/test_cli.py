@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from ltbe.cli import main
+from modelgen import LTS_F, omega_spec, step_term
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -116,6 +117,28 @@ class TestBehaviourCommand:
         out = capsys.readouterr().out
         assert code == 3
         assert "threshold_decided,true" in out
+
+    def test_tropical_threshold_flag(self, tmp_path, capsys):
+        loop = {"kind": "tropical", "stack": ["T", LTS_F], "states": ["c"],
+                "transitions": {"c": [{"term": step_term("a", "c"), "weight": 1}]}}
+        (tmp_path / "loop.json").write_text(json.dumps(loop))
+        (tmp_path / "omega.json").write_text(omega_spec("tropical").to_text())
+        code = main(
+            [
+                "behaviour",
+                "--system",
+                str(tmp_path / "loop.json"),
+                "--spec",
+                str(tmp_path / "omega.json"),
+                "--threshold",
+                "5",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out == (
+            ",zw\nc,6\n\niterations,6\nconverged,false\nfinal_gap,1.0\nthreshold_decided,true\n"
+        )
 
     def test_missing_file_exits_2(self, capsys):
         code = main(

@@ -1,12 +1,15 @@
-"""Golden CLI outputs: every converged demo query must print exactly the pinned text.
+"""Golden CLI outputs: every demo query that converges or is rejected prints the pinned text.
 
 Each file ``golden/<command>__<a>__<b>.csv`` holds the stdout of
 ``ltbe <command>`` on ``demos/data/<a>.json`` and ``demos/data/<b>.json``
-with default flags, and the query must exit 0.  Queries that end
-``converged=false`` are not pinned, so a change that makes them converge
-needs no edit here.
+with default flags, and the query must exit 0.  Each row
+``[command, a, b, exit code, stderr]`` of ``golden/rejected.json`` is a
+query on the same files that rejects its input and prints nothing to
+stdout.  Queries that end ``converged=false`` are not pinned, so a change
+that makes them converge needs no edit here.
 """
 
+import json
 import pathlib
 
 import pytest
@@ -16,6 +19,7 @@ from ltbe.cli import main
 HERE = pathlib.Path(__file__).resolve().parent
 DATA = HERE.parent / "demos" / "data"
 GOLDEN = sorted((HERE / "golden").glob("*.csv"))
+REJECTED = json.loads((HERE / "golden" / "rejected.json").read_text(encoding="utf-8"))
 FLAGS = {"behaviour": ("--system", "--spec"), "common": ("--a", "--b"), "bisim": ("--a", "--b")}
 
 
@@ -32,3 +36,13 @@ def test_output_matches_golden(golden, capsys):
     assert code == 0
     assert captured.err == ""
     assert captured.out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("row", REJECTED, ids=lambda r: "__".join(r[:3]))
+def test_rejection_matches_golden(row, capsys):
+    command, a, b, code, err = row
+    first, second = FLAGS[command]
+    assert main([command, first, str(DATA / f"{a}.json"), second, str(DATA / f"{b}.json")]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err

@@ -200,6 +200,13 @@ class TestThreshold:
         report = behaviour(sys_model, spec, opts)
         assert report.converged and not report.threshold_decided
 
+    def test_tropical_threshold_decides(self):
+        # costs only rise, so an entry past the threshold never comes back
+        sys_model = single_state_system("tropical", [{"term": step_term("a", "c"), "weight": 1}])
+        opts = FixpointOptions(threshold=SemiringValue(T, 5))
+        report = behaviour(sys_model, omega_spec("tropical"), opts)
+        assert report.stop_reason == "threshold"
+        assert report.iterations == 6 and report.result.get("c", "zw").payload == 6
 
     def test_threshold_of_another_kind_rejected(self):
         sys_model = loop_exit_system("prob")

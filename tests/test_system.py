@@ -1,4 +1,6 @@
 import json
+import pathlib
+import random
 
 import pytest
 
@@ -20,7 +22,18 @@ from ltbe import (
     parse_spec,
     parse_system,
 )
-from modelgen import LTS_F, loop_exit_system, omega_spec, step_term, stop_term
+from ltbe.polyfunctor import Coprod, Id, Power, Prod, value_key
+from modelgen import (
+    LTS_F,
+    corpus,
+    gen_models_on,
+    loop_exit_system,
+    omega_spec,
+    step_term,
+    stop_term,
+)
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def doc_text(**overrides):
@@ -32,6 +45,9 @@ def doc_text(**overrides):
     }
     doc.update(overrides)
     return json.dumps(doc)
+
+
+ILL_TYPED = {"inj": 1, "of": {"atom": "a"}}
 
 
 class TestParseSystem:
@@ -123,6 +139,45 @@ class TestParseSystem:
         text = doc_text(kind="tropical", transitions={"c": [{"term": stop_term()}]})
         with pytest.raises(TransitionTypeError):
             parse_system(text)
+
+    @pytest.mark.parametrize(
+        "parse, doc, error, message",
+        [
+            pytest.param(
+                parse_system,
+                {"states": ["c"], "transitions": {"c": [stop_term()], "ghost": [ILL_TYPED]}},
+                TransitionTypeError,
+                "transitions['ghost'][0].inj1: expected a pair node, got {'atom': 'a'}",
+                id="malformed-transition-of-undeclared-state",
+            ),
+            pytest.param(
+                parse_system,
+                {"states": ["c", "c"], "transitions": {"c": [ILL_TYPED]}},
+                TransitionTypeError,
+                "transitions['c'][0].inj1: expected a pair node, got {'atom': 'a'}",
+                id="duplicate-state-and-malformed-transition",
+            ),
+            pytest.param(
+                parse_spec,
+                {"transitions": {"c": [ILL_TYPED]}},
+                TransitionTypeError,
+                "transitions['c'][0].inj1: expected a pair node, got {'atom': 'a'}",
+                id="spec-with-T-layer-and-malformed-transition",
+            ),
+            pytest.param(
+                parse_spec,
+                {"states": ["c", "c"]},
+                ValidationError,
+                "a specification stack must not contain branching layers",
+                id="spec-with-T-layer-and-duplicate-state",
+            ),
+        ],
+    )
+    def test_first_error_reported(self, parse, doc, error, message):
+        # the transitions are decoded before the stack and the carrier are checked
+        with pytest.raises(error) as info:
+            parse(doc_text(**doc))
+        assert str(info.value) == message
 
     def test_tuple_keys_must_match_exponent(self):
         doc = {
@@ -262,3 +317,75 @@ class TestBranchValues:
     def test_spec_layer_terms(self):
         spec = omega_spec("bool")
         assert spec.values_at(0) == (Inj(1, Pair(Atom("a"), StateRef("zw"))),)
+
+
+def reference_values(model):
+    """The values at every layer of ``model``, found by walking its decoded transitions."""
+    layers = model.stack.layers
+    found = [{} for _ in layers]
+
+    def walk(idx, value):
+        if idx == len(layers):
+            return
+        found[idx].setdefault(value_key(value), value)
+        if isinstance(layers[idx], BranchLayer):
+            items = [item for item, _ in value.entries]
+        else:
+            items = list(targets(layers[idx].expr, value))
+        for item in items:
+            walk(idx + 1, item)
+
+    def targets(expr, term):
+        if isinstance(expr, Id):
+            yield term.target
+        elif isinstance(expr, Prod):
+            yield from targets(expr.left, term.fst)
+            yield from targets(expr.right, term.snd)
+        elif isinstance(expr, Coprod):
+            yield from targets(expr.branches[term.index], term.arg)
+        elif isinstance(expr, Power):
+            for c in term.components:
+                yield from targets(expr.body, c)
+
+    for state in model.states:
+        walk(0, model.transitions[state])
+    return [tuple(vals[k] for k in sorted(vals)) for vals in found]
+
+
+# several Ids in one term, powers, and [G, T, F] stacks, which the standard corpus lacks
+VALUE_STACKS = (
+    ["T", "{*} + {a} * Id * Id"],
+    ["Id^{a,b,c}", "T"],
+    ["{o} * Id + Id * Id", "T", "{*} + {a,b} * Id"],
+    ["Id^{a,b,c}", "T", "{*} + Id * {a}"],
+)
+
+
+def demo_models():
+    return [parse_system(p.read_text(encoding="utf-8")) for p in sorted(DATA.glob("*.json"))]
+
+
+def corpus_models():
+    return [model for *_, sys_model, spec in corpus() for model in (sys_model, spec)]
+
+
+def stack_models():
+    rng = random.Random(7)
+    return [
+        model
+        for kind in SemiringKind
+        for texts in VALUE_STACKS
+        for _ in range(3)
+        for model in gen_models_on(rng, kind, texts, 4, 3)
+    ]
+
+
+class TestCollectedValues:
+    @pytest.mark.parametrize("models", [demo_models, corpus_models, stack_models])
+    def test_values_match_a_walk_of_the_transitions(self, models):
+        widest = 0
+        for model in models():
+            expected = reference_values(model)
+            assert [model.values_at(i) for i in range(len(expected))] == expected
+            widest = max(widest, *map(len, expected))
+        assert widest > 1
