@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import KindMismatch, ValidationError
 from .polyfunctor import value_key
-from .semiring import PROB_EPS, SemiringKind, SemiringValue, one, zero
+from .semiring import OPS, PROB_EPS, SemiringKind, SemiringValue, one
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,14 @@ class BranchVal:
     _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        z = zero(self.kind)
+        z = OPS[self.kind].zero
         keyed: dict[str, tuple[object, SemiringValue]] = {}
         for item, weight in self.entries:
             if weight.kind is not self.kind:
                 raise KindMismatch(
                     f"{weight.kind.value} weight inside a {self.kind.value} branching value"
                 )
-            if weight.payload == z.payload:
+            if weight.payload == z:
                 continue
             k = value_key(item)
             if k in keyed:

@@ -10,13 +10,14 @@ of a system state and a specification state, the extent to which the
 former can exhibit the latter's behaviour.
 
 The step is compiled once per run into a program of layers of cells (see
-:mod:`ltbe.relation`).  A layer whose cells are single reads (the
-read-back, or a polynomial layer with at most one ``Id`` per summand) is
-fused into its neighbour, so a ``[T, F]`` step is one layer of folds read
-straight off the relation.  Iteration is semi-naive: after the first
-round, only the cells reading a position that changed are re-evaluated,
-by the same operations in the same order, so every iterate is the full
-pass's bit for bit.
+:mod:`ltbe.relation`), from the integer positions each model resolved its
+values to when it was parsed, so compiling reads no keys.  A layer whose
+cells are single reads (the read-back, or a polynomial layer with at most
+one ``Id`` per summand) is fused into its neighbour, so a ``[T, F]`` step
+is one layer of folds read straight off the relation.  Iteration is
+semi-naive: after the first round, only the cells reading a position that
+changed are re-evaluated, by the same operations in the same order, so
+every iterate is the full pass's bit for bit.
 
 Iteration is truncated at finitely many steps.  Bool converges exactly on
 finite carriers; prob converges up to a tolerance; tropical chains may
@@ -27,18 +28,10 @@ turns into an honest "not converged" report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator
 
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
-from .lifting import (
-    Compiled,
-    compile_double_extension,
-    compile_egli_milner,
-    compile_extension,
-    compile_poly,
-)
-from .polyfunctor import value_key
+from .lifting import compile_double_extension, compile_egli_milner, compile_extension, compile_poly
 from .relation import ValRel, compile_reindex, evaluator, reads
 from .semiring import INF, OPS, SemiringKind, SemiringValue
 from .system import BranchLayer, SpecSystem, System, linear_part
@@ -108,10 +101,6 @@ def _check_pair_inputs(sysA: System, sysB: System) -> None:
         raise StackMismatch("the two systems must share one type stack")
 
 
-def _index(keys) -> dict[object, int]:
-    return {k: i for i, k in enumerate(keys)}
-
-
 def _select(below: list, cells: list) -> None:
     """Fold a layer of single reads into the layer ``below`` by picking its cells."""
     picked, base, _ = below
@@ -128,16 +117,17 @@ def _layer(cells: list, size: int) -> tuple[list, list]:
     return cells, users
 
 
-def _walker(left: System, right: System, branch_lift: Callable[..., Compiled]) -> list:
+def _walker(left: System, right: System, branch_lift: Callable[..., list]) -> list:
     """The one-step operator of a run between the states of two models, as a program.
 
     Each step pushes the relation through the left model's layers, from
-    the innermost outwards, over the values that occur in the two models:
-    ``compile_poly`` at a polynomial layer, ``branch_lift`` at a branching
-    layer.  It then reads the result back along the two transition maps.
-    A specification has no branching layers, so its layer ``j`` is the
-    left model's ``j``-th polynomial layer and ``branch_lift`` gets the
-    left values alone.  The program is the list of fused layers (see
+    the innermost outwards, over the values that occur in the two models,
+    resolved to positions (``System.resolved``): ``compile_poly``
+    at a polynomial layer, ``branch_lift`` at a branching layer.  It then
+    reads the result back at the two models' top positions.  A
+    specification has no branching layers, so its layer ``j`` is the left
+    model's ``j``-th polynomial layer and ``branch_lift`` gets the left
+    values alone.  The program is the list of fused layers (see
     :func:`_layer`); the first reads and the last writes the relation, a
     row-major payload list over the two state sets.
     """
@@ -145,30 +135,28 @@ def _walker(left: System, right: System, branch_lift: Callable[..., Compiled]) -
     j = 0
     for idx, layer in enumerate(left.stack.layers):
         if isinstance(layer, BranchLayer) and right.stack.is_linear:
-            plan.append((layer, (left.values_at(idx),)))
+            plan.append((layer, (left.resolved[idx],)))
         else:
-            plan.append((layer, (left.values_at(idx), right.values_at(j))))
+            plan.append((layer, (left.resolved[idx], right.resolved[j])))
             j += 1
-    kind = left.stack.kind
-    rows, cols = _index(left.states), _index(right.states)
+    rows, cols = len(left.states), len(right.states)
     program = []  # the fused layers: [cells, source size, every cell a single read]
     for layer, values in reversed(plan):
-        branching = isinstance(layer, BranchLayer)
-        compile_layer = branch_lift if branching else partial(compile_poly, layer.expr)
         below = program[-1] if program and program[-1][2] else None
         source = below[0] + [below[1], below[1] + 1] if below else None
-        cells, row_keys, col_keys = compile_layer(kind, rows, cols, *values, source=source)
+        if isinstance(layer, BranchLayer):
+            cells = branch_lift(left.stack.kind, rows, cols, *values, source=source)
+        else:
+            cells = compile_poly(rows, cols, *values, source=source)
         pure = all(type(c) is int for c in cells)
         if below is not None:  # compiled to read through the layer below
             program[-1] = [cells, below[1], pure]
         elif program and pure:
             _select(program[-1], cells)
         else:
-            program.append([cells, len(rows) * len(cols), pure])
-        rows, cols = _index(row_keys), _index(col_keys)
-    f = {c: value_key(left.transitions[c]) for c in left.states}
-    g = {d: value_key(right.transitions[d]) for d in right.states}
-    _select(program[-1], compile_reindex(f, g, rows, cols)[0])
+            program.append([cells, rows * cols, pure])
+        rows, cols = len(values[0]), len(values[1]) if len(values) > 1 else cols
+    _select(program[-1], compile_reindex(left.top_positions, right.top_positions, cols))
     return [_layer(cells, size) for cells, size, _ in program]
 
 

@@ -19,21 +19,22 @@ Every lifting is materialized only on the values that occur in the models
 at hand, supplied explicitly as carrier lists: the terms of a polynomial
 layer and the branching values of a branching layer.
 
-Each lifting has one implementation, in two stages.  ``compile_*`` takes
-the positions of the source carriers' keys and the new carrier lists, and
-resolves every cell of the lifted matrix to data over source positions
+Each lifting has one implementation, in stages.  ``resolve_term`` and
+``resolve_branch`` turn a value into integer positions in the carrier
+below it; a model does so once, when it is parsed (``System.resolved``).
+``compile_*`` takes the resolved values and the two source carrier sizes,
+and turns every cell of the lifted matrix into data over source positions
 (see :mod:`ltbe.relation`): a single read, a fold of weights and
 positions, a product tree, or a forall-exists pair of position lists.
-The public ``lift_*`` functions compile, run the one cell evaluator over
-every cell in order and box the result; the engine passes ``source`` to
-compile a layer that reads through a layer of single reads below it.
+The public ``lift_*`` functions resolve their arguments against the
+relation's carriers, compile, run the one cell evaluator over every cell
+in order and box the result; the engine passes ``source`` to compile a
+layer that reads through a layer of single reads below it.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .branching import BranchVal
 from .errors import CarrierMismatch, KindMismatch
@@ -44,23 +45,13 @@ from .semiring import OPS, SemiringKind
 #: The position of each key of a carrier.
 Index = Mapping[object, int]
 
-#: A compiled layer: its cells, and the row and column keys of its result.
-Compiled = tuple[list, tuple, tuple]
-
 #: A compiled polynomial cell that is the unit, whatever the relation.
 _TOP = "top"
 
 
-def _pos(index: Index, key: object) -> int:
-    try:
-        return index[key]
-    except KeyError:
-        raise CarrierMismatch(f"key {key!r} is not in the carrier") from None
-
-
-def _through(source: Sequence[int] | None, rows: Index, cols: Index) -> Callable[[int], int]:
-    """Where a cell reads each position of the source and its two constants."""
-    return (range(len(rows) * len(cols) + 2) if source is None else source).__getitem__
+def _through(source: Sequence[int] | None, size: int):
+    """Where a cell reads each of ``size`` source positions and the two constants."""
+    return (range(size + 2) if source is None else source).__getitem__
 
 
 def _times(a, b):
@@ -68,143 +59,145 @@ def _times(a, b):
     return b if a is _TOP else a if b is _TOP else (a, b)
 
 
-def compile_poly(
-    expr: PolyExpr, kind: SemiringKind, rows: Index, cols: Index,
-    row_terms: Sequence[PolyTerm], col_terms: Sequence[PolyTerm], source=None,
-) -> Compiled:
-    """Compile the lifting through a polynomial layer.
+def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
+    """A term of ``expr`` as ``(shape, tree, leaves)`` over the carrier below.
 
-    A term's shape is its sequence of injection indices and labels; two
-    terms of different shapes give bottom.  Otherwise the cell is top, one
-    source position, or a product tree of source positions, one leaf per
-    identity position, nested in the order the expression multiplies.
+    The shape is the term's sequence of injection indices and labels.  The
+    tree is ``_TOP`` or the product tree of its identity positions, nested
+    in the order the expression multiplies, whose leaf ``i`` stands for
+    the position ``leaves[i]`` of that identity's target in ``index``.
     """
-    width = len(cols)
-    at = _through(source, rows, cols)
+    shape, leaves = [], []
 
-    def walk(e: PolyExpr, t, index, shape: list, leaves: list):
-        # the term's product tree, with leaf i standing for leaves[i]
+    def walk(e: PolyExpr, t):
         if isinstance(e, Id):
-            leaves.append(_pos(index, value_key(t.target)))
+            leaves.append(index[value_key(t.target)])
             return len(leaves) - 1
         if isinstance(e, Const):
             shape.append(t.label)
             return _TOP
         if isinstance(e, Prod):
-            return _times(walk(e.left, t.fst, index, shape, leaves),
-                          walk(e.right, t.snd, index, shape, leaves))
+            return _times(walk(e.left, t.fst), walk(e.right, t.snd))
         if isinstance(e, Coprod):
             shape.append(t.index)
-            return walk(e.branches[t.index], t.arg, index, shape, leaves)
+            return walk(e.branches[t.index], t.arg)
         acc = _TOP  # a power: the product of its components, left to right
         for c in t.components:
-            acc = _times(acc, walk(e.body, c, index, shape, leaves))
+            acc = _times(acc, walk(e.body, c))
         return acc
 
-    def resolve(terms, index):
-        out = []
-        for t in terms:
-            shape, leaves = [], []
-            tree = walk(expr, t, index, shape, leaves)
-            out.append((tuple(shape), tree, leaves))
-        return out
+    try:
+        tree = walk(expr, term)
+    except KeyError as exc:
+        raise CarrierMismatch(f"key {exc.args[0]!r} is not in the carrier") from None
+    return tuple(shape), tree, leaves
+
+
+def resolve_branch(value: BranchVal, index: Index) -> tuple:
+    """A branching value as ``(positions, weights, value)``.
+
+    The positions in ``index`` of its support and the raw payloads of its
+    weights are in canonical support order, which fixes every fold order.
+    """
+    try:
+        positions = list(map(index.__getitem__, value.support_keys()))
+    except KeyError as exc:
+        raise CarrierMismatch(f"key {exc.args[0]!r} is not in the carrier") from None
+    return positions, [w.payload for _, w in value.entries], value
+
+
+def compile_poly(rows: int, cols: int, row_terms: Sequence, col_terms: Sequence,
+                 source=None) -> list:
+    """Compile the lifting through a polynomial layer over resolved terms.
+
+    Two terms of different shapes give bottom.  Otherwise the cell is top,
+    one source position, or the product tree of source positions that
+    pairs the two terms' leaves.
+    """
+    at = _through(source, rows * cols)
 
     def cell(tree, lu, lv):
         if type(tree) is int:
-            return at(lu[tree] * width + lv[tree])
+            return at(lu[tree] * cols + lv[tree])
         return cell(tree[0], lu, lv), cell(tree[1], lu, lv)
 
     # bottom and top read the two constant slots right after the source cells
-    bottom, top = at(len(rows) * width), at(len(rows) * width + 1)
-    right = resolve(col_terms, cols)
-    cells = [
+    bottom, top = at(rows * cols), at(rows * cols + 1)
+    return [
         (top if tree is _TOP else cell(tree, lu, lv)) if su == sv else bottom
-        for su, tree, lu in resolve(row_terms, rows)
-        for sv, _, lv in right
+        for su, tree, lu in row_terms
+        for sv, _, lv in col_terms
     ]
-    return cells, tuple(t.key() for t in row_terms), tuple(t.key() for t in col_terms)
 
 
-def _check_branch_kinds(kind: SemiringKind, *values: Sequence[BranchVal]) -> None:
-    for bv in chain.from_iterable(values):
-        if bv.kind is not kind:
-            raise KindMismatch(
-                f"{bv.kind.value} branching value used with a {kind.value} relation"
-            )
+def compile_extension(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,
+                      source=None) -> list:
+    """Compile the left extension over resolved branching values; the columns stay.
 
-
-def compile_extension(
-    kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal], source=None
-) -> Compiled:
-    """Compile the left extension; the columns stay as they are.
-
-    The cell of ``(t, y)`` folds the support of ``t`` against column ``y``
-    in canonical support order.
+    The cell of ``(t, y)`` folds the support of ``t`` against column ``y``.
     """
-    _check_branch_kinds(kind, left_values)
-    at, width, mul, one = _through(source, rows, cols), len(cols), OPS[kind].mul, OPS[kind].one
+    at = _through(source, rows * cols)
     cells = []
-    for t in left_values:
-        xs = [_pos(rows, k) * width for k in t.support_keys()]
-        weights = [mul(w.payload, one) for _, w in t.entries]  # w * one is w, exactly
-        name = (t.key(),)
-        cells += [Fold((weights, [at(x + y) for x in xs], name)) for y in range(width)]
-    return cells, tuple(bv.key() for bv in left_values), tuple(cols)
+    for xs, weights, t in left_values:
+        xs = [x * cols for x in xs]
+        cells += [Fold((weights, [at(x + y) for x in xs], (t,))) for y in range(cols)]
+    return cells
 
 
-def compile_double_extension(
-    kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal],
-    right_values: Sequence[BranchVal], source=None,
-) -> Compiled:
-    """Compile the two-sided extension.
+def compile_double_extension(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,
+                             right_values: Sequence, source=None) -> list:
+    """Compile the two-sided extension over resolved branching values.
 
-    The cell of ``(t, u)`` folds the pairs of the two supports, left-major,
-    in canonical support order.
+    The cell of ``(t, u)`` folds the pairs of the two supports, left-major.
     """
-    _check_branch_kinds(kind, left_values, right_values)
-    at, width, mul = _through(source, rows, cols), len(cols), OPS[kind].mul
-    right = [
-        ([_pos(cols, k) for k in u.support_keys()], [w.payload for _, w in u.entries], u.key())
-        for u in right_values
-    ]
+    at, mul = _through(source, rows * cols), OPS[kind].mul
     cells = []
-    for t in left_values:
-        xs = [_pos(rows, k) * width for k in t.support_keys()]
-        xws = [w.payload for _, w in t.entries]
-        for ys, yws, u_key in right:
+    for xs, xws, t in left_values:
+        xs = [x * cols for x in xs]
+        for ys, yws, u in right_values:
             weights = [mul(xw, yw) for xw in xws for yw in yws]
-            cells.append(Fold((weights, [at(x + y) for x in xs for y in ys], (t.key(), u_key))))
-    return cells, tuple(t.key() for t in left_values), tuple(u.key() for u in right_values)
+            cells.append(Fold((weights, [at(x + y) for x in xs for y in ys], (t, u))))
+    return cells
 
 
-def compile_egli_milner(
-    kind: SemiringKind, rows: Index, cols: Index, left_values: Sequence[BranchVal],
-    right_values: Sequence[BranchVal], source=None,
-) -> Compiled:
-    """Compile the forall-exists lifting.
+def compile_egli_milner(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,
+                        right_values: Sequence, source=None) -> list:
+    """Compile the forall-exists lifting over resolved branching values.
 
     A cell holds, per left successor, its source cells against every right
     successor, and per right successor its cells against every left one.
     """
-    if kind is not SemiringKind.BOOL:
-        raise KindMismatch("the forall-exists lifting is only defined for bool relations")
-    _check_branch_kinds(kind, left_values, right_values)
-    at = _through(source, rows, cols)
-    width = len(cols)
-    right = [[_pos(cols, k) for k in u.support_keys()] for u in right_values]
+    at = _through(source, rows * cols)
     cells = []
-    for t in left_values:
-        xs = [_pos(rows, k) * width for k in t.support_keys()]
-        for ys in right:
+    for xs, _, _ in left_values:
+        xs = [x * cols for x in xs]
+        for ys, _, _ in right_values:
             cells.append(ForallExists((
                 [[at(x + y) for y in ys] for x in xs], [[at(x + y) for x in xs] for y in ys]
             )))
-    return cells, tuple(t.key() for t in left_values), tuple(u.key() for u in right_values)
+    return cells
 
 
-def _apply(compile_layer: Callable[..., Compiled], rel: ValRel, *values) -> ValRel:
-    cells, row_keys, col_keys = compile_layer(rel.kind, rel.row_index, rel.col_index, *values)
-    return ValRel.from_payloads(rel.kind, row_keys, col_keys, run_cells(cells, rel.kind, rel.payloads()))
+def _run(rel: ValRel, cells: list, rows: Sequence, cols: Sequence | None = None) -> ValRel:
+    """Evaluate ``cells`` over ``rel``, keyed by ``rows`` and ``cols`` (default: ``rel.cols``)."""
+    col_keys = rel.cols if cols is None else [v.key() for v in cols]
+    payloads = run_cells(cells, rel.kind, rel.payloads())
+    return ValRel.from_payloads(rel.kind, [v.key() for v in rows], col_keys, payloads)
+
+
+def _lift(compile_layer, rel: ValRel, left_values: Sequence[BranchVal],
+          right_values: Sequence[BranchVal] | None = None) -> ValRel:
+    """Check every kind, resolve against ``rel``'s carriers (columns first), compile, run."""
+    sides = [] if right_values is None else [right_values]
+    for bv in [*left_values, *(right_values or ())]:
+        if bv.kind is not rel.kind:
+            raise KindMismatch(
+                f"{bv.kind.value} branching value used with a {rel.kind.value} relation"
+            )
+    right = [[resolve_branch(u, rel.col_index) for u in values] for values in sides]
+    left = [resolve_branch(t, rel.row_index) for t in left_values]
+    cells = compile_layer(rel.kind, len(rel.rows), len(rel.cols), left, *right)
+    return _run(rel, cells, left_values, right_values)
 
 
 def lift_poly(
@@ -215,7 +208,10 @@ def lift_poly(
     The new rows and columns are the supplied terms of ``expr``; an
     identity position reads ``rel`` at the keys of the two targets.
     """
-    return _apply(partial(compile_poly, expr), rel, row_terms, col_terms)
+    cols = [resolve_term(expr, t, rel.col_index) for t in col_terms]
+    rows = [resolve_term(expr, t, rel.row_index) for t in row_terms]
+    cells = compile_poly(len(rel.rows), len(rel.cols), rows, cols)
+    return _run(rel, cells, row_terms, col_terms)
 
 
 def lift_extension(rel: ValRel, left_values: Sequence[BranchVal]) -> ValRel:
@@ -225,7 +221,7 @@ def lift_extension(rel: ValRel, left_values: Sequence[BranchVal]) -> ValRel:
     the bottom value.  Folds run in canonical support order, so results are
     reproducible bit for bit.
     """
-    return _apply(compile_extension, rel, left_values)
+    return _lift(compile_extension, rel, left_values)
 
 
 def lift_double_extension(
@@ -236,7 +232,7 @@ def lift_double_extension(
     Equivalent to extending on the left and then on the right; computed
     directly as a double fold over both supports.
     """
-    return _apply(compile_double_extension, rel, left_values, right_values)
+    return _lift(compile_double_extension, rel, left_values, right_values)
 
 
 def lift_egli_milner(
@@ -247,4 +243,6 @@ def lift_egli_milner(
     Two successor sets are related iff every element of each has a related
     partner in the other.  Only defined for the boolean kind.
     """
-    return _apply(compile_egli_milner, rel, left_values, right_values)
+    if rel.kind is not SemiringKind.BOOL:
+        raise KindMismatch("the forall-exists lifting is only defined for bool relations")
+    return _lift(compile_egli_milner, rel, left_values, right_values)

@@ -28,8 +28,8 @@ from .semiring import INF, OPS, SemiringKind, SemiringValue
 
 class Fold(tuple):
     """``(weights, positions, where)``: ``weights[i] * src[positions[i]]`` summed
-    from zero, left to right; ``where`` holds the keys that name the cell if a
-    prob sum is undefined."""
+    from zero, left to right; ``where`` holds the branching values whose keys
+    name the cell if a prob sum is undefined."""
 
     __slots__ = ()
 
@@ -52,7 +52,7 @@ def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
             try:
                 return reduce(add, map(mul, cell[0], map(src.__getitem__, cell[1])), zero)
             except UndefinedSum:
-                where = " x ".join(map(repr, cell[2]))
+                where = " x ".join(repr(v.key()) for v in cell[2])
                 raise UndefinedSum(f"partial sum undefined while extending over {where}") from None
         if t is ForallExists:
             get = src.__getitem__
@@ -212,25 +212,13 @@ class ValRel:
         ]
 
 
-def compile_reindex(
-    f: Mapping[object, object], g: Mapping[object, object], rows: Mapping, cols: Mapping
-) -> tuple[list, tuple, tuple]:
+def compile_reindex(f: list[int], g: list[int], cols: int) -> list[int]:
     """Precomposition with a pair of carrier maps, as a layer of read cells.
 
-    ``rows`` and ``cols`` give the position of each key of the source
-    carriers; every image under ``f`` and ``g`` must be among them.  The
-    result reads one source cell per pair of keys of ``f`` and ``g``.
+    ``f`` and ``g`` give the source row and column position of each new row
+    and column; ``cols`` is the number of source columns.
     """
-    for x, fx in f.items():
-        if fx not in rows:
-            raise CarrierMismatch(f"row image {fx!r} of {x!r} is outside the carrier")
-    for y, gy in g.items():
-        if gy not in cols:
-            raise CarrierMismatch(f"column image {gy!r} of {y!r} is outside the carrier")
-    n = len(cols)
-    starts = [rows[fx] * n for fx in f.values()]
-    offsets = [cols[gy] for gy in g.values()]
-    return [i + j for i in starts for j in offsets], tuple(f), tuple(g)
+    return [i * cols + j for i in f for j in g]
 
 
 def reindex(f: Mapping[object, object], g: Mapping[object, object], rel: ValRel) -> ValRel:
@@ -239,5 +227,12 @@ def reindex(f: Mapping[object, object], g: Mapping[object, object], rel: ValRel)
     The result is indexed by the keys of ``f`` and ``g``; every image must
     lie inside the carriers of ``rel``.
     """
-    cells, rows, cols = compile_reindex(f, g, rel.row_index, rel.col_index)
-    return ValRel.from_payloads(rel.kind, rows, cols, run_cells(cells, rel.kind, rel._flat))
+    for x, fx in f.items():
+        if fx not in rel.row_index:
+            raise CarrierMismatch(f"row image {fx!r} of {x!r} is outside the carrier")
+    for y, gy in g.items():
+        if gy not in rel.col_index:
+            raise CarrierMismatch(f"column image {gy!r} of {y!r} is outside the carrier")
+    cells = compile_reindex([rel.row_index[fx] for fx in f.values()],
+                            [rel.col_index[gy] for gy in g.values()], len(rel.cols))
+    return ValRel.from_payloads(rel.kind, tuple(f), tuple(g), run_cells(cells, rel.kind, rel._flat))

@@ -7,7 +7,10 @@ finite carrier with one transition value per state, well typed against the
 stack.  A specification is the branching-free case and describes the
 linear-time behaviours to test against.  A model's constructor decodes its
 transitions and, in the same walk, collects the distinct values at each
-layer of the stack, which :meth:`System.values_at` lists.
+layer of the stack, which :meth:`System.values_at` lists.  It then resolves
+each of those values once to integer positions in the layer below
+(``System.resolved``) and each state to the position of its transition
+(``System.top_positions``), so a run compiles from positions alone.
 
 The file format is JSON::
 
@@ -37,6 +40,7 @@ from .errors import (
     TransitionTypeError,
     ValidationError,
 )
+from .lifting import resolve_branch, resolve_term
 from .polyfunctor import (
     Atom,
     Const,
@@ -122,10 +126,11 @@ def _decode_value(layers: tuple[Layer, ...], kind: SemiringKind, raw: object, st
         if not isinstance(raw, list):
             raise TransitionTypeError(f"{path}: expected a branching list, got {raw!r}")
         pairs = []
+        unit = one(kind) if kind is SemiringKind.BOOL else None
         for i, elem in enumerate(raw):
             at = f"{path}[{i}]"
             if kind is SemiringKind.BOOL:
-                pairs.append((_decode_value(rest, kind, elem, states, found, at), one(kind)))
+                pairs.append((_decode_value(rest, kind, elem, states, found, at), unit))
             else:
                 if not isinstance(elem, dict) or set(elem) != {"term", "weight"}:
                     raise TransitionTypeError(
@@ -258,7 +263,19 @@ class System:
         self.stack = stack
         self.states = states
         self.transitions = decoded
-        self._values = tuple(tuple(vals[k] for k in sorted(vals)) for vals in found)
+        keys = [sorted(vals) for vals in found] + [states]
+        index = [{k: i for i, k in enumerate(ks)} for ks in keys]
+        self._values = tuple(tuple(vals[k] for k in ks) for vals, ks in zip(found, keys))
+        #: Per layer, each value of ``values_at`` resolved to positions in the values of
+        #: the layer below, or the states (see ``lifting.resolve_term``/``resolve_branch``).
+        self.resolved = tuple(
+            [resolve_branch(v, below) for v in vals]
+            if isinstance(layer, BranchLayer)
+            else [resolve_term(layer.expr, v, below) for v in vals]
+            for layer, vals, below in zip(stack.layers, self._values, index[1:])
+        )
+        #: The position in ``values_at(0)`` of each state's transition, in state order.
+        self.top_positions = [index[0][value_key(decoded[s])] for s in states]
 
     @staticmethod
     def _check_stack(stack: TypeStack) -> None:

@@ -5,8 +5,11 @@ Each file ``golden/<command>__<a>__<b>.csv`` holds the stdout of
 with default flags, and the query must exit 0.  Each row
 ``[command, a, b, exit code, stderr]`` of ``golden/rejected.json`` is a
 query on the same files that rejects its input and prints nothing to
-stdout.  Queries that end ``converged=false`` are not pinned, so a change
-that makes them converge needs no edit here.
+stdout.  Each row ``[command, a, b, flags, exit code, stdout]`` of
+``golden/flags.json`` is a pinned query rerun with ``--format json`` or
+``--max-iter 2`` (which ``bisim`` rejects as a usage error).  Queries
+that end ``converged=false`` are not pinned, so a change that makes them
+converge needs no edit here.
 """
 
 import json
@@ -14,12 +17,15 @@ import pathlib
 
 import pytest
 
+from ltbe import Atom, BranchVal, StateRef, cli
 from ltbe.cli import main
+from ltbe.polyfunctor import PolyTerm
 
 HERE = pathlib.Path(__file__).resolve().parent
 DATA = HERE.parent / "demos" / "data"
 GOLDEN = sorted((HERE / "golden").glob("*.csv"))
 REJECTED = json.loads((HERE / "golden" / "rejected.json").read_text(encoding="utf-8"))
+FLAGGED = json.loads((HERE / "golden" / "flags.json").read_text(encoding="utf-8"))
 FLAGS = {"behaviour": ("--system", "--spec"), "common": ("--a", "--b"), "bisim": ("--a", "--b")}
 
 
@@ -46,3 +52,33 @@ def test_rejection_matches_golden(row, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+@pytest.mark.parametrize("row", FLAGGED, ids=lambda r: "__".join(r[:3]) + " " + " ".join(r[3]))
+def test_flagged_output_matches_golden(row, capsys):
+    command, a, b, flags, code, out = row
+    first, second = FLAGS[command]
+    args = [command, first, str(DATA / f"{a}.json"), second, str(DATA / f"{b}.json"), *flags]
+    assert main(args) == code
+    assert capsys.readouterr().out == out
+
+
+def _no_key(self):
+    raise AssertionError(f"the key of {self!r} was rendered")
+
+
+@pytest.mark.parametrize("golden", GOLDEN, ids=lambda p: p.stem)
+def test_query_path_renders_no_key(golden, capsys, monkeypatch):
+    """Once its models are parsed, a query runs on positions alone."""
+    command, a, b = golden.stem.split("__")
+    first, second = FLAGS[command]
+    text_a, text_b = ((DATA / f"{n}.json").read_text(encoding="utf-8") for n in (a, b))
+    kind_b = "spec" if command == "behaviour" else "system"
+    parse = {"system": cli.parse_system, "spec": cli.parse_spec}
+    models = {("system", text_a): parse["system"](text_a), (kind_b, text_b): parse[kind_b](text_b)}
+    monkeypatch.setattr(cli, "parse_system", lambda text: models["system", text])
+    monkeypatch.setattr(cli, "parse_spec", lambda text: models["spec", text])
+    for cls in (PolyTerm, StateRef, Atom, BranchVal):
+        monkeypatch.setattr(cls, "key", _no_key)
+    code = main([command, first, str(DATA / f"{a}.json"), second, str(DATA / f"{b}.json")])
+    assert (code, capsys.readouterr().out) == (0, golden.read_text(encoding="utf-8"))

@@ -5,6 +5,7 @@ import pytest
 from ltbe import (
     Atom,
     BranchVal,
+    CarrierMismatch,
     INF,
     Inj,
     KindMismatch,
@@ -267,6 +268,31 @@ class TestEgliMilner:
         rel = ValRel.top(["x"], ["y"], P)
         with pytest.raises(KindMismatch):
             lift_egli_milner(rel, [dirac(P, "x")], [dirac(P, "y")])
+
+
+class TestErrorOrder:
+    """Arguments wrong in two ways at once: the whole-argument checks come first."""
+
+    def test_non_bool_before_unknown_key(self):
+        rel = ValRel.top(["x"], ["y"], P)
+        with pytest.raises(KindMismatch, match="only defined for bool"):
+            lift_egli_milner(rel, [dirac(P, "nowhere")], [dirac(P, "y")])
+
+    def test_every_kind_before_any_key(self):
+        rel = ValRel.top(["x"], ["y"], B)
+        with pytest.raises(KindMismatch, match="prob branching value"):
+            lift_extension(rel, [bv_bool("nowhere"), dirac(P, "x")])
+        with pytest.raises(KindMismatch, match="prob branching value"):
+            lift_double_extension(rel, [bv_bool("nowhere")], [dirac(P, "y")])
+
+    def test_columns_before_rows(self):
+        rel = ValRel.top(["x"], ["y"], B)
+        with pytest.raises(CarrierMismatch, match="'col'"):
+            lift_double_extension(rel, [bv_bool("row")], [bv_bool("col")])
+        with pytest.raises(CarrierMismatch, match="'col'"):
+            lift_egli_milner(rel, [bv_bool("row")], [bv_bool("col")])
+        with pytest.raises(CarrierMismatch, match="'col'"):
+            lift_poly(LTS_A, rel, lts_terms("a", ["row"]), lts_terms("a", ["col"]))
 
 
 class TestMonotonicity:

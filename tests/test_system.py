@@ -335,21 +335,23 @@ def reference_values(model):
         for item in items:
             walk(idx + 1, item)
 
-    def targets(expr, term):
-        if isinstance(expr, Id):
-            yield term.target
-        elif isinstance(expr, Prod):
-            yield from targets(expr.left, term.fst)
-            yield from targets(expr.right, term.snd)
-        elif isinstance(expr, Coprod):
-            yield from targets(expr.branches[term.index], term.arg)
-        elif isinstance(expr, Power):
-            for c in term.components:
-                yield from targets(expr.body, c)
-
     for state in model.states:
         walk(0, model.transitions[state])
     return [tuple(vals[k] for k in sorted(vals)) for vals in found]
+
+
+def targets(expr, term):
+    """The targets of the identity positions of ``term``, left to right."""
+    if isinstance(expr, Id):
+        yield term.target
+    elif isinstance(expr, Prod):
+        yield from targets(expr.left, term.fst)
+        yield from targets(expr.right, term.snd)
+    elif isinstance(expr, Coprod):
+        yield from targets(expr.branches[term.index], term.arg)
+    elif isinstance(expr, Power):
+        for c in term.components:
+            yield from targets(expr.body, c)
 
 
 # several Ids in one term, powers, and [G, T, F] stacks, which the standard corpus lacks
@@ -389,3 +391,33 @@ class TestCollectedValues:
             assert [model.values_at(i) for i in range(len(expected))] == expected
             widest = max(widest, *map(len, expected))
         assert widest > 1
+
+
+class TestResolvedPositions:
+    """Every position a model resolves at parse, against the keys one layer down."""
+
+    @pytest.mark.parametrize("models", [demo_models, corpus_models, stack_models])
+    def test_positions_index_the_keys_below(self, models):
+        checked = 0
+        for model in models():
+            layers = model.stack.layers
+            keys = [[value_key(v) for v in model.values_at(i)] for i in range(len(layers))]
+            keys.append(list(model.states))
+            for idx, layer in enumerate(layers):
+                below = keys[idx + 1]
+                assert len(model.resolved[idx]) == len(model.values_at(idx))
+                for value, record in zip(model.values_at(idx), model.resolved[idx]):
+                    if isinstance(layer, BranchLayer):
+                        positions, weights, same = record
+                        assert same is value
+                        assert weights == [w.payload for _, w in value.entries]
+                        items = [item for item, _ in value.entries]
+                    else:
+                        positions = record[2]
+                        items = list(targets(layer.expr, value))
+                    assert positions == [below.index(value_key(x)) for x in items]
+                    checked += len(positions)
+            assert model.top_positions == [
+                keys[0].index(value_key(model.transitions[s])) for s in model.states
+            ]
+        assert checked > 0
