@@ -10,7 +10,15 @@ relation starts at cost 0 and is refined upwards.
 
 import pathlib
 
-from ltbe import FixpointOptions, behaviour, common_trace, parse_spec, parse_system
+from ltbe import (
+    FixpointOptions,
+    SemiringKind,
+    SemiringValue,
+    behaviour,
+    common_trace,
+    parse_spec,
+    parse_system,
+)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -36,8 +44,9 @@ print("joint termination cost:", joint.result.get("c", "d").payload)
 
 # ---------------------------------------------------------------------------
 # A trace the system cannot produce has cost infinity; finite iterates
-# climb without bound, which the divergence cap reports honestly instead
-# of pretending to have converged.
+# climb without bound.  Costs only rise, so a threshold stops the climb
+# once every entry is past it, and the report says honestly that the run
+# did not converge.
 
 import json
 
@@ -65,6 +74,7 @@ omega = parse_spec(json.dumps({
     "states": ["z"],
     "transitions": {"z": {"inj": 1, "of": {"pair": [{"atom": "a"}, {"state": "z"}]}}},
 }))
-report = behaviour(stuck, omega, FixpointOptions(max_iterations=1000, divergence_cap=100))
+cap = SemiringValue(SemiringKind.TROPICAL, 100)
+report = behaviour(stuck, omega, FixpointOptions(max_iterations=1000, threshold=cap))
 print(f"looping forever costs 1 per lap: after {report.iterations} laps the chain "
       f"passed the cap, converged={report.converged} (true value: infinity)")

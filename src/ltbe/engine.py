@@ -20,9 +20,9 @@ changed are re-evaluated, by the same operations in the same order, so
 every iterate is the full pass's bit for bit.
 
 Iteration is truncated at finitely many steps.  Bool converges exactly on
-finite carriers; prob converges up to a tolerance; tropical chains may
-climb towards infinity without ever stabilizing, which a divergence cap
-turns into an honest "not converged" report.
+finite carriers; prob converges up to a tolerance; a tropical entry whose
+limit is infinity climbs by its lap cost forever, so its run ends on the
+budget (or on a threshold) with an honest "not converged" report.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
 from .lifting import compile_double_extension, compile_egli_milner, compile_extension, compile_poly
 from .relation import ValRel, compile_reindex, evaluator, reads
-from .semiring import INF, OPS, SemiringKind, SemiringValue
+from .semiring import OPS, SemiringKind, SemiringValue
 from .system import BranchLayer, SpecSystem, System, linear_part
 
 
@@ -48,22 +48,18 @@ class FixpointOptions:
     the iterates descend and an entry can never climb back; this is
     reported via ``threshold_decided``.  A bool run needs no such stop:
     below ``true`` means ``false`` everywhere, which repeats on the next
-    round.  ``divergence_cap`` bounds finite tropical entries; beyond it a
-    still-moving chain is reported as non-convergent.
+    round.
     """
 
     max_iterations: int | None = None
     tolerance: float = 1e-9
     threshold: SemiringValue | None = None
-    divergence_cap: int = 10**6
 
     def __post_init__(self) -> None:
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.tolerance >= 0:  # NaN too
             raise ValueError("tolerance must be >= 0")
-        if not self.divergence_cap >= 0:
-            raise ValueError("divergence_cap must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,8 +67,8 @@ class FixpointReport:
     """Outcome of one fixpoint run; ``result`` is the last iterate.
 
     ``stop_reason`` is ``converged``, ``budget`` (``max_iterations`` ran
-    out), ``divergence_cap`` or ``threshold``; ``converged`` and
-    ``threshold_decided`` are read off it.
+    out) or ``threshold``; ``converged`` and ``threshold_decided`` are read
+    off it.
     """
 
     result: ValRel
@@ -216,8 +212,8 @@ def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
 def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> FixpointReport:
     """Iterate ``program`` from ``start`` and box the last iterate.
 
-    The monotonicity, gap and divergence-cap checks read the changed cells
-    only, since an unchanged cell has gap 0 and is below itself.
+    The monotonicity and gap checks read the changed cells only, since an
+    unchanged cell has gap 0 and is below itself.
     """
     kind = start.kind
     ops = OPS[kind]
@@ -243,10 +239,6 @@ def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> Fixpoi
         gap_now = max(map(gap, news, olds), default=0.0)
         if (gap_now <= opts.tolerance if kind is SemiringKind.PROB else gap_now == 0.0):
             return report(cur, i, "converged", gap_now)
-        if kind is SemiringKind.TROPICAL and any(
-            v != INF and v > opts.divergence_cap for v in news
-        ):
-            return report(cur, i, "divergence_cap", gap_now)
         if bound is not None and all(leq(v, bound) and not leq(bound, v) for v in cur[:n]):
             return report(cur, i, "threshold", gap_now)
     return report(cur, limit, "budget", gap_now)

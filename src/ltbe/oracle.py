@@ -1,10 +1,18 @@
 """Independent bounded-depth evaluator used as ground truth in tests.
 
-This module re-derives the depth-d behaviour matrix by direct structural
+This module re-derives the depth-d matrices by direct structural
 recursion over the stored transition values, with inlined per-kind
 arithmetic.  It deliberately shares no code with the lifting or engine
 modules: agreement between the two routes is the central correctness
 check of the package.
+
+One walk serves both queries.  The joint query sums, at each branching
+layer, over both supports.  A specification is the system whose
+branching is the unit (a Dirac value), and extending a relation along
+the unit leaves it unchanged, so the behaviour query is the joint one
+with the specification's support read as its current value at weight
+one.  Multiplying by one returns the other operand unchanged, so every
+sum has the same terms in the same order as a direct expansion.
 """
 
 from __future__ import annotations
@@ -52,48 +60,61 @@ def _raw_mul(kind: SemiringKind, a, b):
     return a * b
 
 
-def _compare(layers, idx, kind, u, v, table):
-    """Depth-step value of system value ``u`` against spec value ``v``."""
+def _compare(layers, idx, kind, u, v, table, joint):
+    """Depth-step value of ``u`` against ``v``; unless ``joint``, ``v`` branches by the unit."""
     if idx == len(layers):
         return table[(u, v)]
     layer = layers[idx]
-    if isinstance(layer, BranchLayer):
-        acc = _raw_zero(kind)
-        for item, weight in u.entries:
-            below = _compare(layers, idx + 1, kind, item, v, table)
-            acc = _raw_add(kind, acc, _raw_mul(kind, weight.payload, below))
-        return acc
-    return _compare_terms(layer.expr, layers, idx, kind, u, v, table)
+    if not isinstance(layer, BranchLayer):
+        return _compare_terms(layer.expr, layers, idx, kind, u, v, table, joint)
+    ys = [(y, w.payload) for y, w in v.entries] if joint else ((v, _raw_one(kind)),)
+    acc = _raw_zero(kind)
+    for x, xw in u.entries:
+        for y, yw in ys:
+            below = _compare(layers, idx + 1, kind, x, y, table, joint)
+            acc = _raw_add(kind, acc, _raw_mul(kind, _raw_mul(kind, xw.payload, yw), below))
+    return acc
 
 
-def _compare_terms(expr, layers, idx, kind, u, v, table):
+def _compare_terms(expr, layers, idx, kind, u, v, table, joint):
     if isinstance(expr, Id):
-        return _compare(layers, idx + 1, kind, u.target, v.target, table)
+        return _compare(layers, idx + 1, kind, u.target, v.target, table, joint)
     if isinstance(expr, Const):
         return _raw_one(kind) if u.label == v.label else _raw_zero(kind)
     if isinstance(expr, Prod):
         return _raw_mul(
             kind,
-            _compare_terms(expr.left, layers, idx, kind, u.fst, v.fst, table),
-            _compare_terms(expr.right, layers, idx, kind, u.snd, v.snd, table),
+            _compare_terms(expr.left, layers, idx, kind, u.fst, v.fst, table, joint),
+            _compare_terms(expr.right, layers, idx, kind, u.snd, v.snd, table, joint),
         )
     if isinstance(expr, Coprod):
         if u.index != v.index:
             return _raw_zero(kind)
-        return _compare_terms(expr.branches[u.index], layers, idx, kind, u.arg, v.arg, table)
+        branch = expr.branches[u.index]
+        return _compare_terms(branch, layers, idx, kind, u.arg, v.arg, table, joint)
     assert isinstance(expr, Power)
     acc = _raw_one(kind)
     for cu, cv in zip(u.components, v.components):
-        acc = _raw_mul(kind, acc, _compare_terms(expr.body, layers, idx, kind, cu, cv, table))
+        below = _compare_terms(expr.body, layers, idx, kind, cu, cv, table, joint)
+        acc = _raw_mul(kind, acc, below)
     return acc
 
 
-def _wrap(kind: SemiringKind, rows, cols, table) -> ValRel:
+def _expand(a: System, b: System, depth: int, joint: bool) -> ValRel:
+    """``depth`` rounds of :func:`_compare` on every state pair, from the all-one table."""
+    kind, layers = a.stack.kind, a.stack.layers
+    table = {(c, z): _raw_one(kind) for c in a.states for z in b.states}
+    for _ in range(depth):
+        table = {
+            (c, z): _compare(layers, 0, kind, a.transitions[c], b.transitions[z], table, joint)
+            for c in a.states
+            for z in b.states
+        }
     return ValRel(
         kind,
-        rows,
-        cols,
-        [[SemiringValue(kind, table[(r, c)]) for c in cols] for r in rows],
+        a.states,
+        b.states,
+        [[SemiringValue(kind, table[(c, z)]) for z in b.states] for c in a.states],
     )
 
 
@@ -105,58 +126,7 @@ def oracle_matrix(sys: System, spec: SpecSystem, depth: int) -> ValRel:
         raise StackMismatch(
             "the specification stack must be the linear part of the system stack"
         )
-    kind = sys.stack.kind
-    table = {(c, z): _raw_one(kind) for c in sys.states for z in spec.states}
-    for _ in range(depth):
-        table = {
-            (c, z): _compare(
-                sys.stack.layers, 0, kind, sys.transitions[c], spec.transitions[z], table
-            )
-            for c in sys.states
-            for z in spec.states
-        }
-    return _wrap(kind, sys.states, spec.states, table)
-
-
-def _compare_pair(layers, idx, kind, u, v, table):
-    if idx == len(layers):
-        return table[(u, v)]
-    layer = layers[idx]
-    if isinstance(layer, BranchLayer):
-        acc = _raw_zero(kind)
-        for x_item, x_weight in u.entries:
-            for y_item, y_weight in v.entries:
-                below = _compare_pair(layers, idx + 1, kind, x_item, y_item, table)
-                joint = _raw_mul(kind, _raw_mul(kind, x_weight.payload, y_weight.payload), below)
-                acc = _raw_add(kind, acc, joint)
-        return acc
-    return _compare_pair_terms(layer.expr, layers, idx, kind, u, v, table)
-
-
-def _compare_pair_terms(expr, layers, idx, kind, u, v, table):
-    if isinstance(expr, Id):
-        return _compare_pair(layers, idx + 1, kind, u.target, v.target, table)
-    if isinstance(expr, Const):
-        return _raw_one(kind) if u.label == v.label else _raw_zero(kind)
-    if isinstance(expr, Prod):
-        return _raw_mul(
-            kind,
-            _compare_pair_terms(expr.left, layers, idx, kind, u.fst, v.fst, table),
-            _compare_pair_terms(expr.right, layers, idx, kind, u.snd, v.snd, table),
-        )
-    if isinstance(expr, Coprod):
-        if u.index != v.index:
-            return _raw_zero(kind)
-        return _compare_pair_terms(
-            expr.branches[u.index], layers, idx, kind, u.arg, v.arg, table
-        )
-    assert isinstance(expr, Power)
-    acc = _raw_one(kind)
-    for cu, cv in zip(u.components, v.components):
-        acc = _raw_mul(
-            kind, acc, _compare_pair_terms(expr.body, layers, idx, kind, cu, cv, table)
-        )
-    return acc
+    return _expand(sys, spec, depth, joint=False)
 
 
 def oracle_common(sysA: System, sysB: System, depth: int) -> ValRel:
@@ -165,14 +135,4 @@ def oracle_common(sysA: System, sysB: System, depth: int) -> ValRel:
         raise ValueError("depth must be >= 0")
     if sysA.stack != sysB.stack:
         raise StackMismatch("the two systems must share one type stack")
-    kind = sysA.stack.kind
-    table = {(c, d): _raw_one(kind) for c in sysA.states for d in sysB.states}
-    for _ in range(depth):
-        table = {
-            (c, d): _compare_pair(
-                sysA.stack.layers, 0, kind, sysA.transitions[c], sysB.transitions[d], table
-            )
-            for c in sysA.states
-            for d in sysB.states
-        }
-    return _wrap(kind, sysA.states, sysB.states, table)
+    return _expand(sysA, sysB, depth, joint=True)

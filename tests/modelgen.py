@@ -5,6 +5,7 @@ import math
 import random
 
 from ltbe import (
+    BranchLayer,
     BranchVal,
     SemiringKind,
     SemiringValue,
@@ -292,6 +293,48 @@ def gen_system_pair(rng, kind, shape, n_a=None, n_b=None):
         parse_system(json.dumps(_gen_doc(rng, kind, texts, a_states))),
         parse_system(json.dumps(_gen_doc(rng, kind, texts, b_states))),
     )
+
+
+def _map_ids(expr, raw, f):
+    """The JSON term ``raw`` of ``expr`` with ``f`` applied at each ``Id`` position."""
+    if isinstance(expr, Id):
+        return f(raw)
+    if isinstance(expr, Const):
+        return raw
+    if isinstance(expr, Prod):
+        left, right = raw["pair"]
+        return {"pair": [_map_ids(expr.left, left, f), _map_ids(expr.right, right, f)]}
+    if isinstance(expr, Coprod):
+        i = raw["inj"]
+        return {"inj": i, "of": _map_ids(expr.branches[i], raw["of"], f)}
+    assert isinstance(expr, Power)
+    return {"tuple": {a: _map_ids(expr.body, c, f) for a, c in raw["tuple"].items()}}
+
+
+def with_unit_branching(spec, sys_model):
+    """``spec`` as a system of ``sys_model``'s stack, branching by the unit at each ``T``.
+
+    The unit branching of a value is the value alone: a singleton list for
+    bool, weight 1 for prob and weight 0 for tropical.
+    """
+    kind = sys_model.stack.kind
+
+    def wrap(layers, raw):
+        if not layers:
+            return raw
+        head, rest = layers[0], layers[1:]
+        if isinstance(head, BranchLayer):
+            inner = wrap(rest, raw)
+            if kind is SemiringKind.BOOL:
+                return [inner]
+            return [{"term": inner, "weight": 1 if kind is SemiringKind.PROB else 0}]
+        return _map_ids(head.expr, raw, lambda r: wrap(rest, r))
+
+    doc = spec.to_json()
+    doc["stack"] = sys_model.stack.layer_texts()
+    layers = sys_model.stack.layers
+    doc["transitions"] = {z: wrap(layers, raw) for z, raw in doc["transitions"].items()}
+    return parse_system(json.dumps(doc))
 
 
 def corpus(seed=20240811, per_cell=6):

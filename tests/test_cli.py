@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from ltbe.cli import main
-from modelgen import LTS_F, omega_spec, step_term
+from modelgen import LTS_F, omega_spec, step_term, stop_term
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -138,6 +138,30 @@ class TestBehaviourCommand:
         assert code == 3
         assert out == (
             ",zw\nc,6\n\niterations,6\nconverged,false\nfinal_gap,1.0\nthreshold_decided,true\n"
+        )
+
+    def test_large_finite_cost_converges(self, tmp_path, capsys):
+        costly = {"kind": "tropical", "stack": ["T", LTS_F], "states": ["c", "d"], "transitions": {
+            "c": [{"term": step_term("a", "d"), "weight": 2000000}],
+            "d": [{"term": stop_term(), "weight": 0}],
+        }}
+        spec = {"kind": "tropical", "stack": [LTS_F], "states": ["s", "t"],
+                "transitions": {"s": step_term("a", "t"), "t": stop_term()}}
+        (tmp_path / "costly.json").write_text(json.dumps(costly))
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        code = main(
+            [
+                "behaviour",
+                "--system",
+                str(tmp_path / "costly.json"),
+                "--spec",
+                str(tmp_path / "spec.json"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (
+            ",s,t\nc,2000000,inf\nd,inf,0\n\niterations,2\nconverged,true\nfinal_gap,0.0\n"
         )
 
     def test_missing_file_exits_2(self, capsys):

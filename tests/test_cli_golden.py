@@ -7,7 +7,11 @@ with default flags, and the query must exit 0.  Each row
 query on the same files that rejects its input and prints nothing to
 stdout.  Each row ``[command, a, b, flags, exit code, stdout]`` of
 ``golden/flags.json`` is a pinned query rerun with ``--format json`` or
-``--max-iter 2`` (which ``bisim`` rejects as a usage error).  Queries
+``--max-iter 2`` (which ``bisim`` rejects as a usage error).  Each row
+``[mode, a, b, depth, exit code, stdout, stderr]`` of ``golden/oracle.json``
+is ``ltbe oracle`` at one depth on the pair of a pinned query, read with
+``--system``/``--spec`` (mode ``spec``) or ``--a``/``--b`` (mode ``pair``),
+plus a negative depth and a stack mismatch.  Queries
 that end ``converged=false`` are not pinned, so a change that makes them
 converge needs no edit here.
 """
@@ -26,6 +30,7 @@ DATA = HERE.parent / "demos" / "data"
 GOLDEN = sorted((HERE / "golden").glob("*.csv"))
 REJECTED = json.loads((HERE / "golden" / "rejected.json").read_text(encoding="utf-8"))
 FLAGGED = json.loads((HERE / "golden" / "flags.json").read_text(encoding="utf-8"))
+ORACLE = json.loads((HERE / "golden" / "oracle.json").read_text(encoding="utf-8"))
 FLAGS = {"behaviour": ("--system", "--spec"), "common": ("--a", "--b"), "bisim": ("--a", "--b")}
 
 
@@ -61,6 +66,15 @@ def test_flagged_output_matches_golden(row, capsys):
     args = [command, first, str(DATA / f"{a}.json"), second, str(DATA / f"{b}.json"), *flags]
     assert main(args) == code
     assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("row", ORACLE, ids=lambda r: "__".join(map(str, r[:4])))
+def test_oracle_output_matches_golden(row, capsys):
+    mode, a, b, depth, code, out, err = row
+    first, second = ("--system", "--spec") if mode == "spec" else ("--a", "--b")
+    args = ["oracle", first, str(DATA / f"{a}.json"), second, str(DATA / f"{b}.json")]
+    assert main([*args, "--depth", str(depth)]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def _no_key(self):

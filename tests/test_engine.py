@@ -167,14 +167,20 @@ class TestBehaviour:
 
 
 class TestTropicalDivergence:
-    def test_unreachable_behaviour_diverges_honestly(self):
-        sys_model = single_state_system("tropical", [{"term": step_term("a", "c"), "weight": 1}])
-        spec = omega_spec("tropical")
-        opts = FixpointOptions(max_iterations=500, divergence_cap=50)
-        report = behaviour(sys_model, spec, opts)
-        assert not report.converged
-        assert report.iterations < 500  # the cap stopped the climb early
-        assert report.result.get("c", "zw").payload > 50
+    def test_large_finite_cost_converges(self):
+        # a finite cost, however large, is a limit like any other
+        sys_model = parse_system(json.dumps({
+            "kind": "tropical",
+            "stack": ["T", LTS_F],
+            "states": ["c", "d"],
+            "transitions": {
+                "c": [{"term": step_term("a", "d"), "weight": 2_000_000}],
+                "d": [{"term": stop_term(), "weight": 0}],
+            },
+        }))
+        report = behaviour(sys_model, chain_spec(1, "tropical"))
+        assert (report.stop_reason, report.iterations) == ("converged", 2)
+        assert report.result.get("c", "z1").payload == 2_000_000
 
     def test_max_iterations_reached_reports_nonconvergence(self):
         sys_model = single_state_system("tropical", [{"term": step_term("a", "c"), "weight": 1}])
@@ -226,18 +232,12 @@ class TestStopReason:
         report = behaviour(sys_model, omega_spec("tropical"), FixpointOptions(max_iterations=7))
         assert not report.converged and report.stop_reason == "budget"
 
-    def test_divergence_cap(self):
-        sys_model = single_state_system("tropical", [{"term": step_term("a", "c"), "weight": 1}])
-        opts = FixpointOptions(max_iterations=500, divergence_cap=50)
-        report = behaviour(sys_model, omega_spec("tropical"), opts)
-        assert report.iterations < 500 and report.stop_reason == "divergence_cap"
-
     def test_threshold(self):
         opts = FixpointOptions(threshold=SemiringValue(P, 0.1), tolerance=0.0)
         report = behaviour(loop_exit_system("prob"), omega_spec("prob"), opts)
         assert report.threshold_decided and report.stop_reason == "threshold"
 
-    @pytest.mark.parametrize("reason", ["converged", "budget", "divergence_cap", "threshold"])
+    @pytest.mark.parametrize("reason", ["converged", "budget", "threshold"])
     def test_flags_are_read_off_the_reason(self, reason):
         report = FixpointReport(ValRel.top(["c"], ["d"], B), 3, 0.0, reason)
         assert report.converged == (reason == "converged")
@@ -251,16 +251,15 @@ class TestFixpointOptions:
             {"max_iterations": 0},
             {"tolerance": -1e-9},
             {"tolerance": float("nan")},
-            {"divergence_cap": -1},
         ],
-        ids=["max-iterations", "negative-tolerance", "nan-tolerance", "negative-cap"],
+        ids=["max-iterations", "negative-tolerance", "nan-tolerance"],
     )
     def test_invalid_options_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FixpointOptions(**kwargs)
 
     def test_zero_tolerance_and_cap_accepted(self):
-        FixpointOptions(tolerance=0.0, divergence_cap=0)
+        FixpointOptions(tolerance=0.0)
 
 
 class _Schedule:

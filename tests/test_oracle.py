@@ -6,7 +6,9 @@ from ltbe import (
     SemiringKind,
     StackMismatch,
     ValRel,
+    behaviour,
     common_iterates,
+    common_trace,
     iterates,
     oracle_common,
     oracle_matrix,
@@ -15,14 +17,17 @@ from ltbe import (
 )
 from modelgen import (
     LTS_F,
+    SHAPES,
     chain_spec,
     corpus,
+    gen_model_pair,
     gen_system_pair,
     loop_exit_system,
     omega_spec,
     step_term,
     stop_term,
     tropical_stopper,
+    with_unit_branching,
 )
 import random
 
@@ -131,3 +136,22 @@ class TestAgreementWithEngine:
                         assert rel.max_gap(reference) <= 1e-9
                     else:
                         assert rel == reference
+
+
+class TestUnitBranching:
+    """A spec is the system that branches by the unit, so behaviour is joint behaviour."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kind", list(SemiringKind), ids=lambda k: k.value)
+    def test_behaviour_is_common_trace_against_the_unit(self, kind, shape):
+        rng = random.Random(f"unit-{kind.value}-{shape}")
+        for _ in range(15):
+            sys_model, spec = gen_model_pair(rng, kind, shape)
+            unit = with_unit_branching(spec, sys_model)
+            for depth in range(4):
+                got = oracle_common(sys_model, unit, depth).payloads()
+                assert got == oracle_matrix(sys_model, spec, depth).payloads()
+            joint, alone = common_trace(sys_model, unit), behaviour(sys_model, spec)
+            assert joint.result.payloads() == alone.result.payloads()
+            assert (joint.iterations, joint.stop_reason, joint.final_gap) == (
+                alone.iterations, alone.stop_reason, alone.final_gap)
