@@ -7,6 +7,8 @@ boolean for nondeterministic systems, a probability for sub-probabilistic
 ones, and a minimal cost for weighted ones.
 """
 
+import importlib
+
 from .branching import BranchVal, dirac, validate_branchval
 from .engine import (
     FixpointOptions,
@@ -30,9 +32,7 @@ from .errors import (
     UndefinedSum,
     ValidationError,
 )
-from .laws import LawCheck, LawReport, MonadReport, check_monad_consistency, check_semiring_laws
 from .lifting import lift_double_extension, lift_egli_milner, lift_extension, lift_poly
-from .oracle import oracle_common, oracle_matrix
 from .polyfunctor import (
     Atom,
     Const,
@@ -77,6 +77,31 @@ from .system import (
 )
 
 __version__ = "0.1.0"
+
+# The self-checks and the brute-force oracle serve no parse or query, so
+# they are imported on first access (PEP 562) to keep a fresh import cheap.
+_LAZY = {
+    "LawCheck": "laws",
+    "LawReport": "laws",
+    "MonadReport": "laws",
+    "check_monad_consistency": "laws",
+    "check_semiring_laws": "laws",
+    "oracle_matrix": "oracle",
+    "oracle_common": "oracle",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "BranchVal",

@@ -4,7 +4,7 @@ Subcommands: ``behaviour``, ``bisim``, ``common``, ``oracle`` and
 ``check-laws``.  Matrices go to stdout (or ``--out``) as CSV or JSON with
 a convergence footer where applicable.  Exit codes: 0 success/converged,
 1 invalid input or failed law check, 2 I/O failure, 3 fixpoint not
-converged (the matrix is still emitted).
+converged (the matrix is still emitted), 4 decided by ``--threshold``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from . import engine, laws, oracle
+from . import engine
 from .errors import LtbeError
 from .semiring import SemiringKind, from_text
 from .system import parse_spec, parse_system
@@ -124,6 +124,9 @@ def _fixpoint_options(args, kind: SemiringKind) -> engine.FixpointOptions:
     )
 
 
+_EXIT_CODES = {"converged": 0, "budget": 3, "threshold": 4}
+
+
 def _cmd_behaviour(args) -> int:
     sys_model = parse_system(_read(args.system))
     spec_model = parse_spec(_read(args.spec))
@@ -133,7 +136,7 @@ def _cmd_behaviour(args) -> int:
         _matrix_text(report.result, args.format, report, args.threshold is not None),
         args.out,
     )
-    return 0 if report.converged else 3
+    return _EXIT_CODES[report.stop_reason]
 
 
 def _cmd_bisim(args) -> int:
@@ -141,7 +144,7 @@ def _cmd_bisim(args) -> int:
     b = parse_system(_read(args.b))
     report = engine.bisimilarity(a, b)
     _emit(_matrix_text(report.result, args.format, report), args.out)
-    return 0 if report.converged else 3
+    return _EXIT_CODES[report.stop_reason]
 
 
 def _cmd_common(args) -> int:
@@ -153,10 +156,12 @@ def _cmd_common(args) -> int:
         _matrix_text(report.result, args.format, report, args.threshold is not None),
         args.out,
     )
-    return 0 if report.converged else 3
+    return _EXIT_CODES[report.stop_reason]
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     pair_mode = args.a is not None or args.b is not None
     spec_mode = args.system is not None or args.spec is not None
     if pair_mode == spec_mode or (pair_mode and (args.a is None or args.b is None)) or (
@@ -176,6 +181,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_laws(args) -> int:
+    from . import laws
+
     kind = SemiringKind(args.kind)
     law_report = laws.check_semiring_laws(kind, samples=args.samples, seed=args.seed)
     monad_report = laws.check_monad_consistency(kind, size_bound=args.size_bound)

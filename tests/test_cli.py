@@ -115,7 +115,7 @@ class TestBehaviourCommand:
             ]
         )
         out = capsys.readouterr().out
-        assert code == 3
+        assert code == 4
         assert "threshold_decided,true" in out
 
     def test_tropical_threshold_flag(self, tmp_path, capsys):
@@ -135,7 +135,7 @@ class TestBehaviourCommand:
             ]
         )
         out = capsys.readouterr().out
-        assert code == 3
+        assert code == 4
         assert out == (
             ",zw\nc,6\n\niterations,6\nconverged,false\nfinal_gap,1.0\nthreshold_decided,true\n"
         )
@@ -360,3 +360,48 @@ class TestDeterminism:
         second = run_cli(*argv)
         assert first == second
         assert first[0] in (0, 3)
+
+
+class TestColdStart:
+    """A query loads neither the self-checks nor the oracle; those load on use."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("behaviour", "--system", "coin.json", "--spec", "spec_chain2.json"),
+            ("common", "--a", "stop_cost2.json", "--b", "stop_cost3.json"),
+            ("bisim", "--a", "pure_loop.json", "--b", "loop_or_deadlock.json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_query_loads_no_laws_or_oracle(self, argv):
+        args = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        probe = (
+            "import sys\n"
+            "from ltbe.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('ltbe.')), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *args], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stderr.splitlines()[-1]
+        assert "ltbe.cli" in loaded
+        assert "ltbe.laws" not in loaded and "ltbe.oracle" not in loaded
+
+    def test_oracle_runs_in_a_fresh_interpreter(self):
+        code, out, err = run_cli(
+            "oracle", "--system", str(DATA / "coin.json"),
+            "--spec", str(DATA / "spec_chain2.json"), "--depth", "2",
+        )
+        assert code == 0, err
+        assert out.startswith(b",")
+
+    def test_check_laws_runs_in_a_fresh_interpreter(self):
+        code, out, err = run_cli(
+            "check-laws", "--kind", "bool", "--samples", "50", "--size-bound", "1"
+        )
+        assert code == 0, err
+        assert b"all checks passed" in out

@@ -1,0 +1,78 @@
+"""A fresh ``import ltbe`` loads the query path only.
+
+The self-checks (``ltbe.laws``) and the brute-force oracle (``ltbe.oracle``)
+serve no parse or query, so the package resolves their names on first
+access; these tests pin both halves of that contract.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import ltbe
+
+QUERY_PATH = {
+    "ltbe",
+    "ltbe.errors",
+    "ltbe.semiring",
+    "ltbe.polyfunctor",
+    "ltbe.branching",
+    "ltbe.relation",
+    "ltbe.lifting",
+    "ltbe.system",
+    "ltbe.engine",
+}
+
+LAZY = {
+    "LawCheck": "laws",
+    "LawReport": "laws",
+    "MonadReport": "laws",
+    "check_monad_consistency": "laws",
+    "check_semiring_laws": "laws",
+    "oracle_matrix": "oracle",
+    "oracle_common": "oracle",
+}
+
+
+def loaded_after(code: str) -> set:
+    """The ``ltbe`` modules a fresh interpreter holds after running ``code``."""
+    probe = code + "\nimport json, sys\n" + (
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'ltbe')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_fresh_import_loads_only_the_query_path():
+    assert loaded_after("import ltbe") == QUERY_PATH
+
+
+def test_every_public_name_resolves():
+    for name in ltbe.__all__:
+        assert getattr(ltbe, name) is not None, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from ltbe import *", namespace)
+    for name in ltbe.__all__:
+        assert namespace[name] is getattr(ltbe, name), name
+
+
+@pytest.mark.parametrize("name", sorted(LAZY))
+def test_lazy_name_is_the_module_attribute(name):
+    module = importlib.import_module(f"ltbe.{LAZY[name]}")
+    assert getattr(ltbe, name) is getattr(module, name)
+
+
+def test_dir_lists_the_lazy_names():
+    assert set(LAZY) <= set(dir(ltbe))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ltbe.no_such_name
