@@ -9,29 +9,32 @@ relation produces a descending chain whose limit measures, for every pair
 of a system state and a specification state, the extent to which the
 former can exhibit the latter's behaviour.
 
-The step is compiled once per run into a program of layers of cells (see
-:mod:`ltbe.relation`), from the integer positions each model resolved its
-values to when it was parsed, so compiling reads no keys.  A layer whose
-cells are single reads (the read-back, or a polynomial layer with at most
-one ``Id`` per summand) is fused into its neighbour, so a ``[T, F]`` step
-is one layer of folds read straight off the relation.  Iteration is
-semi-naive: after the first round, only the cells reading a position that
-changed are re-evaluated, by the same operations in the same order, so
-every iterate is the full pass's bit for bit.
+The step is compiled once per run into a program of layers of cells, the
+semiring's reads, weighted folds and products (see :mod:`ltbe.relation`),
+from the integer positions each model resolved its values to when it was
+parsed, so compiling reads no keys.  A layer whose cells are single reads
+(the read-back, or a polynomial layer with at most one ``Id`` per summand)
+is fused into its neighbour, so a ``[T, F]`` step is one layer of folds
+read straight off the relation.  Iteration is semi-naive: after the first
+round, only the cells reading a position that changed are re-evaluated, by
+the same operations in the same order, so every iterate is the full pass's
+bit for bit.
 
 Iteration is truncated at finitely many steps.  Bool converges exactly on
 finite carriers; prob converges up to a tolerance; a tropical entry whose
 limit is infinity climbs by its lap cost forever, so its run ends on the
 budget (or on a threshold) with an honest "not converged" report.
+``bisimilarity`` is partition refinement, round for round the forall-exists chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import count
+from typing import Iterator
 
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
-from .lifting import compile_double_extension, compile_egli_milner, compile_extension, compile_poly
+from .lifting import compile_double_extension, compile_extension, compile_poly
 from .relation import ValRel, compile_reindex, evaluator, reads
 from .semiring import OPS, SemiringKind, SemiringValue
 from .system import BranchLayer, SpecSystem, System, linear_part
@@ -113,17 +116,17 @@ def _layer(cells: list, size: int) -> tuple[list, list]:
     return cells, users
 
 
-def _walker(left: System, right: System, branch_lift: Callable[..., list]) -> list:
+def _walker(left: System, right: System) -> list:
     """The one-step operator of a run between the states of two models, as a program.
 
     Each step pushes the relation through the left model's layers, from
     the innermost outwards, over the values that occur in the two models,
-    resolved to positions (``System.resolved``): ``compile_poly``
-    at a polynomial layer, ``branch_lift`` at a branching layer.  It then
-    reads the result back at the two models' top positions.  A
+    resolved to positions (``System.resolved``): ``compile_poly`` at a
+    polynomial layer, ``compile_double_extension`` at a branching layer.
+    It then reads the result back at the two models' top positions.  A
     specification has no branching layers, so its layer ``j`` is the left
-    model's ``j``-th polynomial layer and ``branch_lift`` gets the left
-    values alone.  The program is the list of fused layers (see
+    model's ``j``-th polynomial layer and ``compile_extension`` lifts the
+    left values alone.  The program is the list of fused layers (see
     :func:`_layer`); the first reads and the last writes the relation, a
     row-major payload list over the two state sets.
     """
@@ -141,7 +144,8 @@ def _walker(left: System, right: System, branch_lift: Callable[..., list]) -> li
         below = program[-1] if program and program[-1][2] else None
         source = below[0] + [below[1], below[1] + 1] if below else None
         if isinstance(layer, BranchLayer):
-            cells = branch_lift(left.stack.kind, rows, cols, *values, source=source)
+            lift = compile_extension if len(values) == 1 else compile_double_extension
+            cells = lift(left.stack.kind, rows, cols, *values, source=source)
         else:
             cells = compile_poly(rows, cols, *values, source=source)
         pure = all(type(c) is int for c in cells)
@@ -192,6 +196,8 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
 
 
 def _chain(program: list, start: ValRel, steps: int) -> list[ValRel]:
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     out = [start]
     n = len(start.rows) * len(start.cols)
     for _, (cur, _) in zip(range(steps), _rounds(program, start.kind, start.payloads())):
@@ -206,7 +212,7 @@ def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
         raise KindMismatch("relation kind does not match the system kind")
     if rel.rows != sys.states or rel.cols != spec.states:
         raise CarrierMismatch("relation carriers must be the two state sets")
-    return _chain(_walker(sys, spec, compile_extension), rel, 1)[1]
+    return _chain(_walker(sys, spec), rel, 1)[1]
 
 
 def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> FixpointReport:
@@ -249,14 +255,14 @@ def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None
     _check_behaviour_inputs(sys, spec)
     opts = opts or FixpointOptions()
     start = ValRel.top(sys.states, spec.states, sys.stack.kind)
-    return _run_fixpoint(_walker(sys, spec, compile_extension), start, opts)
+    return _run_fixpoint(_walker(sys, spec), start, opts)
 
 
 def iterates(sys: System, spec: SpecSystem, steps: int) -> list[ValRel]:
     """The first ``steps`` refinement iterates, starting from the top relation."""
     _check_behaviour_inputs(sys, spec)
     start = ValRel.top(sys.states, spec.states, sys.stack.kind)
-    return _chain(_walker(sys, spec, compile_extension), start, steps)
+    return _chain(_walker(sys, spec), start, steps)
 
 
 def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None) -> FixpointReport:
@@ -268,25 +274,40 @@ def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None
     _check_pair_inputs(sysA, sysB)
     opts = opts or FixpointOptions()
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
-    return _run_fixpoint(_walker(sysA, sysB, compile_double_extension), start, opts)
+    return _run_fixpoint(_walker(sysA, sysB), start, opts)
 
 
 def common_iterates(sysA: System, sysB: System, steps: int) -> list[ValRel]:
     _check_pair_inputs(sysA, sysB)
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
-    return _chain(_walker(sysA, sysB, compile_double_extension), start, steps)
+    return _chain(_walker(sysA, sysB), start, steps)
 
 
 def bisimilarity(sysA: System, sysB: System) -> FixpointReport:
-    """Largest bisimulation between two boolean systems, computed exactly.
+    """Largest bisimulation between two boolean systems, by partition refinement.
 
-    Branching layers use the two-sided forall-exists lifting, so this is
-    the classical partition-refinement style fixpoint and converges in at
-    most rows * cols + 1 steps.
+    Each round classes the values of both models in one table, innermost
+    layer first: a polynomial value by its shape and leaves' classes, a
+    branching value by its successors' classes as a set, a state by its
+    transition's.  On the pairs of a state of each model, round ``k`` is the
+    ``k``-th forall-exists iterate from the all-true relation, which reads
+    only such pairs; ``iterations`` is the first round to repeat the last.
     """
     if sysA.stack.kind is not SemiringKind.BOOL:
         raise KindMismatch("bisimilarity is only defined for bool systems")
     _check_pair_inputs(sysA, sysB)
-    start = ValRel.top(sysA.states, sysB.states, SemiringKind.BOOL)
-    return _run_fixpoint(_walker(sysA, sysB, compile_egli_milner), start, FixpointOptions())
-
+    classes = [[0] * len(sysA.states), [0] * len(sysB.states)]  # round 0: one class
+    rel = [True] * (len(sysA.states) * len(sysB.states))
+    for rounds in count(1):  # the relations descend on a finite set, so this ends
+        table: dict = {}
+        for idx in reversed(range(len(sysA.stack.layers))):
+            branch = isinstance(sysA.stack.layers[idx], BranchLayer)
+            classes = [[table.setdefault(frozenset(map(c.__getitem__, v[0])) if branch else
+                                         (v[0], tuple(map(c.__getitem__, v[2]))), len(table))
+                        for v in m.resolved[idx]] for m, c in zip((sysA, sysB), classes)]
+        classes = [[c[p] for p in m.top_positions] for m, c in zip((sysA, sysB), classes)]
+        new = [x == y for x in classes[0] for y in classes[1]]
+        if new == rel:
+            result = ValRel.from_payloads(SemiringKind.BOOL, sysA.states, sysB.states, rel)
+            return FixpointReport(result, rounds, 0.0, "converged")
+        rel = new

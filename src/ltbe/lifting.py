@@ -1,4 +1,4 @@
-"""Relation transformers: the four ways to push a relation through one layer.
+"""Relation transformers: the ways to push a relation through one layer.
 
 Given a relation R between carriers X and Y:
 
@@ -13,7 +13,9 @@ Given a relation R between carriers X and Y:
 * :func:`lift_double_extension` abstracts branching on both sides:
   ``(t, u) -> sum over (x, y) of t(x) * u(y) * R(x, y)``.
 * :func:`lift_egli_milner` is the two-sided forall-exists lifting of a
-  boolean relation to successor sets, the branching step of bisimulation.
+  boolean relation to successor sets, the branching step of bisimulation;
+  ``bisimilarity`` refines partitions instead, in as many rounds as the
+  chain of this lifting.
 
 Every lifting is materialized only on the values that occur in the models
 at hand, supplied explicitly as carrier lists: the terms of a polynomial
@@ -23,13 +25,13 @@ Each lifting has one implementation, in stages.  ``resolve_term`` and
 ``resolve_branch`` turn a value into integer positions in the carrier
 below it; a model does so once, when it is parsed (``System.resolved``).
 ``compile_*`` takes the resolved values and the two source carrier sizes,
-and turns every cell of the lifted matrix into data over source positions
-(see :mod:`ltbe.relation`): a single read, a fold of weights and
-positions, a product tree, or a forall-exists pair of position lists.
-The public ``lift_*`` functions resolve their arguments against the
-relation's carriers, compile, run the one cell evaluator over every cell
-in order and box the result; the engine passes ``source`` to compile a
-layer that reads through a layer of single reads below it.
+and turns every cell of the lifted matrix into one of the three kinds of
+cell of :mod:`ltbe.relation`: a single read, a fold of weights and
+positions, or a product tree.  The public ``lift_*`` functions resolve
+their arguments against the relation's carriers, compile, run the one
+cell evaluator over every cell in order and box the result; the engine
+passes ``source`` to compile a layer that reads through a layer of single
+reads below it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Mapping, Sequence
 from .branching import BranchVal
 from .errors import CarrierMismatch, KindMismatch
 from .polyfunctor import Const, Coprod, Id, PolyExpr, PolyTerm, Prod, value_key
-from .relation import Fold, ForallExists, ValRel, run_cells
+from .relation import Fold, ValRel, run_cells
 from .semiring import OPS, SemiringKind
 
 #: The position of each key of a carrier.
@@ -161,20 +163,21 @@ def compile_double_extension(kind: SemiringKind, rows: int, cols: int, left_valu
 
 
 def compile_egli_milner(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,
-                        right_values: Sequence, source=None) -> list:
+                        right_values: Sequence) -> list:
     """Compile the forall-exists lifting over resolved branching values.
 
-    A cell holds, per left successor, its source cells against every right
-    successor, and per right successor its cells against every left one.
+    The cell of ``(t, u)`` is the product of a fold for each successor of
+    either over the other's successors, or the unit slot if there are none.
     """
-    at = _through(source, rows * cols)
-    cells = []
-    for xs, _, _ in left_values:
+    one, cells = OPS[kind].one, []
+    for xs, _, t in left_values:
         xs = [x * cols for x in xs]
-        for ys, _, _ in right_values:
-            cells.append(ForallExists((
-                [[at(x + y) for y in ys] for x in xs], [[at(x + y) for x in xs] for y in ys]
-            )))
+        for ys, _, u in right_values:
+            sums = [[x + y for y in ys] for x in xs] + [[x + y for x in xs] for y in ys]
+            tree = [Fold(([one] * len(ps), ps, (t, u))) for ps in sums]
+            while len(tree) > 1:  # paired up, so evaluating the product recurses log-deep
+                tree = list(zip(tree[::2], tree[1::2])) + tree[len(tree) & ~1:]
+            cells.append(tree[0] if tree else rows * cols + 1)
     return cells
 
 

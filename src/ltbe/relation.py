@@ -8,10 +8,9 @@ into a :class:`SemiringValue` only where one is read out.
 
 A *cell* is plain data saying how one entry of a new matrix is computed
 from a source list, the old payloads followed by the constants zero and
-one: an ``int`` reads one position, a :class:`Fold` sums weighted
-positions, a ``tuple`` pair is a product tree over positions, and a
-:class:`ForallExists` is the test of the Egli-Milner lifting.  One
-function, made by :func:`evaluator`, evaluates any cell.
+one, by the semiring's own operations: an ``int`` reads one position, a
+:class:`Fold` sums weighted positions, and a ``tuple`` pair is a product
+tree.  One function, made by :func:`evaluator`, evaluates any cell.
 """
 
 from __future__ import annotations
@@ -34,12 +33,6 @@ class Fold(tuple):
     __slots__ = ()
 
 
-class ForallExists(tuple):
-    """``(forward, backward)``: true iff each of their rows holds a true position."""
-
-    __slots__ = ()
-
-
 def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
     """The function that evaluates a cell of ``kind`` over a source list."""
     add, mul, zero = OPS[kind].add, OPS[kind].mul, OPS[kind].zero
@@ -54,9 +47,6 @@ def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
             except UndefinedSum:
                 where = " x ".join(repr(v.key()) for v in cell[2])
                 raise UndefinedSum(f"partial sum undefined while extending over {where}") from None
-        if t is ForallExists:
-            get = src.__getitem__
-            return all(any(map(get, r)) for r in cell[0]) and all(any(map(get, c)) for c in cell[1])
         return mul(evaluate(cell[0], src), evaluate(cell[1], src))
 
     return evaluate
@@ -69,8 +59,6 @@ def reads(cell) -> Iterable[int]:
         return (cell,)
     if t is Fold:
         return cell[1]
-    if t is ForallExists:
-        return chain.from_iterable(cell[0])
     return chain(reads(cell[0]), reads(cell[1]))
 
 

@@ -7,6 +7,7 @@ engine fuses layers and re-evaluates only the cells whose inputs changed,
 so its iterates must equal the full pass's, payload for payload.
 """
 
+import json
 import random
 
 import pytest
@@ -23,11 +24,21 @@ from ltbe import (
     lift_egli_milner,
     lift_extension,
     lift_poly,
+    parse_system,
     reindex,
     step_operator,
     value_key,
 )
-from modelgen import SHAPES, corpus, gen_models_on, gen_system_pair, random_valrel
+from modelgen import (
+    LTS_F,
+    SHAPES,
+    corpus,
+    gen_models_on,
+    gen_system_pair,
+    random_valrel,
+    step_term,
+    stop_term,
+)
 
 STEPS = 6
 
@@ -125,14 +136,50 @@ def test_common_iterates_match_full_pass_on_several_ids(case):
     assert exact(common_iterates(a, b, STEPS)) == exact(want)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_bisimilarity_matches_full_pass(shape):
-    rng = random.Random(f"bisim:{shape}")
-    for _ in range(4):
-        a, b = gen_system_pair(rng, SemiringKind.BOOL, shape)
+def _bool_model(stack, transitions):
+    doc = {"kind": "bool", "stack": stack, "states": list(transitions), "transitions": transitions}
+    return parse_system(json.dumps(doc))
+
+
+LINEAR = ["{*} + {a,b} * Id"]
+
+#: Edge cases, each with the number of rounds of its forall-exists chain.
+BISIM_EDGES = {
+    "both-empty": ((LINEAR, {}), (LINEAR, {}), 1),
+    "empty-vs-one": ((["T", LTS_F], {}), (["T", LTS_F], {"d": [stop_term()]}), 1),
+    "linear": ((LINEAR, {"c0": step_term("a", "c1"), "c1": stop_term()}),
+               (LINEAR, {"d0": step_term("a", "d1"), "d1": step_term("a", "d1")}), 3),
+    "deadlock": ((["T", LTS_F], {"c": []}),
+                 (["T", LTS_F], {"d0": [], "d1": [step_term("a", "d1")]}), 2),
+}
+
+
+def bisim_pairs(case):
+    """The bool pairs of one case: random pairs of a shape and their self-pairs,
+    pairs on a stack of several ``Id``s with both self-pairs, or an edge case."""
+    if case in SHAPES:
+        rng = random.Random(f"bisim:{case}")
+        pairs = [gen_system_pair(rng, SemiringKind.BOOL, case) for _ in range(4)]
+        return pairs + [(a, a) for a, _ in pairs]
+    if case in BISIM_EDGES:
+        (sa, ta), (sb, tb), _ = BISIM_EDGES[case]
+        return [(_bool_model(sa, ta), _bool_model(sb, tb))]
+    rng = random.Random(f"bisim-ids:{case}")
+    texts = MULTI_ID_STACKS[int(case[-1])]
+    a, _ = gen_models_on(rng, SemiringKind.BOOL, texts, rng.randint(2, 4), 1)
+    b, _ = gen_models_on(rng, SemiringKind.BOOL, texts, rng.randint(2, 4), 1)
+    return [(a, b), (a, a), (b, b)]
+
+
+@pytest.mark.parametrize(
+    "case", [*SHAPES, *(f"ids{i}" for i in range(len(MULTI_ID_STACKS))), *BISIM_EDGES])
+def test_bisimilarity_matches_full_pass(case):
+    for a, b in bisim_pairs(case):
         chain = full_chain(a, b, lift_egli_milner, 1)
         while chain[-1] != chain[-2]:
             chain.append(full_step(a, b, lift_egli_milner, chain[-1]))
         report = bisimilarity(a, b)
         assert report.iterations == len(chain) - 1
+        if case in BISIM_EDGES:
+            assert report.iterations == BISIM_EDGES[case][2]
         assert exact([report.result]) == exact(chain[-1:])

@@ -157,6 +157,10 @@ class TestBehaviour:
         chain = iterates(sys_model, spec, 0)
         assert chain == [ValRel.top(sys_model.states, spec.states, P)]
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            iterates(loop_exit_system("prob"), omega_spec("prob"), -3)
+
     def test_descending_chain_invariant(self):
         rng = random.Random(78)
         for kind in SemiringKind:
@@ -338,6 +342,10 @@ class TestCommonTrace:
         )
         with pytest.raises(StackMismatch):
             common_trace(a, b)
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            common_iterates(loop_exit_system("prob"), loop_exit_system("prob"), -2)
 
     def test_common_iterates_descend(self):
         rng = random.Random(79)

@@ -6,7 +6,8 @@ every payload in full precision, since the CSV keeps 9 decimals.  The
 cells cover prob and tropical ``[G, T]`` and ``[G, T, F]`` stacks whose
 ``G`` has several ``Id``s, against specs with finite behaviours only, so
 the order of products and of branching sums shows in the last digits;
-``common`` pairs of every kind; and ``bisim`` on bool twin pairs.
+``common`` pairs of every kind; and ``bisim`` on bool twin pairs (``TF``) and
+on random bool pairs of the ``GT`` and ``GTF`` shapes.
 
 To write the files from a trusted commit, run from the repository root::
 
@@ -44,7 +45,7 @@ SEEDS = 40
 CELLS = (
     [f"behaviour__{k.value}__{stack}" for k in (P, T) for stack in BEHAVIOUR_STACKS]
     + [f"common__{k.value}__{shape}" for k in (B, P, T) for shape in ("TF", "GT", "GTF")]
-    + ["bisim__bool__TF"]
+    + [f"bisim__bool__{shape}" for shape in ("TF", "GT", "GTF")]
 )
 
 
@@ -72,6 +73,8 @@ def _case(cell: str, seed: int):
         return behaviour, (sys_model, gen_layered_spec(rng, kind, texts, 4, stop))
     if op == "common":
         return common_trace, gen_system_pair(rng, kind, shape)
+    if shape != "TF":
+        return bisimilarity, gen_system_pair(rng, B, shape)
     sys_model, _ = gen_models_on(rng, B, ["T", "{*} + {a,b} * Id"], 5, 1)
     return bisimilarity, (sys_model, _twin(sys_model, rng))
 

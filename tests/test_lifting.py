@@ -264,6 +264,15 @@ class TestEgliMilner:
         u = bv_bool("y1")
         assert lift_egli_milner(rel, [t], [u]).get(t.key(), u.key()).payload is False
 
+    def test_wide_successor_sets(self):
+        # 1200 folds in one cell: its product must not nest as deep as it is long
+        xs, ys = [f"x{i}" for i in range(600)], [f"y{i}" for i in range(600)]
+        t, u = bv_bool(*xs), bv_bool(*ys)
+        assert lift_egli_milner(ValRel.top(xs, ys, B), [t], [u]).at(0, 0).payload is True
+        flat = [i < 599 for i in range(600) for _ in ys]  # x599 is related to no y
+        last_unmatched = ValRel.from_payloads(B, xs, ys, flat)
+        assert lift_egli_milner(last_unmatched, [t], [u]).at(0, 0).payload is False
+
     def test_non_bool_rejected(self):
         rel = ValRel.top(["x"], ["y"], P)
         with pytest.raises(KindMismatch):
