@@ -36,7 +36,7 @@ from typing import Iterator
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
 from .lifting import compile_double_extension, compile_extension, compile_poly
 from .relation import ValRel, compile_reindex, evaluator, reads
-from .semiring import OPS, SemiringKind, SemiringValue
+from .semiring import OPS, SemiringKind, SemiringValue, prob_all_leq, prob_max_gap
 from .system import BranchLayer, SpecSystem, System, linear_part
 
 
@@ -218,8 +218,10 @@ def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
 def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> FixpointReport:
     """Iterate ``program`` from ``start`` and box the last iterate.
 
-    The monotonicity and gap checks read the changed cells only, since an
-    unchanged cell has gap 0 and is below itself.
+    The checks read the changed cells only, since an unchanged cell has gap
+    0 and is below itself.  A bool or tropical run converges on an empty
+    change list, the exact repeat it needs, so its gap is computed for the
+    report alone.
     """
     kind = start.kind
     ops = OPS[kind]
@@ -228,26 +230,25 @@ def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> Fixpoi
         raise KindMismatch(f"cannot combine {kind.value} with {threshold.kind.value}")
     n = len(start.rows) * len(start.cols)
     limit = opts.max_iterations or 10 * n + 10
+    prob = kind is SemiringKind.PROB
 
-    def report(cur: list, i: int, reason: str, gap: float):
+    def report(cur: list, i: int, reason: str):  # the gap of the last round's changes
         result = ValRel.from_payloads(kind, start.rows, start.cols, cur[:n])
-        return FixpointReport(result, i, gap, reason)
+        return FixpointReport(result, i, max(map(ops.gap, news, olds), default=0.0), reason)
 
-    leq, gap = ops.leq, ops.gap
     # an all-false bool iterate repeats on the next round, so it converges instead
     bound = threshold.payload if threshold is not None and kind is not SemiringKind.BOOL else None
     for i, (cur, changes) in zip(range(1, limit + 1), _rounds(program, kind, start.payloads())):
         _, olds, news = zip(*changes) if changes else ((), (), ())
-        if not all(map(leq, news, olds)):
+        if not (prob_all_leq(news, olds) if prob else all(map(ops.leq, news, olds))):
             raise MonotonicityViolation(
                 f"iterate {i} is not below its predecessor; the operator is not descending"
             )
-        gap_now = max(map(gap, news, olds), default=0.0)
-        if (gap_now <= opts.tolerance if kind is SemiringKind.PROB else gap_now == 0.0):
-            return report(cur, i, "converged", gap_now)
-        if bound is not None and all(leq(v, bound) and not leq(bound, v) for v in cur[:n]):
-            return report(cur, i, "threshold", gap_now)
-    return report(cur, limit, "budget", gap_now)
+        if prob_max_gap(news, olds) <= opts.tolerance if prob else not changes:
+            return report(cur, i, "converged")
+        if bound is not None and all(ops.leq(v, bound) and not ops.leq(bound, v) for v in cur[:n]):
+            return report(cur, i, "threshold")
+    return report(cur, limit, "budget")
 
 
 def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None) -> FixpointReport:

@@ -36,12 +36,14 @@ reads below it.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from .branching import BranchVal
 from .errors import CarrierMismatch, KindMismatch
 from .polyfunctor import Const, Coprod, Id, PolyExpr, PolyTerm, Prod, value_key
-from .relation import Fold, ValRel, run_cells
+from .relation import Fold, ValRel, factors, run_cells
 from .semiring import OPS, SemiringKind
 
 #: The position of each key of a carrier.
@@ -121,7 +123,7 @@ def compile_poly(rows: int, cols: int, row_terms: Sequence, col_terms: Sequence,
     def cell(tree, lu, lv):
         if type(tree) is int:
             return at(lu[tree] * cols + lv[tree])
-        return cell(tree[0], lu, lv), cell(tree[1], lu, lv)
+        return reduce(_times, map(cell, factors(tree), repeat(lu), repeat(lv)))
 
     # bottom and top read the two constant slots right after the source cells
     bottom, top = at(rows * cols), at(rows * cols + 1)
@@ -174,10 +176,8 @@ def compile_egli_milner(kind: SemiringKind, rows: int, cols: int, left_values: S
         xs = [x * cols for x in xs]
         for ys, _, u in right_values:
             sums = [[x + y for y in ys] for x in xs] + [[x + y for x in xs] for y in ys]
-            tree = [Fold(([one] * len(ps), ps, (t, u))) for ps in sums]
-            while len(tree) > 1:  # paired up, so evaluating the product recurses log-deep
-                tree = list(zip(tree[::2], tree[1::2])) + tree[len(tree) & ~1:]
-            cells.append(tree[0] if tree else rows * cols + 1)
+            folds = [Fold(([one] * len(ps), ps, (t, u))) for ps in sums]
+            cells.append(reduce(_times, folds) if folds else rows * cols + 1)
     return cells
 
 

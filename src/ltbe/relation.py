@@ -10,15 +10,17 @@ A *cell* is plain data saying how one entry of a new matrix is computed
 from a source list, the old payloads followed by the constants zero and
 one, by the semiring's own operations: an ``int`` reads one position, a
 :class:`Fold` sums weighted positions, and a ``tuple`` pair is a product
-tree.  One function, made by :func:`evaluator`, evaluates any cell.
+tree.  One function, made by :func:`evaluator`, evaluates any cell; its
+folds are C-level ``any``, ``min`` or float sums with the semiring fold's bits.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import operator
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import CarrierMismatch, KindMismatch, UndefinedSum
@@ -33,33 +35,66 @@ class Fold(tuple):
     __slots__ = ()
 
 
-def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
-    """The function that evaluates a cell of ``kind`` over a source list."""
-    add, mul, zero = OPS[kind].add, OPS[kind].mul, OPS[kind].zero
+def factors(tree) -> list:
+    """A product tree's factors in the order it multiplies them, found by a loop
+    down its left spine: a power's product nests as deep as it is wide."""
+    out = []
+    while type(tree) is tuple:
+        tree, right = tree
+        out.append(right)
+    return [tree, *reversed(out)]
 
-    def evaluate(cell, src: list):
-        t = type(cell)
-        if t is int:
-            return src[cell]
-        if t is Fold:
+
+def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
+    """The function that evaluates a cell of ``kind`` over a source list.
+
+    Its fold, chosen once for the kind, is one C-level expression with the
+    bits of the left-to-right ``reduce(add, map(mul, ...), zero)``.  Bool: is
+    some position ``True``; a ``BranchVal`` drops zero weights, so every bool
+    weight is ``True``.  Tropical: the least ``weight + value``, ``INF`` if
+    none; ``min`` keeps the first of equal terms, as the fold from ``INF``
+    does.  Prob: the plain float sum.  Its terms are non-negative, so if it
+    is at most 1.0 no partial sum passed 1.0, where ``add`` clamps or
+    raises; a larger sum is folded again with ``add``.
+    """
+    add, mul = OPS[kind].add, OPS[kind].mul
+
+    if kind is SemiringKind.BOOL:
+        def fold(cell, src: list):
+            return any(map(src.__getitem__, cell[1]))
+    elif kind is SemiringKind.TROPICAL:
+        def fold(cell, src: list):
+            return min(map(mul, cell[0], map(src.__getitem__, cell[1])), default=INF)
+    else:
+        def fold(cell, src: list):
+            total = reduce(operator.add, map(mul, cell[0], map(src.__getitem__, cell[1])), 0.0)
+            if total <= 1.0:
+                return total
             try:
-                return reduce(add, map(mul, cell[0], map(src.__getitem__, cell[1])), zero)
+                return reduce(add, map(mul, cell[0], map(src.__getitem__, cell[1])), 0.0)
             except UndefinedSum:
                 where = " x ".join(repr(v.key()) for v in cell[2])
                 raise UndefinedSum(f"partial sum undefined while extending over {where}") from None
-        return mul(evaluate(cell[0], src), evaluate(cell[1], src))
+
+    def evaluate(cell, src: list):
+        t = type(cell)
+        if t is Fold:
+            return fold(cell, src)
+        if t is int:
+            return src[cell]
+        return reduce(mul, map(evaluate, factors(cell), repeat(src)))
 
     return evaluate
 
 
 def reads(cell) -> Iterable[int]:
-    """The source positions a cell reads."""
+    """The source positions a cell reads, left to right."""
     t = type(cell)
     if t is int:
         return (cell,)
     if t is Fold:
         return cell[1]
-    return chain(reads(cell[0]), reads(cell[1]))
+    return chain.from_iterable(map(reads, factors(cell)))
 
 
 def run_cells(cells: list, kind: SemiringKind, flat: list) -> list:

@@ -24,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .errors import KindMismatch, UndefinedSum, ValidationError
@@ -131,6 +132,16 @@ OPS = {
     ),
     SemiringKind.TROPICAL: RawOps(INF, 0, min, operator.add, operator.ge, _tropical_gap),
 }
+
+
+def prob_all_leq(news, olds) -> bool:
+    """``all(map(OPS[PROB].leq, news, olds))``, mapped in C for the fixpoint checks."""
+    return all(map(operator.le, news, map(operator.add, olds, repeat(PROB_EPS))))
+
+
+def prob_max_gap(news, olds) -> float:
+    """``max(map(OPS[PROB].gap, news, olds), default=0.0)``, mapped in C likewise."""
+    return max(map(abs, map(operator.sub, news, olds)), default=0.0)
 
 
 def zero(kind: SemiringKind) -> SemiringValue:

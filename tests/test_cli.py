@@ -263,6 +263,22 @@ class TestBehaviourCommand:
         assert b"ltbe: ParseError" in err
         assert b"Traceback" not in err
 
+    @pytest.mark.parametrize("width", [1000, 5000])
+    def test_wide_power_answers(self, tmp_path, width):
+        # a power's product of components nests as deep as it is wide
+        labels = [f"l{i}" for i in range(width)]
+        expr = "({*} + Id)^{" + ",".join(labels) + "}"
+        for name, stack, leaf in [("sys", [expr, "T"], [{"state": "c"}]), ("spec", [expr], {"state": "c"})]:
+            (tmp_path / f"{name}.json").write_text(json.dumps({
+                "kind": "bool", "stack": stack, "states": ["c"],
+                "transitions": {"c": {"tuple": {a: {"inj": 1, "of": leaf} for a in labels}}},
+            }))
+        code, out, err = run_cli(
+            "behaviour", "--system", str(tmp_path / "sys.json"), "--spec", str(tmp_path / "spec.json")
+        )
+        assert (code, err) == (0, b"")
+        assert out == b",c\nc,1\n\niterations,1\nconverged,true\nfinal_gap,0.0\n"
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["behaviour", "--system", str(DATA / "coin.json")]) == 1
         assert main(["no-such-command"]) == 1

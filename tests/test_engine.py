@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ltbe import (
+    INF,
     CarrierMismatch,
     FixpointOptions,
     FixpointReport,
@@ -246,6 +247,48 @@ class TestStopReason:
         report = FixpointReport(ValRel.top(["c"], ["d"], B), 3, 0.0, reason)
         assert report.converged == (reason == "converged")
         assert report.threshold_decided == (reason == "threshold")
+
+
+class TestStopReport:
+    """The gap each stop reports; a bool or tropical gap is computed for the report only."""
+
+    def test_tropical_budget_reports_the_lap_cost(self):
+        stuck = single_state_system("tropical", [{"term": step_term("a", "c"), "weight": 1}])
+        report = behaviour(stuck, omega_spec("tropical"))
+        assert (report.stop_reason, report.iterations, report.final_gap) == ("budget", 20, 1.0)
+
+    def test_bool_cut_run_reports_gap_one(self):
+        report = behaviour(pure_loop_system("bool"), chain_spec(3, "bool"),
+                           FixpointOptions(max_iterations=1))
+        assert (report.stop_reason, report.iterations, report.final_gap) == ("budget", 1, 1.0)
+
+    def test_tropical_jump_to_infinity_reports_inf(self):
+        sys_model = parse_system(json.dumps({
+            "kind": "tropical",
+            "stack": ["T", LTS_F],
+            "states": ["c", "d"],
+            "transitions": {"c": [{"term": step_term("a", "d"), "weight": 3}], "d": []},
+        }))
+        spec = omega_spec("tropical")
+        for cut, payloads in [(1, [3, INF]), (2, [INF, INF])]:
+            report = behaviour(sys_model, spec, FixpointOptions(max_iterations=cut))
+            assert (report.stop_reason, report.iterations, report.final_gap) == ("budget", cut, INF)
+            assert report.result.payloads() == payloads
+        report = behaviour(sys_model, spec)
+        assert (report.stop_reason, report.iterations, report.final_gap) == ("converged", 3, 0.0)
+
+    def test_tropical_threshold_reports_the_last_step(self):
+        sys_model = single_state_system("tropical", [{"term": step_term("a", "c"), "weight": 1}])
+        opts = FixpointOptions(threshold=SemiringValue(T, 5))
+        report = behaviour(sys_model, omega_spec("tropical"), opts)
+        assert (report.stop_reason, report.iterations, report.final_gap) == ("threshold", 6, 1.0)
+
+    def test_converged_reports_zero(self):
+        for sys_model, spec in [(loop_exit_system("bool"), omega_spec("bool")),
+                                (pure_loop_system("bool"), chain_spec(3, "bool")),
+                                (tropical_stopper(3), chain_spec(2, "tropical"))]:
+            report = behaviour(sys_model, spec)
+            assert (report.stop_reason, report.final_gap) == ("converged", 0.0)
 
 
 class TestFixpointOptions:

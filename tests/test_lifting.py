@@ -23,7 +23,9 @@ from ltbe import (
     lift_poly,
     parse_expr,
 )
-from modelgen import lowered, lts_terms, random_branchvals, random_valrel
+from ltbe.lifting import compile_double_extension, compile_extension
+from ltbe.system import BranchLayer
+from modelgen import SHAPES, gen_system_pair, lowered, lts_terms, random_branchvals, random_valrel
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
 
@@ -265,7 +267,7 @@ class TestEgliMilner:
         assert lift_egli_milner(rel, [t], [u]).get(t.key(), u.key()).payload is False
 
     def test_wide_successor_sets(self):
-        # 1200 folds in one cell: its product must not nest as deep as it is long
+        # 1200 folds in one cell, multiplied as a product 1200 deep
         xs, ys = [f"x{i}" for i in range(600)], [f"y{i}" for i in range(600)]
         t, u = bv_bool(*xs), bv_bool(*ys)
         assert lift_egli_milner(ValRel.top(xs, ys, B), [t], [u]).at(0, 0).payload is True
@@ -328,3 +330,30 @@ class TestMonotonicity:
                 assert lift_egli_milner(below, ts, us).pointwise_leq(
                     lift_egli_milner(upper, ts, us)
                 )
+
+
+class TestBoolWeights:
+    """The bool fold reads no weight, since every bool weight is ``True``."""
+
+    def test_compiled_bool_folds_carry_only_true_weights(self):
+        def below(m, idx):  # the size of the carrier under layer ``idx``
+            return len(m.resolved[idx + 1]) if idx + 1 < len(m.resolved) else len(m.states)
+
+        rng = random.Random(17)
+        weights = []
+        for shape in SHAPES:
+            for _ in range(20):
+                a, b = gen_system_pair(rng, B, shape)
+                for idx, layer in enumerate(a.stack.layers):
+                    if isinstance(layer, BranchLayer):
+                        rows, cols = below(a, idx), below(b, idx)
+                        folds = compile_extension(B, rows, cols, a.resolved[idx]) + \
+                            compile_double_extension(B, rows, cols, a.resolved[idx], b.resolved[idx])
+                        weights += [w for fold in folds for w in fold[0]]
+        assert len(weights) > 1000
+        assert all(w is True for w in weights)
+
+    def test_explicit_false_weight_dropped(self):
+        bv = BranchVal(B, (("x", SemiringValue(B, False)), ("y", SemiringValue(B, True))))
+        assert bv.support_keys() == ("y",)
+        assert [w.payload for _, w in bv.entries] == [True]

@@ -1,17 +1,23 @@
 import json
 import random
+from functools import reduce
 
 import pytest
 
 from ltbe import (
+    BranchVal,
     CarrierMismatch,
     INF,
     KindMismatch,
+    PROB_EPS,
     SemiringKind,
     SemiringValue,
+    UndefinedSum,
     ValRel,
     reindex,
 )
+from ltbe.relation import Fold, evaluator
+from ltbe.semiring import OPS
 from modelgen import lowered, random_valrel
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
@@ -161,3 +167,76 @@ class TestOutput:
         records = rel.to_json_records()
         assert records == [{"row": "c", "col": "z", "value": "inf"}]
         json.dumps(records)  # all payloads serializable
+
+
+def _reference(kind, weights, values):
+    """The semiring's own fold: weighted terms summed from zero, left to right."""
+    ops = OPS[kind]
+    return reduce(ops.add, map(ops.mul, weights, values), ops.zero)
+
+
+def _fold(kind, weights, values, where=()):
+    """The evaluator on one fold over ``values``."""
+    return evaluator(kind)(Fold((weights, list(range(len(values))), where)), list(values))
+
+
+def _random_fold(rng, kind):
+    n = rng.randint(0, 6)
+    if kind is B:
+        return [True] * n, [rng.random() < 0.5 for _ in range(n)]
+    if kind is T:
+        return ([rng.randint(0, 9) for _ in range(n)],
+                [INF if rng.random() < 0.3 else rng.randint(0, 30) for _ in range(n)])
+    weights = [rng.random() for _ in range(n)]
+    values = [rng.choice([1.0, rng.random()]) for _ in range(n)]
+    mass = sum(w * x for w, x in zip(weights, values))
+    if mass:  # scale the terms to a total at, just above or far above 1
+        target = rng.choice([rng.random(), 1.0, 1.0 + rng.random() * 2 * PROB_EPS, 1.5])
+        weights = [w * target / mass for w in weights]
+    return weights, values
+
+
+class TestFold:
+    """Each kind's fold gives the bits of the left-to-right semiring fold."""
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_random_folds_match_the_reference(self, kind):
+        rng = random.Random(f"fold:{kind.value}")
+        for _ in range(2000):
+            weights, values = _random_fold(rng, kind)
+            try:
+                want = _reference(kind, weights, values)
+            except UndefinedSum:
+                with pytest.raises(UndefinedSum):
+                    _fold(kind, weights, values)
+                continue
+            got = _fold(kind, weights, values)
+            assert (type(got), repr(got)) == (type(want), repr(want)), (weights, values)
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_empty_fold_is_zero(self, kind):
+        got = _fold(kind, [], [])
+        assert (type(got), repr(got)) == (type(OPS[kind].zero), repr(OPS[kind].zero))
+
+    def test_tropical_infinite_entries(self):
+        assert _fold(T, [2, 1], [INF, 3]) == 4
+        got = _fold(T, [0, 5], [INF, INF])
+        assert got == INF and type(got) is float
+
+    def test_left_to_right_float_sum(self):
+        # fsum, or a compensated sum() (Python 3.12+), gives 0.6 here
+        assert repr(_fold(P, [1.0, 1.0, 1.0], [0.1, 0.2, 0.3])) == "0.6000000000000001"
+
+    @pytest.mark.parametrize("excess", [2e-16, 5e-10, PROB_EPS])
+    def test_sum_within_slack_above_one_is_one(self, excess):
+        weights, values = [0.5, 0.5 + excess], [1.0, 1.0]
+        assert sum(weights) > 1.0
+        assert repr(_fold(P, weights, values)) == repr(_reference(P, weights, values)) == "1.0"
+
+    def test_sum_beyond_slack_raises_naming_the_cell(self):
+        t = BranchVal(P, (("x", SemiringValue(P, 0.7)), ("y", SemiringValue(P, 0.7))))
+        u = BranchVal(P, (("z", SemiringValue(P, 1.0)),))
+        msg = "partial sum undefined while extending over '{x:0.7|y:0.7}' x '{z:1.0}'"
+        with pytest.raises(UndefinedSum) as exc:
+            _fold(P, [0.7, 0.7], [1.0, 1.0], (t, u))
+        assert str(exc.value) == msg

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +20,15 @@ from ltbe import (
     one,
     zero,
 )
-from ltbe.semiring import OPS, from_text, to_text, values_equal
+from ltbe.semiring import (
+    OPS,
+    PROB_EPS,
+    from_text,
+    prob_all_leq,
+    prob_max_gap,
+    to_text,
+    values_equal,
+)
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
 
@@ -107,6 +118,24 @@ class TestRawOps:
     def test_prob_sum_beyond_slack_raises(self):
         with pytest.raises(UndefinedSum):
             OPS[P].add(0.7, 0.6)
+
+    def test_prob_checks_in_c_match_leq_and_gap(self):
+        # the fixpoint's C-mapped checks are the prob lambdas, bit for bit
+        rng = random.Random(12)
+        olds = [0.0, 1.0, 0.5, 0.3, 1e-12] + [rng.random() for _ in range(500)]
+        olds += [rng.choice((0.0, 1.0, 0.5)) for _ in range(100)]
+        news = []
+        for x in olds:
+            edge = x + PROB_EPS
+            news += [x, edge, math.nextafter(edge, 2.0), math.nextafter(edge, -1.0),
+                     x + rng.uniform(-2, 2) * PROB_EPS, rng.random()]
+        olds = [x for x in olds for _ in range(6)]
+        for new, old in zip(news, olds):
+            assert prob_all_leq([new], [old]) is OPS[P].leq(new, old)
+            assert repr(prob_max_gap([new], [old])) == repr(OPS[P].gap(new, old))
+        assert set(map(OPS[P].leq, news, olds)) == {True, False}
+        assert prob_all_leq(olds, olds) and prob_all_leq((), ()) and prob_max_gap((), ()) == 0.0
+        assert prob_max_gap(news, olds) == max(map(OPS[P].gap, news, olds))
 
     @pytest.mark.parametrize("kind", list(SemiringKind))
     def test_units(self, kind):

@@ -1,0 +1,99 @@
+"""Alternated A/B runs of the query benchmark on two source checkouts.
+
+    python3 tools/ab_bench.py PARENT CHANGE --workload pairs --seeds 501-510 --seconds 3
+
+``PARENT`` and ``CHANGE`` are the roots of two source checkouts.  For each
+workload and seed, the script runs ``bench/run.py`` of each checkout, in that
+checkout, as one pair; the parent runs first on the pair's even positions
+and second on its odd ones.  It prints, for each workload and end-to-end
+metric of the parent's ``BENCHMARK.json``, each side's median and
+quartiles, the change of the medians, and the pairs the change wins, loses
+and ties.  A gain holds when the change wins at least nine tenths of the
+pairs and the medians differ by more than the parent's quartile distance.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The lower quartile, median and upper quartile, by linear interpolation."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def tally(parent: list[float], change: list[float], better: str) -> tuple[int, int, int]:
+    """Pairs the change wins, loses and ties, when ``better`` is ``lower`` or ``higher``."""
+    sign = 1 if better == "lower" else -1
+    diffs = [sign * (p - c) for p, c in zip(parent, change, strict=True)]
+    return sum(d > 0 for d in diffs), sum(d < 0 for d in diffs), sum(d == 0 for d in diffs)
+
+
+def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
+    """Nine tenths of the pairs won, and the medians further apart than the parent's quartiles."""
+    wins, _, _ = tally(parent, change, better)
+    q1, med, q3 = quartiles(parent)
+    moved = med - quartiles(change)[1] if better == "lower" else quartiles(change)[1] - med
+    return wins * 10 >= 9 * len(parent) and moved > q3 - q1
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``501-510`` or ``1,4,9``."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``root``: the JSON object its last stdout line holds."""
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=root, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", required=True)
+    parser.add_argument("--seconds", type=float, default=3.0)
+    args = parser.parse_args(argv)
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for k, seed in enumerate(parse_seeds(args.seeds)):
+            order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+            for side in order:
+                runs[side].append(run(getattr(args, side), workload, seed, args.seconds))
+        for side, records in runs.items():
+            failed = [f"{r['failed']}/{r['attempted']}" for r in records]
+            correct = all(r["correct"] for r in records)
+            print(f"{workload} {side}: correct={correct} failed={' '.join(failed)}")
+        for name, better in metrics:
+            p = [r["metrics"][name]["value"] for r in runs["parent"]]
+            c = [r["metrics"][name]["value"] for r in runs["change"]]
+            (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
+            wins, losses, ties = tally(p, c, better)
+            print(f"{workload} {name}: parent {pm:.4g} [{p1:.4g}-{p3:.4g}]  "
+                  f"change {cm:.4g} [{c1:.4g}-{c3:.4g}]  {100 * (cm - pm) / pm:+.1f}%  "
+                  f"wins {wins} losses {losses} ties {ties}  "
+                  f"gain {'holds' if gain_holds(p, c, better) else 'not shown'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
