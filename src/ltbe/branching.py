@@ -13,46 +13,43 @@ orders downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import KindMismatch, ValidationError
 from .polyfunctor import value_key
-from .semiring import OPS, PROB_EPS, SemiringKind, SemiringValue, one
+from .semiring import OPS, PROB_EPS, Record, SemiringKind, SemiringValue, one
 
 
-@dataclass(frozen=True)
-class BranchVal:
+class BranchVal(Record):
     """A finite-support weight function representing one branching step.
 
     The support keys are kept on construction, and the canonical key is
-    rendered on first use, in fields that take no part in equality,
+    rendered on first use, in slots that take no part in equality,
     hashing or repr.
     """
 
-    kind: SemiringKind
-    entries: tuple[tuple[object, SemiringValue], ...]
-    _support_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _key: str | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("kind", "entries", "_support_keys", "_key")
 
-    def __post_init__(self) -> None:
-        z = OPS[self.kind].zero
+    def __init__(self, kind: SemiringKind,
+                 entries: tuple[tuple[object, SemiringValue], ...]) -> None:
+        z = OPS[kind].zero
         keyed: dict[str, tuple[object, SemiringValue]] = {}
-        for item, weight in self.entries:
-            if weight.kind is not self.kind:
+        for item, weight in entries:
+            if weight.kind is not kind:
                 raise KindMismatch(
-                    f"{weight.kind.value} weight inside a {self.kind.value} branching value"
+                    f"{weight.kind.value} weight inside a {kind.value} branching value"
                 )
             if weight.payload == z:
                 continue
             k = value_key(item)
             if k in keyed:
-                if self.kind is SemiringKind.BOOL:
+                if kind is SemiringKind.BOOL:
                     continue  # set semantics: repeated successors collapse
                 raise ValidationError(f"duplicate entry {k!r} in branching value")
             keyed[k] = (item, weight)
         support = tuple(sorted(keyed))
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", tuple(keyed[k] for k in support))
         object.__setattr__(self, "_support_keys", support)
+        object.__setattr__(self, "_key", None)
 
     def key(self) -> str:
         if self._key is None:

@@ -29,19 +29,17 @@ budget (or on a threshold) with an honest "not converged" report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import count
-from typing import Iterator
 
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
 from .lifting import compile_double_extension, compile_extension, compile_poly
 from .relation import ValRel, compile_reindex, evaluator, reads
-from .semiring import OPS, SemiringKind, SemiringValue, prob_all_leq, prob_max_gap
+from .semiring import OPS, Record, SemiringKind, SemiringValue, prob_all_leq, prob_max_gap
 from .system import BranchLayer, SpecSystem, System, linear_part
 
 
-@dataclass(frozen=True, slots=True)
-class FixpointOptions:
+class FixpointOptions(Record):
     """Knobs for the truncated fixpoint iteration.
 
     ``max_iterations`` defaults to ``10 * rows * cols + 10`` for the run at
@@ -54,19 +52,24 @@ class FixpointOptions:
     round.
     """
 
-    max_iterations: int | None = None
-    tolerance: float = 1e-9
-    threshold: SemiringValue | None = None
+    __slots__ = ("max_iterations", "tolerance", "threshold")
 
-    def __post_init__(self) -> None:
-        if self.max_iterations is not None and self.max_iterations < 1:
+    def __init__(self, max_iterations: int | None = None, tolerance: float = 1e-9,
+                 threshold: SemiringValue | None = None) -> None:
+        if max_iterations is not None and max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.tolerance >= 0:  # NaN too
+        if not tolerance >= 0:  # NaN too
             raise ValueError("tolerance must be >= 0")
+        object.__setattr__(self, "max_iterations", max_iterations)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "threshold", threshold)
 
 
-@dataclass(frozen=True, slots=True)
-class FixpointReport:
+#: The options of a run that passes none; immutable, so one instance serves every run.
+_DEFAULT_OPTIONS = FixpointOptions()
+
+
+class FixpointReport(Record):
     """Outcome of one fixpoint run; ``result`` is the last iterate.
 
     ``stop_reason`` is ``converged``, ``budget`` (``max_iterations`` ran
@@ -74,10 +77,14 @@ class FixpointReport:
     off it.
     """
 
-    result: ValRel
-    iterations: int
-    final_gap: float
-    stop_reason: str
+    __slots__ = ("result", "iterations", "final_gap", "stop_reason")
+
+    def __init__(self, result: ValRel, iterations: int, final_gap: float, stop_reason: str
+                 ) -> None:
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "final_gap", final_gap)
+        object.__setattr__(self, "stop_reason", stop_reason)
 
     @property
     def converged(self) -> bool:
@@ -254,7 +261,7 @@ def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> Fixpoi
 def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None) -> FixpointReport:
     """Greatest-fixpoint behaviour values of every (system state, spec state) pair."""
     _check_behaviour_inputs(sys, spec)
-    opts = opts or FixpointOptions()
+    opts = opts or _DEFAULT_OPTIONS
     start = ValRel.top(sys.states, spec.states, sys.stack.kind)
     return _run_fixpoint(_walker(sys, spec), start, opts)
 
@@ -273,7 +280,7 @@ def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None
     is trace existence, joint probability, or joint minimal cost.
     """
     _check_pair_inputs(sysA, sysB)
-    opts = opts or FixpointOptions()
+    opts = opts or _DEFAULT_OPTIONS
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
     return _run_fixpoint(_walker(sysA, sysB), start, opts)
 

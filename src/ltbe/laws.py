@@ -13,24 +13,26 @@ of each failing check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .branching import BranchVal, dirac
 from .lifting import lift_extension
 from .polyfunctor import value_key
 from .relation import ValRel
-from .semiring import INF, SemiringKind, SemiringValue, add, leq, mul, one, values_equal, zero
+from .semiring import (INF, Record, SemiringKind, SemiringValue, add, leq, mul, one,
+                       values_equal, zero)
 
 
-@dataclass(frozen=True, slots=True)
-class LawCheck:
+class LawCheck(Record):
     """Outcome of one algebraic law over the sampled triples."""
 
-    name: str
-    passed: bool
-    counterexample: str | None = None
+    __slots__ = ("name", "passed", "counterexample")
+
+    def __init__(self, name: str, passed: bool, counterexample: str | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 def _outcome(name: str, counterexample: str | None) -> LawCheck:
@@ -47,14 +49,10 @@ def _check_lines(checks: tuple[LawCheck, ...]) -> list[str]:
 # --- semiring laws ---------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LawReport:
-    """Result of :func:`check_semiring_laws` for one kind."""
+class LawReport(Record):
+    """Result of :func:`check_semiring_laws` for one kind: ``(kind, samples, seed, checks)``."""
 
-    kind: SemiringKind
-    samples: int
-    seed: int
-    checks: tuple[LawCheck, ...]
+    __slots__ = ("kind", "samples", "seed", "checks")
 
     @property
     def passed(self) -> bool:
@@ -220,8 +218,7 @@ def check_semiring_laws(kind: SemiringKind, samples: int = 10000, seed: int = 0)
 # --- monad consistency -----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class MonadReport:
+class MonadReport(Record):
     """Exhaustive small-carrier check that branching and truth values agree.
 
     ``injective`` states that a branching value over a disjoint union is
@@ -230,12 +227,7 @@ class MonadReport:
     fails for prob where the witness pair of masses exceeds 1.
     """
 
-    kind: SemiringKind
-    size_bound: int
-    injective: bool
-    additive: bool
-    partiality_witness: tuple[BranchVal, BranchVal] | None
-    checks: tuple[LawCheck, ...]
+    __slots__ = ("kind", "size_bound", "injective", "additive", "partiality_witness", "checks")
 
     @property
     def passed(self) -> bool:

@@ -36,9 +36,9 @@ reads below it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from functools import reduce
 from itertools import repeat
-from typing import Mapping, Sequence
 
 from .branching import BranchVal
 from .errors import CarrierMismatch, KindMismatch

@@ -17,27 +17,25 @@ reproducible across runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import ParseError
+from .semiring import Record
 
 
 # --- expressions -------------------------------------------------------------
 
-class PolyExpr:
+class PolyExpr(Record):
     """Base class for functor expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Id(PolyExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Const(PolyExpr):
-    labels: tuple[str, ...]
+    __slots__ = ("labels",)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -46,15 +44,12 @@ class Const(PolyExpr):
             raise ValueError(f"duplicate labels in {self.labels!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class Prod(PolyExpr):
-    left: PolyExpr
-    right: PolyExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Coprod(PolyExpr):
-    branches: tuple[PolyExpr, ...]
+    __slots__ = ("branches",)
 
     def __post_init__(self) -> None:
         # one branch would be an invisible wrapper the grammar cannot express
@@ -62,10 +57,8 @@ class Coprod(PolyExpr):
             raise ValueError("coproduct must have at least two branches")
 
 
-@dataclass(frozen=True, slots=True)
 class Power(PolyExpr):
-    exponent: tuple[str, ...]
-    body: PolyExpr
+    __slots__ = ("exponent", "body")
 
     def __post_init__(self) -> None:
         if not self.exponent:
@@ -80,13 +73,13 @@ UNIT = Const(("*",))
 
 # --- terms -------------------------------------------------------------------
 
-class PolyTerm:
+class PolyTerm(Record):
     """Base class for terms of a functor expression over a carrier.
 
     Every node renders to a canonical key string via :func:`value_key`;
     carriers of lifted relations are lists of such keys.  Terms are
     immutable, so a compound term renders its key once, on first use, from
-    the children's keys, and keeps it in a ``_key`` field that takes no
+    the children's keys, and keeps it in a ``_key`` slot that takes no
     part in equality, hashing or repr.
     """
 
@@ -94,52 +87,62 @@ class PolyTerm:
 
     def key(self) -> str:
         if self._key is None:  # type: ignore[attr-defined]
-            object.__setattr__(self, "_key", self._render())  # type: ignore[attr-defined]
+            object.__setattr__(self, "_key", self._render())
         return self._key  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True, slots=True)
 class StateRef(PolyTerm):
     """Identity position; the target is a carrier key or a nested value."""
 
-    target: object
+    __slots__ = ("target",)
+
+    def __init__(self, target: object) -> None:
+        object.__setattr__(self, "target", target)
 
     def key(self) -> str:
         return value_key(self.target)
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(PolyTerm):
-    label: str
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        object.__setattr__(self, "label", label)
 
     def key(self) -> str:
         return "@" + self.label
 
 
-@dataclass(frozen=True, slots=True)
 class Pair(PolyTerm):
-    fst: PolyTerm
-    snd: PolyTerm
-    _key: str | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("fst", "snd", "_key")
+
+    def __init__(self, fst: PolyTerm, snd: PolyTerm) -> None:
+        object.__setattr__(self, "fst", fst)
+        object.__setattr__(self, "snd", snd)
+        object.__setattr__(self, "_key", None)
 
     def _render(self) -> str:
         return f"({self.fst.key()},{self.snd.key()})"
 
 
-@dataclass(frozen=True, slots=True)
 class Inj(PolyTerm):
-    index: int
-    arg: PolyTerm
-    _key: str | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("index", "arg", "_key")
+
+    def __init__(self, index: int, arg: PolyTerm) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "_key", None)
 
     def _render(self) -> str:
         return f"i{self.index}({self.arg.key()})"
 
 
-@dataclass(frozen=True, slots=True)
 class TupleTerm(PolyTerm):
-    components: tuple[PolyTerm, ...]
-    _key: str | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("components", "_key")
+
+    def __init__(self, components: tuple[PolyTerm, ...]) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_key", None)
 
     def _render(self) -> str:
         return "t(" + ";".join(c.key() for c in self.components) + ")"

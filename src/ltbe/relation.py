@@ -19,9 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import reduce
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import CarrierMismatch, KindMismatch, UndefinedSum
 from .semiring import INF, OPS, SemiringKind, SemiringValue

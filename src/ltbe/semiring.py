@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable, NamedTuple
 
 from .errors import KindMismatch, UndefinedSum, ValidationError
 
@@ -33,6 +31,51 @@ from .errors import KindMismatch, UndefinedSum, ValidationError
 PROB_EPS = 1e-9
 
 INF = math.inf
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass adds its fields to its base's in ``__slots__`` (a slot named
+    ``_...`` is a cache, no field) and sets each slot once, in ``__init__``,
+    with ``object.__setattr__``: a class built in bulk writes its own, the
+    others take this one, which then runs their ``__post_init__`` check.
+    Values of one class with equal fields are equal and hash equal.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        own = cls.__dict__.get("__slots__", ())
+        cls._fields = fields = cls._fields + tuple(n for n in own if not n.startswith("_"))
+        get = operator.attrgetter(*fields) if fields else type  # no fields: only the class
+        cls.__eq__ = lambda self, other: (get(self) == get(other)
+                                          if other.__class__ is self.__class__ else NotImplemented)
+        cls.__hash__ = lambda self: hash(get(self))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{self.__class__.__name__} takes the fields {', '.join(fields)}")
+        for name, value in (*zip(fields, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields once they are set; nothing to check by default."""
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 class SemiringKind(Enum):
@@ -43,8 +86,7 @@ class SemiringKind(Enum):
     TROPICAL = "tropical"
 
 
-@dataclass(frozen=True, slots=True)
-class SemiringValue:
+class SemiringValue(Record):
     """A single truth value tagged with its carrier.
 
     Payloads are ``bool`` for BOOL, ``float`` in [0, 1] for PROB, and a
@@ -52,8 +94,12 @@ class SemiringValue:
     distinguished value, never a large integer stand-in.
     """
 
-    kind: SemiringKind
-    payload: bool | int | float
+    __slots__ = ("kind", "payload")
+
+    def __init__(self, kind: SemiringKind, payload: bool | int | float) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         p = self.payload
@@ -103,7 +149,7 @@ def _tropical_gap(a: int | float, b: int | float) -> float:
     return float(abs(a - b))
 
 
-class RawOps(NamedTuple):
+class RawOps(Record):
     """The semiring of one kind on bare payloads, the form the engine iterates on.
 
     ``add`` raises :class:`UndefinedSum` where a prob sum exceeds 1 by more
@@ -115,12 +161,7 @@ class RawOps(NamedTuple):
     ``math.inf``, so truncated iteration never declares convergence across it.
     """
 
-    zero: bool | int | float
-    one: bool | int | float
-    add: Callable
-    mul: Callable
-    leq: Callable
-    gap: Callable
+    __slots__ = ("zero", "one", "add", "mul", "leq", "gap")
 
 
 OPS = {

@@ -31,7 +31,6 @@ objects (prob and tropical).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .branching import BranchVal, validate_branchval
 from .errors import (
@@ -57,32 +56,31 @@ from .polyfunctor import (
     parse_expr,
     value_key,
 )
-from .semiring import SemiringKind, from_json_value, one, to_json_value
+from .semiring import Record, SemiringKind, from_json_value, one, to_json_value
 
 
-@dataclass(frozen=True, slots=True)
-class PolyLayer:
-    expr: PolyExpr
+class PolyLayer(Record):
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True, slots=True)
-class BranchLayer:
-    pass
+class BranchLayer(Record):
+    __slots__ = ()
 
 
 Layer = PolyLayer | BranchLayer
 
 
-@dataclass(frozen=True, slots=True)
-class TypeStack:
+class TypeStack(Record):
     """An outside-in composition of polynomial and branching layers."""
 
-    kind: SemiringKind
-    layers: tuple[Layer, ...]
+    __slots__ = ("kind", "layers", "_linear")
 
-    def __post_init__(self) -> None:
-        if not self.layers:
+    def __init__(self, kind: SemiringKind, layers: tuple[Layer, ...]) -> None:
+        if not layers:
             raise ValidationError("a type stack needs at least one layer")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_linear", None)
 
     @property
     def is_linear(self) -> bool:
@@ -96,11 +94,13 @@ class TypeStack:
 
 
 def linear_part(stack: TypeStack) -> TypeStack:
-    """The stack with every branching layer erased; the type of specifications."""
-    layers = tuple(layer for layer in stack.layers if isinstance(layer, PolyLayer))
-    if not layers:
-        raise DegenerateStack("the stack has no polynomial layer, so no observable shape")
-    return TypeStack(stack.kind, layers)
+    """The stack with every branching layer erased, the type of specifications; cached."""
+    if stack._linear is None:
+        layers = tuple(layer for layer in stack.layers if isinstance(layer, PolyLayer))
+        if not layers:
+            raise DegenerateStack("the stack has no polynomial layer, so no observable shape")
+        object.__setattr__(stack, "_linear", TypeStack(stack.kind, layers))
+    return stack._linear
 
 
 # --- transition value codec ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""The quartile and win arithmetic of ``tools/ab_bench.py``."""
+"""The quartile and win arithmetic of ``tools/ab_bench.py``, and how it starts its runs."""
 
 import importlib.util
 import pathlib
@@ -57,3 +57,39 @@ class TestGain:
     def test_seed_ranges(self):
         assert ab_bench.parse_seeds("501-503") == [501, 502, 503]
         assert ab_bench.parse_seeds("1,4,9") == [1, 4, 9]
+
+
+def _checkout(root, *compiled):
+    (root / "src" / "ltbe" / "__pycache__").mkdir(parents=True)
+    for name in compiled:
+        (root / "src" / "ltbe" / "__pycache__" / name).write_bytes(b"")
+    return root
+
+
+class TestRuns:
+    def test_runs_write_no_bytecode(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run(cmd, **kwargs):
+            seen.update(kwargs)
+            return ab_bench.subprocess.CompletedProcess(cmd, 0, stdout='log\n{"correct": true}\n')
+
+        monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+        assert ab_bench.run(tmp_path, "tree", 1, 0.5) == {"correct": True}
+        assert seen["cwd"] == tmp_path and seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+    @pytest.mark.parametrize("side", ["parent", "change"])
+    def test_stale_bytecode_is_refused(self, tmp_path, side, capsys, monkeypatch):
+        compiled = {side: ["engine.cpython-311.pyc"]}
+        roots = {s: _checkout(tmp_path / s, *compiled.get(s, [])) for s in ("parent", "change")}
+        monkeypatch.setattr(ab_bench, "run", lambda *a: pytest.fail("a run started"))
+        with pytest.raises(SystemExit) as exit_info:
+            ab_bench.main([str(roots["parent"]), str(roots["change"]), "--workload", "tree",
+                           "--seeds", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert str(roots[side] / "src" / "ltbe" / "__pycache__") in err and "1 compiled" in err
+
+    def test_clean_checkouts_pass(self, tmp_path):
+        assert ab_bench.stale_bytecode(_checkout(tmp_path, "notes.txt")) == []
+        assert ab_bench.stale_bytecode(tmp_path / "missing") == []

@@ -2,11 +2,14 @@
 
 The self-checks (``ltbe.laws``) and the brute-force oracle (``ltbe.oracle``)
 serve no parse or query, so the package resolves their names on first
-access; these tests pin both halves of that contract.
+access; these tests pin both halves of that contract.  The value classes
+are plain slotted classes, so the import generates no code and loads none
+of the standard library's class-generation machinery.
 """
 
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -49,6 +52,25 @@ def loaded_after(code: str) -> set:
 
 def test_fresh_import_loads_only_the_query_path():
     assert loaded_after("import ltbe") == QUERY_PATH
+
+
+#: Standard modules that ``import ltbe`` must not load: ``dataclasses`` pulls in
+#: ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``); ``typing`` is
+#: only needed for annotations, which are never evaluated.
+GENERATORS = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+
+
+def test_fresh_import_loads_no_class_generation():
+    # -S skips ``site``, which may itself import ``typing``
+    src = pathlib.Path(ltbe.__file__).resolve().parent.parent
+    probe = (f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules)\n"
+             "import ltbe, json\nprint(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "ltbe.engine" in added
+    assert not added & GENERATORS, sorted(added & GENERATORS)
 
 
 def test_every_public_name_resolves():

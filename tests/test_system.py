@@ -17,6 +17,7 @@ from ltbe import (
     TransitionTypeError,
     TypeStack,
     ValidationError,
+    behaviour,
     linear_part,
     parse_expr,
     parse_spec,
@@ -220,6 +221,19 @@ class TestLinearPart:
         stack = TypeStack(SemiringKind.BOOL, (BranchLayer(),))
         with pytest.raises(DegenerateStack):
             linear_part(stack)
+
+    def test_built_once_per_stack(self):
+        stack = parse_system(doc_text()).stack
+        assert linear_part(stack) is linear_part(stack)
+        assert linear_part(stack) == TypeStack(SemiringKind.BOOL, (PolyLayer(parse_expr(LTS_F)),))
+
+    def test_degenerate_stack_parses_and_fails_in_a_query(self):
+        model = parse_system(doc_text(stack=["T"], transitions={"c": [{"state": "c"}]}))
+        spec = parse_spec(doc_text(stack=[LTS_F], transitions={"c": stop_term()}))
+        with pytest.raises(DegenerateStack):
+            behaviour(model, spec)
+        with pytest.raises(DegenerateStack):  # a failed first call leaves nothing behind
+            behaviour(model, spec)
 
 
 class TestRoundTrip:

@@ -10,12 +10,18 @@ metric of the parent's ``BENCHMARK.json``, each side's median and
 quartiles, the change of the medians, and the pairs the change wins, loses
 and ties.  A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's quartile distance.
+
+Each run imports its checkout's sources with ``PYTHONDONTWRITEBYTECODE=1``,
+so both sides compile them afresh, as the benchmark's fresh checkouts do.
+Python still reads valid bytecode when writing it is off, so the script
+refuses a checkout whose ``src/ltbe/__pycache__`` holds any.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -53,12 +59,18 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def stale_bytecode(root: Path) -> list[Path]:
+    """The compiled package files in ``root`` that a run would read instead of the sources."""
+    return sorted((root / "src" / "ltbe" / "__pycache__").glob("*.pyc"))
+
+
 def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``root``: the JSON object its last stdout line holds."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=root, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -71,6 +83,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True)
     parser.add_argument("--seconds", type=float, default=3.0)
     args = parser.parse_args(argv)
+    for root in (args.parent, args.change):
+        if stale := stale_bytecode(root):
+            parser.error(f"{stale[0].parent} holds {len(stale)} compiled files, which would be "
+                         "read in place of the sources and skew setup_s; delete them first")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     for workload in args.workload:
