@@ -65,10 +65,6 @@ class FixpointOptions(Record):
         object.__setattr__(self, "threshold", threshold)
 
 
-#: The options of a run that passes none; immutable, so one instance serves every run.
-_DEFAULT_OPTIONS = FixpointOptions()
-
-
 class FixpointReport(Record):
     """Outcome of one fixpoint run; ``result`` is the last iterate.
 
@@ -261,7 +257,7 @@ def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> Fixpoi
 def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None) -> FixpointReport:
     """Greatest-fixpoint behaviour values of every (system state, spec state) pair."""
     _check_behaviour_inputs(sys, spec)
-    opts = opts or _DEFAULT_OPTIONS
+    opts = opts or FixpointOptions()
     start = ValRel.top(sys.states, spec.states, sys.stack.kind)
     return _run_fixpoint(_walker(sys, spec), start, opts)
 
@@ -280,7 +276,7 @@ def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None
     is trace existence, joint probability, or joint minimal cost.
     """
     _check_pair_inputs(sysA, sysB)
-    opts = opts or _DEFAULT_OPTIONS
+    opts = opts or FixpointOptions()
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
     return _run_fixpoint(_walker(sysA, sysB), start, opts)
 

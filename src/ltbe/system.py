@@ -73,14 +73,13 @@ Layer = PolyLayer | BranchLayer
 class TypeStack(Record):
     """An outside-in composition of polynomial and branching layers."""
 
-    __slots__ = ("kind", "layers", "_linear")
+    __slots__ = ("kind", "layers")
 
     def __init__(self, kind: SemiringKind, layers: tuple[Layer, ...]) -> None:
         if not layers:
             raise ValidationError("a type stack needs at least one layer")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "_linear", None)
 
     @property
     def is_linear(self) -> bool:
@@ -94,13 +93,11 @@ class TypeStack(Record):
 
 
 def linear_part(stack: TypeStack) -> TypeStack:
-    """The stack with every branching layer erased, the type of specifications; cached."""
-    if stack._linear is None:
-        layers = tuple(layer for layer in stack.layers if isinstance(layer, PolyLayer))
-        if not layers:
-            raise DegenerateStack("the stack has no polynomial layer, so no observable shape")
-        object.__setattr__(stack, "_linear", TypeStack(stack.kind, layers))
-    return stack._linear
+    """The stack with every branching layer erased; the type of specifications."""
+    layers = tuple(layer for layer in stack.layers if isinstance(layer, PolyLayer))
+    if not layers:
+        raise DegenerateStack("the stack has no polynomial layer, so no observable shape")
+    return TypeStack(stack.kind, layers)
 
 
 # --- transition value codec ----------------------------------------------------

@@ -222,17 +222,10 @@ class TestLinearPart:
         with pytest.raises(DegenerateStack):
             linear_part(stack)
 
-    def test_built_once_per_stack(self):
-        stack = parse_system(doc_text()).stack
-        assert linear_part(stack) is linear_part(stack)
-        assert linear_part(stack) == TypeStack(SemiringKind.BOOL, (PolyLayer(parse_expr(LTS_F)),))
-
     def test_degenerate_stack_parses_and_fails_in_a_query(self):
         model = parse_system(doc_text(stack=["T"], transitions={"c": [{"state": "c"}]}))
         spec = parse_spec(doc_text(stack=[LTS_F], transitions={"c": stop_term()}))
         with pytest.raises(DegenerateStack):
-            behaviour(model, spec)
-        with pytest.raises(DegenerateStack):  # a failed first call leaves nothing behind
             behaviour(model, spec)
 
 

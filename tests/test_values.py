@@ -3,8 +3,8 @@
 Every value class is immutable, equal only to values of its own class
 with equal fields, hashed consistently with that equality, printed as
 ``Class(field=value, ...)`` and round-tripped by ``pickle`` and
-``copy.deepcopy``.  The cached ``_key`` (and a stack's cached linear part)
-takes no part in equality, hashing or ``repr``.  The ``repr`` strings are
+``copy.deepcopy``.  The cached ``_key`` takes no part in equality,
+hashing or ``repr``.  The ``repr`` strings are
 pinned because they reach error messages.
 """
 
@@ -15,7 +15,7 @@ import pickle
 
 import pytest
 
-from ltbe import BranchVal, behaviour, dirac, linear_part, parse_spec, parse_system
+from ltbe import BranchVal, behaviour, dirac, parse_spec, parse_system
 from ltbe.engine import FixpointOptions, FixpointReport
 from ltbe.laws import LawCheck, LawReport, MonadReport
 from ltbe.polyfunctor import (
@@ -104,21 +104,16 @@ def _cache(value) -> None:
     """Fill whatever cache the value keeps outside its fields."""
     if hasattr(value, "key"):
         value.key()
-    if isinstance(value, TypeStack):
-        linear_part(value)
 
 
 @pytest.mark.parametrize("cls, args, field, text", CASES, ids=IDS)
 class TestContract:
     def test_fields_cannot_be_set(self, cls, args, field, text):
-        if field is None:
-            pytest.skip("no fields")
         value = cls(*args)
         with pytest.raises(AttributeError):
-            setattr(value, field, None)
+            setattr(value, field or "x", None)
         with pytest.raises(AttributeError):
-            delattr(value, field)
-        assert repr(value) == text
+            delattr(value, field or "x")
 
     def test_equal_values_hash_equal(self, cls, args, field, text):
         a, b = cls(*args), cls(*args)
@@ -134,7 +129,7 @@ class TestContract:
         cached, fresh = cls(*args), cls(*args)
         _cache(cached)
         assert cached == fresh and _hash(cached) == _hash(fresh)
-        assert repr(cached) == repr(fresh) == text
+        assert repr(cached) == repr(fresh)
 
     def test_repr_is_the_pinned_text(self, cls, args, field, text):
         assert repr(cls(*args)) == text
@@ -155,14 +150,13 @@ def test_value_round_trips(cls, args, field, text):
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(twin) is cls
         assert twin == value and _hash(twin) == _hash(value)
-        assert repr(twin) == text
+        assert repr(twin) == repr(value)
 
 
 @pytest.mark.parametrize("parse, name", [(parse_system, "io_machine"), (parse_system, "coin"),
                                          (parse_spec, "spec_io_all_ok")])
 def test_model_round_trips(parse, name):
     model = parse((DATA / f"{name}.json").read_text(encoding="utf-8"))
-    linear_part(model.stack)
     for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         assert type(twin) is type(model)
         assert (twin.stack, twin.states, twin.resolved) == (model.stack, model.states, model.resolved)
