@@ -12,7 +12,8 @@ former can exhibit the latter's behaviour.
 The step is compiled once per run into a program of layers of cells, the
 semiring's reads, weighted folds and products (see :mod:`ltbe.relation`),
 from the integer positions each model resolved its values to when it was
-parsed, so compiling reads no keys.  A layer whose cells are single reads
+parsed, so compiling reads no keys.  A branching layer is a layer of folds
+kept as flat columns, and a round evaluates its cells in one comprehension.  A layer whose cells are single reads
 (the read-back, or a polynomial layer with at most one ``Id`` per summand)
 is fused into its neighbour, so a ``[T, F]`` step is one layer of folds
 read straight off the relation.  Iteration is semi-naive: after the first
@@ -34,7 +35,7 @@ from itertools import count
 
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
 from .lifting import compile_double_extension, compile_extension, compile_poly
-from .relation import ValRel, compile_reindex, evaluator, reads
+from .relation import Folds, ValRel, compile_reindex, evaluator, fold_kernel, reads
 from .semiring import OPS, Record, SemiringKind, SemiringValue, prob_all_leq, prob_max_gap
 from .system import BranchLayer, SpecSystem, System, linear_part
 
@@ -103,19 +104,41 @@ def _check_pair_inputs(sysA: System, sysB: System) -> None:
         raise StackMismatch("the two systems must share one type stack")
 
 
-def _select(below: list, cells: list) -> None:
-    """Fold a layer of single reads into the layer ``below`` by picking its cells."""
+def _select(below: list, cells: list, one) -> None:
+    """Fold a layer of single reads into the layer ``below`` by picking its cells.
+
+    A read past the end of ``below`` reads one of the two constants.  In a
+    layer of folds it picks the fold that gives that constant exactly: zero
+    sums nothing, and one is ``one`` times the one slot.
+    """
     picked, base, _ = below
-    n = len(picked)  # reads past the end are the two constants
-    below[0] = [picked[p] if p < n else base + p - n for p in cells]
+    n = len(picked)
+    if type(picked) is not Folds:
+        below[0] = [picked[p] if p < n else base + p - n for p in cells]
+        return
+    W, P, V = picked.weights, picked.positions, picked.where
+    weights, positions, where = [], [], []
+    for p in cells:
+        if p < n:
+            weights.append(W[p])
+            positions.append(P[p])
+            where.append(V[p])
+        else:  # p - n is 0 for zero and 1 for one
+            weights.append([one] * (p - n))
+            positions.append([base + 1] * (p - n))
+            where.append(())
+    below[0] = Folds(weights, positions, where)
 
 
-def _layer(cells: list, size: int) -> tuple[list, list]:
-    """A layer of the program: its cells, and the cells that read each source position."""
-    users = [[] for _ in range(size + 2)]
-    for k, c in enumerate(cells):
-        for p in reads(c):
-            users[p].append(k)
+def _layer(cells: list | Folds, size: int) -> tuple[list | Folds, list]:
+    """A layer of the program: its cells, and the cells that read each of the
+    ``size`` source positions.  Nothing changes the two constant slots after
+    them, so no cell is listed as their reader."""
+    users = [[] for _ in range(size)]
+    for k, ps in enumerate(cells.positions if type(cells) is Folds else map(reads, cells)):
+        for p in ps:
+            if p < size:
+                users[p].append(k)
     return cells, users
 
 
@@ -142,24 +165,26 @@ def _walker(left: System, right: System) -> list:
             plan.append((layer, (left.resolved[idx], right.resolved[j])))
             j += 1
     rows, cols = len(left.states), len(right.states)
+    kind = left.stack.kind
+    one = OPS[kind].one
     program = []  # the fused layers: [cells, source size, every cell a single read]
     for layer, values in reversed(plan):
         below = program[-1] if program and program[-1][2] else None
         source = below[0] + [below[1], below[1] + 1] if below else None
         if isinstance(layer, BranchLayer):
             lift = compile_extension if len(values) == 1 else compile_double_extension
-            cells = lift(left.stack.kind, rows, cols, *values, source=source)
+            cells, pure = lift(kind, rows, cols, *values, source=source), False
         else:
             cells = compile_poly(rows, cols, *values, source=source)
-        pure = all(type(c) is int for c in cells)
+            pure = all(type(c) is int for c in cells)
         if below is not None:  # compiled to read through the layer below
             program[-1] = [cells, below[1], pure]
         elif program and pure:
-            _select(program[-1], cells)
+            _select(program[-1], cells, one)
         else:
             program.append([cells, rows * cols, pure])
         rows, cols = len(values[0]), len(values[1]) if len(values) > 1 else cols
-    _select(program[-1], compile_reindex(left.top_positions, right.top_positions, cols))
+    _select(program[-1], compile_reindex(left.top_positions, right.top_positions, cols), one)
     return [_layer(cells, size) for cells, size, _ in program]
 
 
@@ -174,7 +199,7 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
     and followed by the two constants, and its ``(position, old, new)``
     changes.
     """
-    evaluate = evaluator(kind)
+    evaluate, fold = evaluator(kind), fold_kernel(kind)
     consts = [OPS[kind].zero, OPS[kind].one]
     cur = flat + consts
     outs: list = [None] * len(program)
@@ -185,11 +210,12 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
         for depth, (cells, users) in enumerate(program):
             todo = range(len(cells)) if changed is None else sorted(
                 {k for p in changed for k in users[p]})
+            new = fold(cells, todo, src) if type(cells) is Folds else [
+                evaluate(cells[k], src) for k in todo]
             old = cur if depth == last else outs[depth]
             if old is None:
-                outs[depth] = src = [evaluate(c, src) for c in cells] + consts
+                outs[depth] = src = new + consts
                 continue
-            new = [evaluate(cells[k], src) for k in todo]
             changes = [(k, old[k], v) for k, v in zip(todo, new) if v != old[k]]
             changed = [k for k, _, _ in changes]
             for k, _, v in changes:

@@ -25,13 +25,17 @@ Each lifting has one implementation, in stages.  ``resolve_term`` and
 ``resolve_branch`` turn a value into integer positions in the carrier
 below it; a model does so once, when it is parsed (``System.resolved``).
 ``compile_*`` takes the resolved values and the two source carrier sizes,
-and turns every cell of the lifted matrix into one of the three kinds of
-cell of :mod:`ltbe.relation`: a single read, a fold of weights and
-positions, or a product tree.  The public ``lift_*`` functions resolve
-their arguments against the relation's carriers, compile, run the one
-cell evaluator over every cell in order and box the result; the engine
-passes ``source`` to compile a layer that reads through a layer of single
-reads below it.
+and turns every cell of the lifted matrix into cells of
+:mod:`ltbe.relation`.  A polynomial cell is a single read or a product
+tree of reads.  A branching layer compiles straight into the columns of a
+layer of folds (``Folds``): per cell its weights, its positions and its
+branching values.  The public ``lift_*`` functions resolve their
+arguments against the relation's carriers, compile, evaluate every cell
+in order and box the result; the engine passes ``source`` to compile a
+layer that reads through a layer of single reads below it.  A read
+through that layer can land on its zero slot, where two terms' shapes
+differ; the double extension leaves such a pair out of its fold, since a
+zero term changes no sum.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from itertools import repeat
 from .branching import BranchVal
 from .errors import CarrierMismatch, KindMismatch
 from .polyfunctor import Const, Coprod, Id, PolyExpr, PolyTerm, Prod, value_key
-from .relation import Fold, ValRel, factors, run_cells
+from .relation import Fold, Folds, ValRel, factors, run_cells
 from .semiring import OPS, SemiringKind
 
 #: The position of each key of a carrier.
@@ -53,9 +57,9 @@ Index = Mapping[object, int]
 _TOP = "top"
 
 
-def _through(source: Sequence[int] | None, size: int):
+def _through(source: Sequence[int] | None, size: int) -> Sequence[int]:
     """Where a cell reads each of ``size`` source positions and the two constants."""
-    return (range(size + 2) if source is None else source).__getitem__
+    return range(size + 2) if source is None else source
 
 
 def _times(a, b):
@@ -122,11 +126,11 @@ def compile_poly(rows: int, cols: int, row_terms: Sequence, col_terms: Sequence,
 
     def cell(tree, lu, lv):
         if type(tree) is int:
-            return at(lu[tree] * cols + lv[tree])
+            return at[lu[tree] * cols + lv[tree]]
         return reduce(_times, map(cell, factors(tree), repeat(lu), repeat(lv)))
 
     # bottom and top read the two constant slots right after the source cells
-    bottom, top = at(rows * cols), at(rows * cols + 1)
+    bottom, top = at[rows * cols], at[rows * cols + 1]
     return [
         (top if tree is _TOP else cell(tree, lu, lv)) if su == sv else bottom
         for su, tree, lu in row_terms
@@ -135,33 +139,50 @@ def compile_poly(rows: int, cols: int, row_terms: Sequence, col_terms: Sequence,
 
 
 def compile_extension(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,
-                      source=None) -> list:
+                      source=None) -> Folds:
     """Compile the left extension over resolved branching values; the columns stay.
 
     The cell of ``(t, y)`` folds the support of ``t`` against column ``y``.
     """
     at = _through(source, rows * cols)
-    cells = []
-    for xs, weights, t in left_values:
-        xs = [x * cols for x in xs]
-        cells += [Fold((weights, [at(x + y) for x in xs], (t,))) for y in range(cols)]
-    return cells
+    weights, positions, where = [], [], []
+    for xs, ws, t in left_values:
+        names = (t,)
+        # column y's reads are the y-th entries of the source rows of the support
+        for ps in zip(*[at[x * cols:x * cols + cols] for x in xs]) if xs else repeat((), cols):
+            weights.append(ws)
+            positions.append(ps)
+            where.append(names)
+    return Folds(weights, positions, where)
 
 
 def compile_double_extension(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,
-                             right_values: Sequence, source=None) -> list:
+                             right_values: Sequence, source=None) -> Folds:
     """Compile the two-sided extension over resolved branching values.
 
-    The cell of ``(t, u)`` folds the pairs of the two supports, left-major.
+    The cell of ``(t, u)`` folds the pairs of the two supports, left-major,
+    leaving out every pair that reads the zero slot: its term is zero, which
+    leaves any partial sum of every kind as it was (``False``, ``w + inf``,
+    and ``+0.0`` on a non-negative sum).
     """
     at, mul = _through(source, rows * cols), OPS[kind].mul
-    cells = []
+    zero = at[rows * cols]
+    weights, positions, where = [], [], []
+    rights = [(list(zip(ys, yws)), u) for ys, yws, u in right_values]
     for xs, xws, t in left_values:
-        xs = [x * cols for x in xs]
-        for ys, yws, u in right_values:
-            weights = [mul(xw, yw) for xw in xws for yw in yws]
-            cells.append(Fold((weights, [at(x + y) for x in xs for y in ys], (t, u))))
-    return cells
+        xs = [(x * cols, xw) for x, xw in zip(xs, xws)]
+        for ys, u in rights:
+            ws, ps = [], []
+            for x, xw in xs:
+                for y, yw in ys:
+                    p = at[x + y]
+                    if p != zero:
+                        ws.append(mul(xw, yw))
+                        ps.append(p)
+            weights.append(ws)
+            positions.append(ps)
+            where.append((t, u))
+    return Folds(weights, positions, where)
 
 
 def compile_egli_milner(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,

@@ -10,8 +10,14 @@ A *cell* is plain data saying how one entry of a new matrix is computed
 from a source list, the old payloads followed by the constants zero and
 one, by the semiring's own operations: an ``int`` reads one position, a
 :class:`Fold` sums weighted positions, and a ``tuple`` pair is a product
-tree.  One function, made by :func:`evaluator`, evaluates any cell; its
-folds are C-level ``any``, ``min`` or float sums with the semiring fold's bits.
+tree.  One function, made by :func:`evaluator`, evaluates any cell.
+
+A layer made of folds alone, the lifting through a branching layer, is
+kept as columns instead (:class:`Folds`): per cell, its weights, its
+positions and the branching values that name it.  :func:`fold_kernel`
+evaluates any set of its cells in one comprehension, with one C-level
+``any``, ``min`` or float sum per cell that has the semiring fold's bits;
+the evaluator runs a fold inside a product through the same kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import reduce
 from itertools import chain, repeat
 
@@ -35,6 +41,21 @@ class Fold(tuple):
     __slots__ = ()
 
 
+class Folds:
+    """A layer of folds as three columns: cell ``k`` is the fold
+    ``(weights[k], positions[k], where[k])``."""
+
+    __slots__ = ("weights", "positions", "where")
+
+    def __init__(self, weights: list, positions: list, where: list) -> None:
+        self.weights = weights
+        self.positions = positions
+        self.where = where
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+
 def factors(tree) -> list:
     """A product tree's factors in the order it multiplies them, found by a loop
     down its left spine: a power's product nests as deep as it is wide."""
@@ -45,43 +66,63 @@ def factors(tree) -> list:
     return [tree, *reversed(out)]
 
 
-def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
-    """The function that evaluates a cell of ``kind`` over a source list.
+def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], list]:
+    """The function that evaluates the cells ``todo`` of a layer of folds of
+    ``kind`` over a source list, in one comprehension.
 
-    Its fold, chosen once for the kind, is one C-level expression with the
-    bits of the left-to-right ``reduce(add, map(mul, ...), zero)``.  Bool: is
-    some position ``True``; a ``BranchVal`` drops zero weights, so every bool
-    weight is ``True``.  Tropical: the least ``weight + value``, ``INF`` if
-    none; ``min`` keeps the first of equal terms, as the fold from ``INF``
-    does.  Prob: the plain float sum.  Its terms are non-negative, so if it
-    is at most 1.0 no partial sum passed 1.0, where ``add`` clamps or
-    raises; a larger sum is folded again with ``add``.
+    Each fold is one C-level expression with the bits of the left-to-right
+    ``reduce(add, map(mul, ...), zero)``.  Bool: is some position ``True``;
+    a ``BranchVal`` drops zero weights, so every bool weight is ``True``.
+    Tropical: the least ``weight + value``, ``INF`` if none; ``min`` keeps
+    the first of equal terms, as the fold from ``INF`` does.  Prob: the
+    plain float sum.  Its terms are non-negative, so if it is at most 1.0 no
+    partial sum passed 1.0, where ``add`` clamps or raises; a larger sum is
+    folded again with ``add``.
     """
     add, mul = OPS[kind].add, OPS[kind].mul
 
     if kind is SemiringKind.BOOL:
-        def fold(cell, src: list):
-            return any(map(src.__getitem__, cell[1]))
+        def run(folds: Folds, todo: Sequence[int], src: list) -> list:
+            get, P = src.__getitem__, folds.positions
+            return [any(map(get, P[k])) for k in todo]
     elif kind is SemiringKind.TROPICAL:
-        def fold(cell, src: list):
-            return min(map(mul, cell[0], map(src.__getitem__, cell[1])), default=INF)
+        def run(folds: Folds, todo: Sequence[int], src: list) -> list:
+            get, W, P = src.__getitem__, folds.weights, folds.positions
+            return [min(map(mul, W[k], map(get, P[k])), default=INF) for k in todo]
     else:
-        def fold(cell, src: list):
-            total = reduce(operator.add, map(mul, cell[0], map(src.__getitem__, cell[1])), 0.0)
-            if total <= 1.0:
-                return total
-            try:
-                return reduce(add, map(mul, cell[0], map(src.__getitem__, cell[1])), 0.0)
-            except UndefinedSum:
-                where = " x ".join(repr(v.key()) for v in cell[2])
-                raise UndefinedSum(f"partial sum undefined while extending over {where}") from None
+        def run(folds: Folds, todo: Sequence[int], src: list) -> list:
+            get, W, P = src.__getitem__, folds.weights, folds.positions
+            out = [reduce(operator.add, map(mul, W[k], map(get, P[k])), 0.0) for k in todo]
+            if max(out, default=0.0) > 1.0:
+                for i, total in enumerate(out):
+                    if total > 1.0:
+                        k = todo[i]
+                        try:
+                            out[i] = reduce(add, map(mul, W[k], map(get, P[k])), 0.0)
+                        except UndefinedSum:
+                            where = " x ".join(repr(v.key()) for v in folds.where[k])
+                            raise UndefinedSum(
+                                f"partial sum undefined while extending over {where}") from None
+            return out
+
+    return run
+
+
+def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
+    """The function that evaluates a cell of ``kind`` over a source list.
+
+    A fold cell, as the forall-exists lifting holds in its products, runs
+    through :func:`fold_kernel` as a layer of one cell.
+    """
+    run, mul = fold_kernel(kind), OPS[kind].mul
 
     def evaluate(cell, src: list):
         t = type(cell)
-        if t is Fold:
-            return fold(cell, src)
         if t is int:
             return src[cell]
+        if t is Fold:
+            weights, positions, where = cell
+            return run(Folds([weights], [positions], [where]), (0,), src)[0]
         return reduce(mul, map(evaluate, factors(cell), repeat(src)))
 
     return evaluate
@@ -97,10 +138,12 @@ def reads(cell) -> Iterable[int]:
     return chain.from_iterable(map(reads, factors(cell)))
 
 
-def run_cells(cells: list, kind: SemiringKind, flat: list) -> list:
+def run_cells(cells: list | Folds, kind: SemiringKind, flat: list) -> list:
     """Evaluate every cell, in order, over ``flat`` and the two constant slots."""
-    evaluate = evaluator(kind)
     src = flat + [OPS[kind].zero, OPS[kind].one]
+    if type(cells) is Folds:
+        return fold_kernel(kind)(cells, range(len(cells)), src)
+    evaluate = evaluator(kind)
     return [evaluate(c, src) for c in cells]
 
 

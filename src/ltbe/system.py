@@ -31,6 +31,7 @@ objects (prob and tropical).
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .branching import BranchVal, validate_branchval
 from .errors import (
@@ -320,6 +321,14 @@ def _parse_common(model: type[System], text: str) -> System:
         raise ParseError("input is nested too deeply") from None
 
 
+@lru_cache(maxsize=256)
+def _poly_layer(text: str) -> PolyLayer:
+    """The layer of an expression text.  Models parsed with one stack text
+    share its layer objects, so comparing their stacks (on every query)
+    finds each layer identical without walking its expression."""
+    return PolyLayer(parse_expr(text))
+
+
 def _parse_model(text: str) -> tuple[TypeStack, list[str], dict]:
     try:
         doc = json.loads(text)
@@ -342,7 +351,7 @@ def _parse_model(text: str) -> tuple[TypeStack, list[str], dict]:
             layers.append(BranchLayer())
         elif isinstance(entry, str):
             try:
-                layers.append(PolyLayer(parse_expr(entry)))
+                layers.append(_poly_layer(entry))
             except ValueError as exc:
                 raise ParseError(f"bad functor expression {entry!r}: {exc}") from exc
         else:

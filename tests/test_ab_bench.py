@@ -1,6 +1,7 @@
 """The quartile and win arithmetic of ``tools/ab_bench.py``, and how it starts its runs."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -59,6 +60,34 @@ class TestGain:
         assert ab_bench.parse_seeds("1,4,9") == [1, 4, 9]
 
 
+class TestVerdict:
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+
+    def test_within_the_bound_is_no_worse(self):
+        assert ab_bench.verdict(self.parent, [p * 1.1 for p in self.parent], "lower", 0.15) \
+            == "no worse"
+
+    def test_beyond_the_bound_is_worse(self):
+        assert ab_bench.verdict(self.parent, [p * 1.2 for p in self.parent], "lower", 0.15) \
+            == "worse"
+
+    def test_direction_is_respected(self):
+        assert ab_bench.verdict(self.parent, [p * 0.8 for p in self.parent], "higher", 0.15) \
+            == "worse"
+        assert ab_bench.verdict(self.parent, [p * 1.2 for p in self.parent], "higher", 0.15) \
+            == "no worse"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        wide = [5.0, 15.0] * 5
+        assert ab_bench.verdict(self.parent, wide, "lower", 0.15) == "unresolved"
+        assert ab_bench.verdict(wide, self.parent, "lower", 0.15) == "unresolved"
+
+    def test_wide_spread_yet_every_change_run_better(self):
+        parent, change = [20.0, 30.0] * 5, [10.0, 19.0] * 5
+        assert ab_bench.verdict(parent, change, "lower", 0.15) == "no worse"
+        assert ab_bench.verdict(change, parent, "higher", 0.15) == "no worse"
+
+
 def _checkout(root, *compiled):
     (root / "src" / "ltbe" / "__pycache__").mkdir(parents=True)
     for name in compiled:
@@ -93,3 +122,24 @@ class TestRuns:
     def test_clean_checkouts_pass(self, tmp_path):
         assert ab_bench.stale_bytecode(_checkout(tmp_path, "notes.txt")) == []
         assert ab_bench.stale_bytecode(tmp_path / "missing") == []
+
+    def test_every_metric_reports_its_verdict(self, tmp_path, capsys, monkeypatch):
+        roots = {s: _checkout(tmp_path / s) for s in ("parent", "change")}
+        (roots["parent"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "solve_ref", "better": "lower", "bound": 0.15},
+            {"name": "setup_s", "better": "lower", "bound": 0.25}]}))
+        values = {"parent": {"solve_ref": 10.0, "setup_s": 1.0},
+                  "change": {"solve_ref": 12.0, "setup_s": 1.0}}
+
+        def fake_run(root, workload, seed, seconds):
+            side = "parent" if root == roots["parent"] else "change"
+            metrics = {k: {"value": v} for k, v in values[side].items()}
+            return {"correct": True, "failed": 0, "attempted": 3, "metrics": metrics}
+
+        monkeypatch.setattr(ab_bench, "run", fake_run)
+        ab_bench.main([str(roots["parent"]), str(roots["change"]), "--workload", "lts",
+                       "--seeds", "1-3"])
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "lts parent: correct=True failed=0/3 0/3 0/3"
+        assert rows[2].startswith("lts solve_ref:") and rows[2].endswith("not shown  worse (bound 15%)")
+        assert rows[3].startswith("lts setup_s:") and rows[3].endswith("not shown  no worse (bound 25%)")

@@ -26,7 +26,7 @@ from ltbe import (
     zero,
 )
 from ltbe.engine import _layer, _run_fixpoint
-from ltbe.relation import Fold
+from ltbe.relation import Folds
 from modelgen import (
     LTS_F,
     chain_spec,
@@ -322,7 +322,7 @@ class _Schedule:
 
 def _self_scaling(*weights):
     """A one-cell prob program whose cell is its own value times the next weight."""
-    return [_layer([Fold((_Schedule(*weights), (0,), ()))], 1)]
+    return [_layer(Folds([_Schedule(*weights)], [(0,)], [()]), 1)]
 
 
 class TestMonotonicityGuard:

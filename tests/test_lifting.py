@@ -9,6 +9,7 @@ from ltbe import (
     INF,
     Inj,
     KindMismatch,
+    LtbeError,
     Pair,
     SemiringKind,
     SemiringValue,
@@ -16,7 +17,9 @@ from ltbe import (
     TupleTerm,
     UndefinedSum,
     ValRel,
+    common_trace,
     dirac,
+    engine,
     lift_double_extension,
     lift_egli_milner,
     lift_extension,
@@ -24,6 +27,8 @@ from ltbe import (
     parse_expr,
 )
 from ltbe.lifting import compile_double_extension, compile_extension
+from ltbe.relation import Fold, Folds
+from ltbe.semiring import OPS
 from ltbe.system import BranchLayer
 from modelgen import SHAPES, gen_system_pair, lowered, lts_terms, random_branchvals, random_valrel
 
@@ -347,9 +352,10 @@ class TestBoolWeights:
                 for idx, layer in enumerate(a.stack.layers):
                     if isinstance(layer, BranchLayer):
                         rows, cols = below(a, idx), below(b, idx)
-                        folds = compile_extension(B, rows, cols, a.resolved[idx]) + \
-                            compile_double_extension(B, rows, cols, a.resolved[idx], b.resolved[idx])
-                        weights += [w for fold in folds for w in fold[0]]
+                        for folds in (compile_extension(B, rows, cols, a.resolved[idx]),
+                                      compile_double_extension(B, rows, cols, a.resolved[idx],
+                                                               b.resolved[idx])):
+                            weights += [w for ws in folds.weights for w in ws]
         assert len(weights) > 1000
         assert all(w is True for w in weights)
 
@@ -357,3 +363,48 @@ class TestBoolWeights:
         bv = BranchVal(B, (("x", SemiringValue(B, False)), ("y", SemiringValue(B, True))))
         assert bv.support_keys() == ("y",)
         assert [w.payload for _, w in bv.entries] == [True]
+
+
+def _per_cell_double_extension(kind, rows, cols, left_values, right_values, source=None):
+    """The double extension as one ``Fold`` cell per pair of values, reading
+    every pair of the two supports, the zero slot included."""
+    at, mul = range(rows * cols + 2) if source is None else source, OPS[kind].mul
+    return [Fold(([mul(xw, yw) for xw in xws for yw in yws],
+                  [at[x * cols + y] for x in xs for y in ys], (t, u)))
+            for xs, xws, t in left_values for ys, yws, u in right_values]
+
+
+def _common(a, b):
+    """Every bit of a ``common_trace`` run: payloads, iterations and stop reason, or its error."""
+    try:
+        report = common_trace(a, b)
+    except LtbeError as exc:
+        return type(exc), str(exc)
+    payloads = [(type(p), repr(p)) for p in report.result.payloads()]
+    return payloads, report.iterations, report.stop_reason
+
+
+class TestBottomFreeDoubleExtension:
+    """A double extension compiled through a layer of single reads leaves out
+    every pair that reads that layer's zero slot, and runs as the per-cell
+    folds that read them all do."""
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_no_zero_slot_reads_and_the_same_run(self, kind, monkeypatch):
+        rng = random.Random(f"bottom-free:{kind.value}")
+        dropped = 0
+        for shape in SHAPES:
+            for _ in range(15):
+                a, b = gen_system_pair(rng, kind, shape)
+                for cells, users in engine._walker(a, b):
+                    zero = len(users)  # the zero slot right after the source positions
+                    if type(cells) is Folds:
+                        assert all(p != zero for ps in cells.positions for p in ps)
+                want = _common(a, b)
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "compile_double_extension", _per_cell_double_extension)
+                    for cells, users in engine._walker(a, b):
+                        dropped += sum(p == len(users) for c in cells if type(c) is Fold
+                                       for p in c[1])
+                    assert _common(a, b) == want
+        assert dropped > 100

@@ -16,7 +16,7 @@ from ltbe import (
     ValRel,
     reindex,
 )
-from ltbe.relation import Fold, evaluator
+from ltbe.relation import Fold, Folds, evaluator, fold_kernel
 from ltbe.semiring import OPS
 from modelgen import lowered, random_valrel
 
@@ -180,6 +180,11 @@ def _fold(kind, weights, values, where=()):
     return evaluator(kind)(Fold((weights, list(range(len(values))), where)), list(values))
 
 
+def _branch(kind, key):
+    """A one-point branching value of ``kind`` on ``key``."""
+    return BranchVal(kind, ((key, SemiringValue(kind, OPS[kind].one)),))
+
+
 def _random_fold(rng, kind):
     n = rng.randint(0, 6)
     if kind is B:
@@ -201,17 +206,38 @@ class TestFold:
 
     @pytest.mark.parametrize("kind", list(SemiringKind))
     def test_random_folds_match_the_reference(self, kind):
+        """One fold cell at a time, and all of them as one layer of fold columns."""
         rng = random.Random(f"fold:{kind.value}")
-        for _ in range(2000):
+        src, layer, wants, undefined = [], Folds([], [], []), {}, []
+        for k in range(2000):
             weights, values = _random_fold(rng, kind)
+            layer.weights.append(weights)
+            layer.positions.append(list(range(len(src), len(src) + len(values))))
+            layer.where.append((_branch(kind, f"t{k}"), _branch(kind, f"u{k}")))
+            src += values
             try:
-                want = _reference(kind, weights, values)
+                wants[k] = _reference(kind, weights, values)
             except UndefinedSum:
+                undefined.append(k)
                 with pytest.raises(UndefinedSum):
                     _fold(kind, weights, values)
                 continue
             got = _fold(kind, weights, values)
-            assert (type(got), repr(got)) == (type(want), repr(want)), (weights, values)
+            assert (type(got), repr(got)) == (type(wants[k]), repr(wants[k])), (weights, values)
+        run = fold_kernel(kind)
+        todo = sorted(wants)
+        for k, got in zip(todo, run(layer, todo, src), strict=True):
+            assert (type(got), repr(got)) == (type(wants[k]), repr(wants[k])), k
+        for k in undefined:  # the undefined sum names both branching values of its cell
+            with pytest.raises(UndefinedSum, match=rf"over '{{t{k}:1.0}}' x '{{u{k}:1.0}}'$"):
+                run(layer, [todo[0], k], src)
+        if kind is P:  # sums just above 1.0 clamp, and sums beyond the slack raise
+            above = [k for k in todo if reduce(float.__add__, map(float.__mul__, layer.weights[k],
+                                               map(src.__getitem__, layer.positions[k])), 0.0) > 1.0]
+            assert len(above) > 100 and all(repr(wants[k]) == "1.0" for k in above)
+            assert len(undefined) > 100
+        else:
+            assert not undefined
 
     @pytest.mark.parametrize("kind", list(SemiringKind))
     def test_empty_fold_is_zero(self, kind):

@@ -222,6 +222,16 @@ class TestLinearPart:
         with pytest.raises(DegenerateStack):
             linear_part(stack)
 
+    def test_models_of_one_stack_text_share_its_layers(self):
+        # so the stack check of every query finds each layer identical at once
+        model = parse_system(doc_text())
+        spec = parse_spec(doc_text(stack=[LTS_F], transitions={"c": stop_term()}))
+        assert linear_part(model.stack).layers[0] is spec.stack.layers[0]
+        spaced = parse_spec(doc_text(stack=[LTS_F.replace(" ", "")],
+                                     transitions={"c": stop_term()}))
+        assert spaced.stack.layers[0] is not spec.stack.layers[0]
+        assert spaced.stack == spec.stack
+
     def test_degenerate_stack_parses_and_fails_in_a_query(self):
         model = parse_system(doc_text(stack=["T"], transitions={"c": [{"state": "c"}]}))
         spec = parse_spec(doc_text(stack=[LTS_F], transitions={"c": stop_term()}))

@@ -10,6 +10,8 @@ metric of the parent's ``BENCHMARK.json``, each side's median and
 quartiles, the change of the medians, and the pairs the change wins, loses
 and ties.  A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's quartile distance.
+Against the metric's ``bound``, a relative change, each row also reads
+``worse``, ``no worse`` or ``unresolved`` (see :func:`verdict`).
 
 Each run imports its checkout's sources with ``PYTHONDONTWRITEBYTECODE=1``,
 so both sides compile them afresh, as the benchmark's fresh checkouts do.
@@ -51,6 +53,24 @@ def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
     return wins * 10 >= 9 * len(parent) and moved > q3 - q1
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` of the parent's median, else ``no worse``.
+
+    When the runs spread wider than ``bound``, that is when either side's
+    quartile distance exceeds ``bound`` of the parent's median, the answer is
+    ``unresolved``, unless every run of the change is better than every run
+    of the parent.
+    """
+    sign = 1 if better == "lower" else -1
+    if all(sign * (p - c) > 0 for p in parent for c in change):
+        return "no worse"
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    if max(p3 - p1, c3 - c1) > bound * abs(pm):
+        return "unresolved"
+    return "worse" if sign * (cm - pm) > bound * abs(pm) else "no worse"
+
+
 def parse_seeds(text: str) -> list[int]:
     """``501-510`` or ``1,4,9``."""
     if "-" in text:
@@ -88,7 +108,7 @@ def main(argv=None) -> int:
             parser.error(f"{stale[0].parent} holds {len(stale)} compiled files, which would be "
                          "read in place of the sources and skew setup_s; delete them first")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(parse_seeds(args.seeds)):
@@ -99,7 +119,7 @@ def main(argv=None) -> int:
             failed = [f"{r['failed']}/{r['attempted']}" for r in records]
             correct = all(r["correct"] for r in records)
             print(f"{workload} {side}: correct={correct} failed={' '.join(failed)}")
-        for name, better in metrics:
+        for name, better, bound in metrics:
             p = [r["metrics"][name]["value"] for r in runs["parent"]]
             c = [r["metrics"][name]["value"] for r in runs["change"]]
             (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
@@ -107,7 +127,8 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: parent {pm:.4g} [{p1:.4g}-{p3:.4g}]  "
                   f"change {cm:.4g} [{c1:.4g}-{c3:.4g}]  {100 * (cm - pm) / pm:+.1f}%  "
                   f"wins {wins} losses {losses} ties {ties}  "
-                  f"gain {'holds' if gain_holds(p, c, better) else 'not shown'}")
+                  f"gain {'holds' if gain_holds(p, c, better) else 'not shown'}  "
+                  f"{verdict(p, c, better, bound)} (bound {bound:.0%})")
     return 0
 
 
