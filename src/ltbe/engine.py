@@ -2,24 +2,26 @@
 
 The one-step operator pushes the current relation through the shared type
 stack from the innermost layer outwards, over only the values that occur
-in the two models (polynomial layers act on both sides, branching layers
-abstract the system side), and finally reads the lifted relation back
-along the two transition maps.  Iterating it from the everywhere-1
-relation produces a descending chain whose limit measures, for every pair
-of a system state and a specification state, the extent to which the
-former can exhibit the latter's behaviour.
+in the two models: polynomial layers act on both sides, and branching
+layers abstract branching on both sides, a specification's being the
+unit, as the oracle reads it.  The outermost layer is lifted over each
+state's own transition, so its cells are the relation's.  Iterating the
+step from the everywhere-1 relation produces a descending chain whose
+limit measures, for every pair of a system state and a specification
+state, the extent to which the former can exhibit the latter's
+behaviour.
 
 The step is compiled once per run into a program of layers of cells, the
 semiring's reads, weighted folds and products (see :mod:`ltbe.relation`),
 from the integer positions each model resolved its values to when it was
-parsed, so compiling reads no keys.  A branching layer is a layer of folds
-kept as flat columns, and a round evaluates its cells in one comprehension.  A layer whose cells are single reads
-(the read-back, or a polynomial layer with at most one ``Id`` per summand)
-is fused into its neighbour, so a ``[T, F]`` step is one layer of folds
-read straight off the relation.  Iteration is semi-naive: after the first
-round, only the cells reading a position that changed are re-evaluated, by
-the same operations in the same order, so every iterate is the full pass's
-bit for bit.
+parsed, so compiling reads no keys.  A branching layer is a layer of
+folds kept as flat columns, and a round evaluates its cells in one
+comprehension.  A polynomial layer whose cells are single reads (at most
+one ``Id`` per summand) is fused into its neighbour, so a ``[T, F]`` step
+is one layer of folds read straight off the relation.  Iteration is
+semi-naive: after the first round, only the cells reading a position that
+changed are re-evaluated, by the same operations in the same order, so
+every iterate is the full pass's bit for bit.
 
 Iteration is truncated at finitely many steps.  Bool converges exactly on
 finite carriers; prob converges up to a tolerance; a tropical entry whose
@@ -34,8 +36,8 @@ from collections.abc import Iterator
 from itertools import count
 
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
-from .lifting import compile_double_extension, compile_extension, compile_poly
-from .relation import Folds, ValRel, compile_reindex, evaluator, fold_kernel, reads
+from .lifting import compile_double_extension, compile_poly, unit_columns
+from .relation import Folds, ValRel, evaluator, fold_kernel, reads
 from .semiring import OPS, Record, SemiringKind, SemiringValue, prob_all_leq, prob_max_gap
 from .system import BranchLayer, SpecSystem, System, linear_part
 
@@ -149,33 +151,38 @@ def _walker(left: System, right: System) -> list:
     the innermost outwards, over the values that occur in the two models,
     resolved to positions (``System.resolved``): ``compile_poly`` at a
     polynomial layer, ``compile_double_extension`` at a branching layer.
-    It then reads the result back at the two models' top positions.  A
-    specification has no branching layers, so its layer ``j`` is the left
-    model's ``j``-th polynomial layer and ``compile_extension`` lifts the
-    left values alone.  The program is the list of fused layers (see
+    A specification has no branching layers: it branches by the unit, as
+    the oracle reads it, so its layer ``j`` is the left model's ``j``-th
+    polynomial layer and a branching layer lifts against the unit on each
+    of its values below.  The outermost layer is lifted over each state's
+    own value, at the two models' top positions, so its cells are the
+    relation's.  The program is the list of fused layers (see
     :func:`_layer`); the first reads and the last writes the relation, a
     row-major payload list over the two state sets.
     """
-    plan = []
-    j = 0
+    plan, j = [], 0
     for idx, layer in enumerate(left.stack.layers):
-        if isinstance(layer, BranchLayer) and right.stack.is_linear:
-            plan.append((layer, (left.resolved[idx],)))
-        else:
-            plan.append((layer, (left.resolved[idx], right.resolved[j])))
-            j += 1
+        unit = isinstance(layer, BranchLayer) and right.stack.is_linear
+        plan.append((layer, left.resolved[idx], None if unit else right.resolved[j]))
+        j += not unit
     rows, cols = len(left.states), len(right.states)
     kind = left.stack.kind
     one = OPS[kind].one
     program = []  # the fused layers: [cells, source size, every cell a single read]
-    for layer, values in reversed(plan):
+    for idx in reversed(range(len(plan))):
+        layer, mine, theirs = plan[idx]
+        if theirs is None:
+            theirs = unit_columns(kind, cols)
+        if idx == 0:
+            mine = [mine[p] for p in left.top_positions]
+            theirs = [theirs[p] for p in right.top_positions]
         below = program[-1] if program and program[-1][2] else None
         source = below[0] + [below[1], below[1] + 1] if below else None
         if isinstance(layer, BranchLayer):
-            lift = compile_extension if len(values) == 1 else compile_double_extension
-            cells, pure = lift(kind, rows, cols, *values, source=source), False
+            cells = compile_double_extension(kind, rows, cols, mine, theirs, source=source)
+            pure = False
         else:
-            cells = compile_poly(rows, cols, *values, source=source)
+            cells = compile_poly(rows, cols, mine, theirs, source=source)
             pure = all(type(c) is int for c in cells)
         if below is not None:  # compiled to read through the layer below
             program[-1] = [cells, below[1], pure]
@@ -183,8 +190,7 @@ def _walker(left: System, right: System) -> list:
             _select(program[-1], cells, one)
         else:
             program.append([cells, rows * cols, pure])
-        rows, cols = len(values[0]), len(values[1]) if len(values) > 1 else cols
-    _select(program[-1], compile_reindex(left.top_positions, right.top_positions, cols), one)
+        rows, cols = len(mine), len(theirs)
     return [_layer(cells, size) for cells, size, _ in program]
 
 

@@ -6,29 +6,32 @@ Given a relation R between carriers X and Y:
   by structural recursion on the expression (identity reads R, constants
   become the equality relation, products multiply the component values,
   mismatched coproduct injections go to bottom).
-* :func:`lift_extension` abstracts branching on the left only:
-  ``(t, y) -> sum over x in support(t) of t(x) * R(x, y)``.
-  This instantiates to "some successor is related" (bool), expected
-  relatedness (prob) and cheapest successor cost (tropical).
 * :func:`lift_double_extension` abstracts branching on both sides:
   ``(t, u) -> sum over (x, y) of t(x) * u(y) * R(x, y)``.
+* :func:`lift_extension` abstracts branching on the left only:
+  ``(t, y) -> sum over x in support(t) of t(x) * R(x, y)``, the double
+  extension against the unit on each column ``y``, as a specification
+  branches.  This instantiates to "some successor is related" (bool),
+  expected relatedness (prob) and cheapest successor cost (tropical).
 * :func:`lift_egli_milner` is the two-sided forall-exists lifting of a
-  boolean relation to successor sets, the branching step of bisimulation;
-  ``bisimilarity`` refines partitions instead, in as many rounds as the
-  chain of this lifting.
+  boolean relation to successor sets, the branching step of bisimulation,
+  computed directly over the two supports; ``bisimilarity`` refines
+  partitions instead, in as many rounds as the chain of this lifting.
 
 Every lifting is materialized only on the values that occur in the models
 at hand, supplied explicitly as carrier lists: the terms of a polynomial
 layer and the branching values of a branching layer.
 
-Each lifting has one implementation, in stages.  ``resolve_term`` and
-``resolve_branch`` turn a value into integer positions in the carrier
-below it; a model does so once, when it is parsed (``System.resolved``).
-``compile_*`` takes the resolved values and the two source carrier sizes,
-and turns every cell of the lifted matrix into cells of
+The engine's liftings have one implementation each, in stages.
+``resolve_term`` and ``resolve_branch`` turn a value into integer
+positions in the carrier below it; a model does so once, when it is
+parsed (``System.resolved``), and :func:`unit_columns` gives the unit
+branching already resolved.  ``compile_poly`` and
+``compile_double_extension`` take the resolved values and the two source
+carrier sizes, and turn every cell of the lifted matrix into cells of
 :mod:`ltbe.relation`.  A polynomial cell is a single read or a product
-tree of reads.  A branching layer compiles straight into the columns of a
-layer of folds (``Folds``): per cell its weights, its positions and its
+tree of reads.  A branching layer compiles straight into the columns of
+a layer of folds (``Folds``): per cell its weights, its positions and its
 branching values.  The public ``lift_*`` functions resolve their
 arguments against the relation's carriers, compile, evaluate every cell
 in order and box the result; the engine passes ``source`` to compile a
@@ -47,7 +50,7 @@ from itertools import repeat
 from .branching import BranchVal
 from .errors import CarrierMismatch, KindMismatch
 from .polyfunctor import Const, Coprod, Id, PolyExpr, PolyTerm, Prod, value_key
-from .relation import Fold, Folds, ValRel, factors, run_cells
+from .relation import Folds, ValRel, factors, run_cells
 from .semiring import OPS, SemiringKind
 
 #: The position of each key of a carrier.
@@ -138,24 +141,6 @@ def compile_poly(rows: int, cols: int, row_terms: Sequence, col_terms: Sequence,
     ]
 
 
-def compile_extension(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,
-                      source=None) -> Folds:
-    """Compile the left extension over resolved branching values; the columns stay.
-
-    The cell of ``(t, y)`` folds the support of ``t`` against column ``y``.
-    """
-    at = _through(source, rows * cols)
-    weights, positions, where = [], [], []
-    for xs, ws, t in left_values:
-        names = (t,)
-        # column y's reads are the y-th entries of the source rows of the support
-        for ps in zip(*[at[x * cols:x * cols + cols] for x in xs]) if xs else repeat((), cols):
-            weights.append(ws)
-            positions.append(ps)
-            where.append(names)
-    return Folds(weights, positions, where)
-
-
 def compile_double_extension(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,
                              right_values: Sequence, source=None) -> Folds:
     """Compile the two-sided extension over resolved branching values.
@@ -185,21 +170,11 @@ def compile_double_extension(kind: SemiringKind, rows: int, cols: int, left_valu
     return Folds(weights, positions, where)
 
 
-def compile_egli_milner(kind: SemiringKind, rows: int, cols: int, left_values: Sequence,
-                        right_values: Sequence) -> list:
-    """Compile the forall-exists lifting over resolved branching values.
-
-    The cell of ``(t, u)`` is the product of a fold for each successor of
-    either over the other's successors, or the unit slot if there are none.
-    """
-    one, cells = OPS[kind].one, []
-    for xs, _, t in left_values:
-        xs = [x * cols for x in xs]
-        for ys, _, u in right_values:
-            sums = [[x + y for y in ys] for x in xs] + [[x + y for x in xs] for y in ys]
-            folds = [Fold(([one] * len(ps), ps, (t, u))) for ps in sums]
-            cells.append(reduce(_times, folds) if folds else rows * cols + 1)
-    return cells
+def unit_columns(kind: SemiringKind, size: int) -> list:
+    """The unit branching value on each of ``size`` positions, resolved: a
+    specification's branching, one point of weight one that no value names."""
+    one = OPS[kind].one
+    return [((y,), (one,), None) for y in range(size)]
 
 
 def _run(rel: ValRel, cells: list, rows: Sequence, cols: Sequence | None = None) -> ValRel:
@@ -209,19 +184,16 @@ def _run(rel: ValRel, cells: list, rows: Sequence, cols: Sequence | None = None)
     return ValRel.from_payloads(rel.kind, [v.key() for v in rows], col_keys, payloads)
 
 
-def _lift(compile_layer, rel: ValRel, left_values: Sequence[BranchVal],
-          right_values: Sequence[BranchVal] | None = None) -> ValRel:
-    """Check every kind, resolve against ``rel``'s carriers (columns first), compile, run."""
-    sides = [] if right_values is None else [right_values]
-    for bv in [*left_values, *(right_values or ())]:
+def _resolve(rel: ValRel, left_values: Sequence[BranchVal],
+             right_values: Sequence[BranchVal]) -> tuple[list, list]:
+    """Check every kind, then resolve both sides against ``rel``'s carriers, columns first."""
+    for bv in [*left_values, *right_values]:
         if bv.kind is not rel.kind:
             raise KindMismatch(
                 f"{bv.kind.value} branching value used with a {rel.kind.value} relation"
             )
-    right = [[resolve_branch(u, rel.col_index) for u in values] for values in sides]
-    left = [resolve_branch(t, rel.row_index) for t in left_values]
-    cells = compile_layer(rel.kind, len(rel.rows), len(rel.cols), left, *right)
-    return _run(rel, cells, left_values, right_values)
+    right = [resolve_branch(u, rel.col_index) for u in right_values]
+    return [resolve_branch(t, rel.row_index) for t in left_values], right
 
 
 def lift_poly(
@@ -241,11 +213,15 @@ def lift_poly(
 def lift_extension(rel: ValRel, left_values: Sequence[BranchVal]) -> ValRel:
     """Abstract branching on the left carrier.
 
-    The new rows are the supplied branching values; an empty support gives
-    the bottom value.  Folds run in canonical support order, so results are
-    reproducible bit for bit.
+    The double extension against the unit on each column: the new rows are
+    the supplied branching values, the columns stay, and an empty support
+    gives the bottom value.  Folds run in canonical support order, so
+    results are reproducible bit for bit.
     """
-    return _lift(compile_extension, rel, left_values)
+    left, _ = _resolve(rel, left_values, ())
+    cells = compile_double_extension(rel.kind, len(rel.rows), len(rel.cols), left,
+                                     unit_columns(rel.kind, len(rel.cols)))
+    return _run(rel, cells, left_values)
 
 
 def lift_double_extension(
@@ -256,7 +232,9 @@ def lift_double_extension(
     Equivalent to extending on the left and then on the right; computed
     directly as a double fold over both supports.
     """
-    return _lift(compile_double_extension, rel, left_values, right_values)
+    left, right = _resolve(rel, left_values, right_values)
+    cells = compile_double_extension(rel.kind, len(rel.rows), len(rel.cols), left, right)
+    return _run(rel, cells, left_values, right_values)
 
 
 def lift_egli_milner(
@@ -269,4 +247,10 @@ def lift_egli_milner(
     """
     if rel.kind is not SemiringKind.BOOL:
         raise KindMismatch("the forall-exists lifting is only defined for bool relations")
-    return _lift(compile_egli_milner, rel, left_values, right_values)
+    left, right = _resolve(rel, left_values, right_values)
+    flat, n = rel.payloads(), len(rel.cols)
+    related = [all(any(flat[x * n + y] for y in ys) for x in xs)
+               and all(any(flat[x * n + y] for x in xs) for y in ys)
+               for xs, _, _ in left for ys, _, _ in right]
+    return ValRel.from_payloads(rel.kind, [t.key() for t in left_values],
+                                [u.key() for u in right_values], related)

@@ -8,16 +8,15 @@ into a :class:`SemiringValue` only where one is read out.
 
 A *cell* is plain data saying how one entry of a new matrix is computed
 from a source list, the old payloads followed by the constants zero and
-one, by the semiring's own operations: an ``int`` reads one position, a
-:class:`Fold` sums weighted positions, and a ``tuple`` pair is a product
-tree.  One function, made by :func:`evaluator`, evaluates any cell.
-
-A layer made of folds alone, the lifting through a branching layer, is
-kept as columns instead (:class:`Folds`): per cell, its weights, its
-positions and the branching values that name it.  :func:`fold_kernel`
-evaluates any set of its cells in one comprehension, with one C-level
-``any``, ``min`` or float sum per cell that has the semiring fold's bits;
-the evaluator runs a fold inside a product through the same kernel.
+one, by the semiring's own operations.  A layer of the program is one of
+two forms.  A polynomial layer is a list of cells, each an ``int`` that
+reads one position or a ``tuple`` pair that is a product tree; one
+function, made by :func:`evaluator`, evaluates any of them.  The lifting
+through a branching layer is a layer of folds, kept as columns
+(:class:`Folds`): per cell, its weights, its positions and the branching
+values that name it.  :func:`fold_kernel` evaluates any set of its cells
+in one comprehension, with one C-level ``any``, ``min`` or float sum per
+cell that has the semiring fold's bits.
 """
 
 from __future__ import annotations
@@ -33,17 +32,11 @@ from .errors import CarrierMismatch, KindMismatch, UndefinedSum
 from .semiring import INF, OPS, SemiringKind, SemiringValue
 
 
-class Fold(tuple):
-    """``(weights, positions, where)``: ``weights[i] * src[positions[i]]`` summed
-    from zero, left to right; ``where`` holds the branching values whose keys
-    name the cell if a prob sum is undefined."""
-
-    __slots__ = ()
-
-
 class Folds:
-    """A layer of folds as three columns: cell ``k`` is the fold
-    ``(weights[k], positions[k], where[k])``."""
+    """A layer of folds as three columns: cell ``k`` sums
+    ``weights[k][i] * src[positions[k][i]]`` from zero, left to right, and
+    ``where[k]`` holds the branching values whose keys name the cell if a
+    prob sum is undefined (``None`` for a unit column, which names none)."""
 
     __slots__ = ("weights", "positions", "where")
 
@@ -100,7 +93,8 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], li
                         try:
                             out[i] = reduce(add, map(mul, W[k], map(get, P[k])), 0.0)
                         except UndefinedSum:
-                            where = " x ".join(repr(v.key()) for v in folds.where[k])
+                            where = " x ".join(repr(v.key()) for v in folds.where[k]
+                                              if v is not None)
                             raise UndefinedSum(
                                 f"partial sum undefined while extending over {where}") from None
             return out
@@ -109,32 +103,22 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], li
 
 
 def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
-    """The function that evaluates a cell of ``kind`` over a source list.
-
-    A fold cell, as the forall-exists lifting holds in its products, runs
-    through :func:`fold_kernel` as a layer of one cell.
-    """
-    run, mul = fold_kernel(kind), OPS[kind].mul
+    """The function that evaluates a read or product cell of ``kind`` over a
+    source list; a layer of folds runs through :func:`fold_kernel` instead."""
+    mul = OPS[kind].mul
 
     def evaluate(cell, src: list):
-        t = type(cell)
-        if t is int:
+        if type(cell) is int:
             return src[cell]
-        if t is Fold:
-            weights, positions, where = cell
-            return run(Folds([weights], [positions], [where]), (0,), src)[0]
         return reduce(mul, map(evaluate, factors(cell), repeat(src)))
 
     return evaluate
 
 
 def reads(cell) -> Iterable[int]:
-    """The source positions a cell reads, left to right."""
-    t = type(cell)
-    if t is int:
+    """The source positions a read or product cell reads, left to right."""
+    if type(cell) is int:
         return (cell,)
-    if t is Fold:
-        return cell[1]
     return chain.from_iterable(map(reads, factors(cell)))
 
 
@@ -278,15 +262,6 @@ class ValRel:
         ]
 
 
-def compile_reindex(f: list[int], g: list[int], cols: int) -> list[int]:
-    """Precomposition with a pair of carrier maps, as a layer of read cells.
-
-    ``f`` and ``g`` give the source row and column position of each new row
-    and column; ``cols`` is the number of source columns.
-    """
-    return [i * cols + j for i in f for j in g]
-
-
 def reindex(f: Mapping[object, object], g: Mapping[object, object], rel: ValRel) -> ValRel:
     """Precompose a relation with a pair of carrier maps.
 
@@ -299,6 +274,8 @@ def reindex(f: Mapping[object, object], g: Mapping[object, object], rel: ValRel)
     for y, gy in g.items():
         if gy not in rel.col_index:
             raise CarrierMismatch(f"column image {gy!r} of {y!r} is outside the carrier")
-    cells = compile_reindex([rel.row_index[fx] for fx in f.values()],
-                            [rel.col_index[gy] for gy in g.values()], len(rel.cols))
-    return ValRel.from_payloads(rel.kind, tuple(f), tuple(g), run_cells(cells, rel.kind, rel._flat))
+    n, flat = len(rel.cols), rel._flat
+    rows = [rel.row_index[fx] * n for fx in f.values()]
+    cols = [rel.col_index[gy] for gy in g.values()]
+    payloads = [flat[i + j] for i in rows for j in cols]
+    return ValRel.from_payloads(rel.kind, tuple(f), tuple(g), payloads)

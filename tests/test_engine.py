@@ -25,6 +25,7 @@ from ltbe import (
     step_operator,
     zero,
 )
+from ltbe import engine
 from ltbe.engine import _layer, _run_fixpoint
 from ltbe.relation import Folds
 from modelgen import (
@@ -44,6 +45,7 @@ from modelgen import (
     stop_term,
     tropical_stopper,
 )
+from test_crosscheck import exact, full_chain
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
 
@@ -448,6 +450,24 @@ class TestStepMonotonicity:
             assert step_operator(sys_model, spec, below).pointwise_leq(
                 step_operator(sys_model, spec, upper)
             )
+
+
+class TestReadLayerOverProducts:
+    """A polynomial layer of single reads above a layer of products is picked
+    from it, its bottom and top cells from the two constant slots."""
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_iterates_match_the_full_pass(self, kind):
+        rng = random.Random(f"reads-over-products:{kind.value}")
+        texts = ["{*} + {a,b} * Id", "Id * Id", "T"]
+        picked = 0
+        for _ in range(8):
+            sys_model, spec = gen_models_on(rng, kind, texts, rng.randint(2, 5), rng.randint(2, 4))
+            program = engine._walker(sys_model, spec)
+            picked += [type(cells) for cells, _ in program] == [Folds, list]
+            want = full_chain(sys_model, spec, None, 6)
+            assert exact(iterates(sys_model, spec, 6)) == exact(want)
+        assert picked >= 4
 
 
 class TestMonadConsistency:

@@ -17,6 +17,7 @@ from ltbe import (
     TupleTerm,
     UndefinedSum,
     ValRel,
+    behaviour,
     common_trace,
     dirac,
     engine,
@@ -26,11 +27,19 @@ from ltbe import (
     lift_poly,
     parse_expr,
 )
-from ltbe.lifting import compile_double_extension, compile_extension
-from ltbe.relation import Fold, Folds
+from ltbe.lifting import compile_double_extension, unit_columns
+from ltbe.relation import Folds
 from ltbe.semiring import OPS
 from ltbe.system import BranchLayer
-from modelgen import SHAPES, gen_system_pair, lowered, lts_terms, random_branchvals, random_valrel
+from modelgen import (
+    SHAPES,
+    gen_model_pair,
+    gen_system_pair,
+    lowered,
+    lts_terms,
+    random_branchvals,
+    random_valrel,
+)
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
 
@@ -148,6 +157,18 @@ class TestLiftExtension:
                 for y in cols:
                     assert out.get(d.key(), y) == rel.get(x, y)  # exact, not approx
 
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_is_the_double_extension_against_the_unit(self, kind):
+        rng = random.Random(f"unit-columns:{kind.value}")
+        for _ in range(40):
+            rows = [f"x{i}" for i in range(rng.randint(1, 5))]
+            cols = [f"y{i}" for i in range(rng.randint(1, 5))]
+            rel = random_valrel(rng, kind, rows, cols)
+            ts = random_branchvals(rng, kind, rows, 4)
+            single = lift_extension(rel, ts).payloads()
+            double = lift_double_extension(rel, ts, [dirac(kind, y) for y in rel.cols]).payloads()
+            assert [(type(p), repr(p)) for p in single] == [(type(p), repr(p)) for p in double]
+
     def test_bool_matches_set_theoretic_exists(self):
         rng = random.Random(23)
         rows = ["x0", "x1", "x2"]
@@ -163,7 +184,7 @@ class TestLiftExtension:
     def test_undefined_sum_surfaces(self):
         rel = ValRel.top(["x", "y"], ["z"], P)
         overweight = BranchVal(P, (("x", pv(0.8)), ("y", pv(0.8))))
-        with pytest.raises(UndefinedSum):
+        with pytest.raises(UndefinedSum, match=r"over '\{x:0.8\|y:0.8\}'$"):
             lift_extension(rel, [overweight])
 
     def test_valid_subprobability_never_undefined(self):
@@ -272,7 +293,7 @@ class TestEgliMilner:
         assert lift_egli_milner(rel, [t], [u]).get(t.key(), u.key()).payload is False
 
     def test_wide_successor_sets(self):
-        # 1200 folds in one cell, multiplied as a product 1200 deep
+        # one cell of 1200 forall-exists checks, each over 600 successors
         xs, ys = [f"x{i}" for i in range(600)], [f"y{i}" for i in range(600)]
         t, u = bv_bool(*xs), bv_bool(*ys)
         assert lift_egli_milner(ValRel.top(xs, ys, B), [t], [u]).at(0, 0).payload is True
@@ -352,9 +373,8 @@ class TestBoolWeights:
                 for idx, layer in enumerate(a.stack.layers):
                     if isinstance(layer, BranchLayer):
                         rows, cols = below(a, idx), below(b, idx)
-                        for folds in (compile_extension(B, rows, cols, a.resolved[idx]),
-                                      compile_double_extension(B, rows, cols, a.resolved[idx],
-                                                               b.resolved[idx])):
+                        for right in (unit_columns(B, cols), b.resolved[idx]):
+                            folds = compile_double_extension(B, rows, cols, a.resolved[idx], right)
                             weights += [w for ws in folds.weights for w in ws]
         assert len(weights) > 1000
         assert all(w is True for w in weights)
@@ -365,46 +385,60 @@ class TestBoolWeights:
         assert [w.payload for _, w in bv.entries] == [True]
 
 
-def _per_cell_double_extension(kind, rows, cols, left_values, right_values, source=None):
-    """The double extension as one ``Fold`` cell per pair of values, reading
-    every pair of the two supports, the zero slot included."""
+def _with_zero_reads(kind, rows, cols, left_values, right_values, source=None):
+    """The double extension with a fold for every pair of the two supports,
+    the reads of the zero slot included."""
     at, mul = range(rows * cols + 2) if source is None else source, OPS[kind].mul
-    return [Fold(([mul(xw, yw) for xw in xws for yw in yws],
-                  [at[x * cols + y] for x in xs for y in ys], (t, u)))
-            for xs, xws, t in left_values for ys, yws, u in right_values]
+    weights, positions, where = [], [], []
+    for xs, xws, t in left_values:
+        for ys, yws, u in right_values:
+            weights.append([mul(xw, yw) for xw in xws for yw in yws])
+            positions.append([at[x * cols + y] for x in xs for y in ys])
+            where.append((t, u))
+    return Folds(weights, positions, where)
 
 
-def _common(a, b):
-    """Every bit of a ``common_trace`` run: payloads, iterations and stop reason, or its error."""
+def _bits(op, a, b):
+    """Every bit of a run of ``op``: payloads, iterations and stop reason, or its error."""
     try:
-        report = common_trace(a, b)
+        report = op(a, b)
     except LtbeError as exc:
         return type(exc), str(exc)
     payloads = [(type(p), repr(p)) for p in report.result.payloads()]
     return payloads, report.iterations, report.stop_reason
 
 
+def _zero_reads(program):
+    """The reads of the zero slot, right after the source positions, in a program's folds."""
+    return sum(p == len(users) for cells, users in program if type(cells) is Folds
+               for ps in cells.positions for p in ps)
+
+
 class TestBottomFreeDoubleExtension:
-    """A double extension compiled through a layer of single reads leaves out
-    every pair that reads that layer's zero slot, and runs as the per-cell
+    """A double extension, against the unit columns of a specification too,
+    leaves out every pair that reads its source's zero slot, and runs as the
     folds that read them all do."""
+
+    @staticmethod
+    def _check(op, gen, rng, kind, monkeypatch):
+        dropped = 0
+        for shape in SHAPES:
+            for _ in range(15):
+                a, b = gen(rng, kind, shape)
+                assert _zero_reads(engine._walker(a, b)) == 0
+                want = _bits(op, a, b)
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "compile_double_extension", _with_zero_reads)
+                    dropped += _zero_reads(engine._walker(a, b))
+                    assert _bits(op, a, b) == want
+        assert dropped > 100
 
     @pytest.mark.parametrize("kind", list(SemiringKind))
     def test_no_zero_slot_reads_and_the_same_run(self, kind, monkeypatch):
         rng = random.Random(f"bottom-free:{kind.value}")
-        dropped = 0
-        for shape in SHAPES:
-            for _ in range(15):
-                a, b = gen_system_pair(rng, kind, shape)
-                for cells, users in engine._walker(a, b):
-                    zero = len(users)  # the zero slot right after the source positions
-                    if type(cells) is Folds:
-                        assert all(p != zero for ps in cells.positions for p in ps)
-                want = _common(a, b)
-                with monkeypatch.context() as patch:
-                    patch.setattr(engine, "compile_double_extension", _per_cell_double_extension)
-                    for cells, users in engine._walker(a, b):
-                        dropped += sum(p == len(users) for c in cells if type(c) is Fold
-                                       for p in c[1])
-                    assert _common(a, b) == want
-        assert dropped > 100
+        self._check(common_trace, gen_system_pair, rng, kind, monkeypatch)
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_behaviour_against_unit_columns(self, kind, monkeypatch):
+        rng = random.Random(f"bottom-free:{kind.value}:behaviour")
+        self._check(behaviour, gen_model_pair, rng, kind, monkeypatch)

@@ -16,7 +16,7 @@ from ltbe import (
     ValRel,
     reindex,
 )
-from ltbe.relation import Fold, Folds, evaluator, fold_kernel
+from ltbe.relation import Folds, fold_kernel
 from ltbe.semiring import OPS
 from modelgen import lowered, random_valrel
 
@@ -176,8 +176,9 @@ def _reference(kind, weights, values):
 
 
 def _fold(kind, weights, values, where=()):
-    """The evaluator on one fold over ``values``."""
-    return evaluator(kind)(Fold((weights, list(range(len(values))), where)), list(values))
+    """The fold kernel on a layer of one fold over ``values``."""
+    cell = Folds([weights], [list(range(len(values)))], [where])
+    return fold_kernel(kind)(cell, (0,), list(values))[0]
 
 
 def _branch(kind, key):
@@ -266,3 +267,10 @@ class TestFold:
         with pytest.raises(UndefinedSum) as exc:
             _fold(P, [0.7, 0.7], [1.0, 1.0], (t, u))
         assert str(exc.value) == msg
+
+    def test_unit_column_names_the_left_value_alone(self):
+        # a specification branches by the unit, a column no value names
+        t = BranchVal(P, (("x", SemiringValue(P, 0.7)), ("y", SemiringValue(P, 0.7))))
+        with pytest.raises(UndefinedSum) as exc:
+            _fold(P, [0.7, 0.7], [1.0, 1.0], (t, None))
+        assert str(exc.value) == "partial sum undefined while extending over '{x:0.7|y:0.7}'"
