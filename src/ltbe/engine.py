@@ -14,14 +14,16 @@ behaviour.
 The step is compiled once per run into a program of layers of cells, the
 semiring's reads, weighted folds and products (see :mod:`ltbe.relation`),
 from the integer positions each model resolved its values to when it was
-parsed, so compiling reads no keys.  A branching layer is a layer of
-folds kept as flat columns, and a round evaluates its cells in one
-comprehension.  A polynomial layer whose cells are single reads (at most
-one ``Id`` per summand) is fused into its neighbour, so a ``[T, F]`` step
-is one layer of folds read straight off the relation.  Iteration is
-semi-naive: after the first round, only the cells reading a position that
-changed are re-evaluated, by the same operations in the same order, so
-every iterate is the full pass's bit for bit.
+parsed, so compiling reads no keys.  Every layer reads one position
+space: its source's positions, and the constants at ``ZERO`` and ``ONE``
+whatever the source's size.  A branching layer is a layer of folds kept
+as flat columns, and one kernel (``relation.kernel``) evaluates the cells
+of a layer of either form.  A polynomial layer whose cells are single
+reads (at most one ``Id`` per summand) is fused into its neighbour, so a
+``[T, F]`` step is one layer of folds read straight off the relation.
+Iteration is semi-naive: after the first round, only the cells reading a
+position that changed are re-evaluated, by the same operations in the
+same order, so every iterate is the full pass's bit for bit.
 
 Iteration is truncated at finitely many steps.  Bool converges exactly on
 finite carriers; prob converges up to a tolerance; a tropical entry whose
@@ -37,7 +39,7 @@ from itertools import count
 
 from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
 from .lifting import compile_double_extension, compile_poly, unit_columns
-from .relation import Folds, ValRel, evaluator, fold_kernel, reads
+from .relation import ONE, ZERO, Folds, ValRel, kernel, reads
 from .semiring import OPS, Record, SemiringKind, SemiringValue, prob_all_leq, prob_max_gap
 from .system import BranchLayer, SpecSystem, System, linear_part
 
@@ -109,37 +111,36 @@ def _check_pair_inputs(sysA: System, sysB: System) -> None:
 def _select(below: list, cells: list, one) -> None:
     """Fold a layer of single reads into the layer ``below`` by picking its cells.
 
-    A read past the end of ``below`` reads one of the two constants.  In a
-    layer of folds it picks the fold that gives that constant exactly: zero
-    sums nothing, and one is ``one`` times the one slot.
+    ``ZERO`` and ``ONE`` read the constants at any depth, so a list keeps
+    them.  In a layer of folds each picks the fold that gives its constant
+    exactly: zero sums nothing, and one is ``one`` times ``ONE``.
     """
-    picked, base, _ = below
-    n = len(picked)
+    picked = below[0]
     if type(picked) is not Folds:
-        below[0] = [picked[p] if p < n else base + p - n for p in cells]
+        below[0] = [picked[p] if p >= 0 else p for p in cells]
         return
     W, P, V = picked.weights, picked.positions, picked.where
     weights, positions, where = [], [], []
     for p in cells:
-        if p < n:
+        if p >= 0:
             weights.append(W[p])
             positions.append(P[p])
             where.append(V[p])
-        else:  # p - n is 0 for zero and 1 for one
-            weights.append([one] * (p - n))
-            positions.append([base + 1] * (p - n))
+        else:
+            weights.append([] if p == ZERO else [one])
+            positions.append([] if p == ZERO else [ONE])
             where.append(())
     below[0] = Folds(weights, positions, where)
 
 
 def _layer(cells: list | Folds, size: int) -> tuple[list | Folds, list]:
     """A layer of the program: its cells, and the cells that read each of the
-    ``size`` source positions.  Nothing changes the two constant slots after
-    them, so no cell is listed as their reader."""
+    ``size`` source positions.  Nothing changes the constants at ``ZERO`` and
+    ``ONE``, so no cell is listed as their reader."""
     users = [[] for _ in range(size)]
     for k, ps in enumerate(cells.positions if type(cells) is Folds else map(reads, cells)):
         for p in ps:
-            if p < size:
+            if p >= 0:
                 users[p].append(k)
     return cells, users
 
@@ -177,7 +178,7 @@ def _walker(left: System, right: System) -> list:
             mine = [mine[p] for p in left.top_positions]
             theirs = [theirs[p] for p in right.top_positions]
         below = program[-1] if program and program[-1][2] else None
-        source = below[0] + [below[1], below[1] + 1] if below else None
+        source = below[0] if below else None
         if isinstance(layer, BranchLayer):
             cells = compile_double_extension(kind, rows, cols, mine, theirs, source=source)
             pure = False
@@ -201,11 +202,12 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
     a position changed (``!=``) in the round, or for the first layer in the
     round before; the first round evaluates every cell.  The last layer's
     changes are applied after it has run, since the relation is both its
-    input and its output.  Each round yields the relation, updated in place
-    and followed by the two constants, and its ``(position, old, new)``
-    changes.
+    input and its output.  Every source list ends with the two constants,
+    so ``ZERO`` and ``ONE`` read them at any layer.  Each round yields the
+    relation, updated in place and followed by the two constants, and its
+    ``(position, old, new)`` changes.
     """
-    evaluate, fold = evaluator(kind), fold_kernel(kind)
+    run = kernel(kind)
     consts = [OPS[kind].zero, OPS[kind].one]
     cur = flat + consts
     outs: list = [None] * len(program)
@@ -216,8 +218,7 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
         for depth, (cells, users) in enumerate(program):
             todo = range(len(cells)) if changed is None else sorted(
                 {k for p in changed for k in users[p]})
-            new = fold(cells, todo, src) if type(cells) is Folds else [
-                evaluate(cells[k], src) for k in todo]
+            new = run(cells, todo, src)
             old = cur if depth == last else outs[depth]
             if old is None:
                 outs[depth] = src = new + consts

@@ -29,28 +29,27 @@ parsed (``System.resolved``), and :func:`unit_columns` gives the unit
 branching already resolved.  ``compile_poly`` and
 ``compile_double_extension`` take the resolved values and the two source
 carrier sizes, and turn every cell of the lifted matrix into cells of
-:mod:`ltbe.relation`.  A polynomial cell is a single read or a product
-tree of reads.  A branching layer compiles straight into the columns of
-a layer of folds (``Folds``): per cell its weights, its positions and its
-branching values.  The public ``lift_*`` functions resolve their
-arguments against the relation's carriers, compile, evaluate every cell
-in order and box the result; the engine passes ``source`` to compile a
-layer that reads through a layer of single reads below it.  A read
-through that layer can land on its zero slot, where two terms' shapes
-differ; the double extension leaves such a pair out of its fold, since a
-zero term changes no sum.
+:mod:`ltbe.relation`.  A polynomial cell is a single read, ``ZERO`` or
+``ONE``, or a product: a flat tuple of factors in the order it multiplies
+them.  A branching layer compiles straight into the columns of a layer of
+folds (``Folds``): per cell its weights, its positions and its branching
+values.  The public ``lift_*`` functions resolve their arguments against
+the relation's carriers, compile, evaluate every cell in order and box
+the result; the engine passes ``source`` to compile a layer that reads
+through a layer of single reads below it.  A read through that layer can
+land on ``ZERO``, where two terms' shapes differ; the double extension
+leaves such a pair out of its fold, since a zero term changes no sum.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from functools import reduce
 from itertools import repeat
 
 from .branching import BranchVal
 from .errors import CarrierMismatch, KindMismatch
 from .polyfunctor import Const, Coprod, Id, PolyExpr, PolyTerm, Prod, value_key
-from .relation import Folds, ValRel, factors, run_cells
+from .relation import ONE, ZERO, Folds, ValRel, run_cells
 from .semiring import OPS, SemiringKind
 
 #: The position of each key of a carrier.
@@ -60,23 +59,20 @@ Index = Mapping[object, int]
 _TOP = "top"
 
 
-def _through(source: Sequence[int] | None, size: int) -> Sequence[int]:
-    """Where a cell reads each of ``size`` source positions and the two constants."""
-    return range(size + 2) if source is None else source
-
-
 def _times(a, b):
-    """The compiled product of two cells; a unit factor folds away exactly."""
-    return b if a is _TOP else a if b is _TOP else (a, b)
+    """The compiled product of two cells, flat on the left, so ``(a, b, c)``
+    multiplies as ``(a * b) * c``; a unit factor folds away exactly."""
+    return b if a is _TOP else a if b is _TOP else (*a, b) if type(a) is tuple else (a, b)
 
 
 def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
     """A term of ``expr`` as ``(shape, tree, leaves)`` over the carrier below.
 
     The shape is the term's sequence of injection indices and labels.  The
-    tree is ``_TOP`` or the product tree of its identity positions, nested
-    in the order the expression multiplies, whose leaf ``i`` stands for
-    the position ``leaves[i]`` of that identity's target in ``index``.
+    tree is ``_TOP``, a leaf, or the product of its identity positions as a
+    flat tuple of factors in the order the expression multiplies them, a
+    factor being a leaf or a product nested on the right; leaf ``i`` stands
+    for the position ``leaves[i]`` of that identity's target in ``index``.
     """
     shape, leaves = [], []
 
@@ -92,10 +88,14 @@ def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
         if isinstance(e, Coprod):
             shape.append(t.index)
             return walk(e.branches[t.index], t.arg)
-        acc = _TOP  # a power: the product of its components, left to right
+        trees = []  # a power: the product of its components, built in one pass
         for c in t.components:
-            acc = _times(acc, walk(e.body, c))
-        return acc
+            tree = walk(e.body, c)
+            if tree is not _TOP:
+                trees.append(tree)
+        if len(trees) < 2:
+            return trees[0] if trees else _TOP
+        return (*trees[0], *trees[1:]) if type(trees[0]) is tuple else tuple(trees)
 
     try:
         tree = walk(expr, term)
@@ -121,21 +121,21 @@ def compile_poly(rows: int, cols: int, row_terms: Sequence, col_terms: Sequence,
                  source=None) -> list:
     """Compile the lifting through a polynomial layer over resolved terms.
 
-    Two terms of different shapes give bottom.  Otherwise the cell is top,
-    one source position, or the product tree of source positions that
-    pairs the two terms' leaves.
+    Two terms of different shapes give ``ZERO``.  Otherwise the cell is
+    ``ONE``, one source position, or the product of the term's tree with each
+    leaf the source position that pairs the two terms' leaves.  Through
+    ``source``, a read becomes what that source cell reads: a position
+    below it, ``ZERO`` or ``ONE``.
     """
-    at = _through(source, rows * cols)
+    at = range(rows * cols) if source is None else source
 
     def cell(tree, lu, lv):
         if type(tree) is int:
             return at[lu[tree] * cols + lv[tree]]
-        return reduce(_times, map(cell, factors(tree), repeat(lu), repeat(lv)))
+        return tuple(map(cell, tree, repeat(lu), repeat(lv)))
 
-    # bottom and top read the two constant slots right after the source cells
-    bottom, top = at[rows * cols], at[rows * cols + 1]
     return [
-        (top if tree is _TOP else cell(tree, lu, lv)) if su == sv else bottom
+        (ONE if tree is _TOP else cell(tree, lu, lv)) if su == sv else ZERO
         for su, tree, lu in row_terms
         for sv, _, lv in col_terms
     ]
@@ -146,12 +146,11 @@ def compile_double_extension(kind: SemiringKind, rows: int, cols: int, left_valu
     """Compile the two-sided extension over resolved branching values.
 
     The cell of ``(t, u)`` folds the pairs of the two supports, left-major,
-    leaving out every pair that reads the zero slot: its term is zero, which
+    leaving out every pair that reads ``ZERO``: its term is zero, which
     leaves any partial sum of every kind as it was (``False``, ``w + inf``,
     and ``+0.0`` on a non-negative sum).
     """
-    at, mul = _through(source, rows * cols), OPS[kind].mul
-    zero = at[rows * cols]
+    at, mul = range(rows * cols) if source is None else source, OPS[kind].mul
     weights, positions, where = [], [], []
     rights = [(list(zip(ys, yws)), u) for ys, yws, u in right_values]
     for xs, xws, t in left_values:
@@ -161,7 +160,7 @@ def compile_double_extension(kind: SemiringKind, rows: int, cols: int, left_valu
             for x, xw in xs:
                 for y, yw in ys:
                     p = at[x + y]
-                    if p != zero:
+                    if p != ZERO:
                         ws.append(mul(xw, yw))
                         ps.append(p)
             weights.append(ws)

@@ -8,14 +8,18 @@ into a :class:`SemiringValue` only where one is read out.
 
 A *cell* is plain data saying how one entry of a new matrix is computed
 from a source list, the old payloads followed by the constants zero and
-one, by the semiring's own operations.  A layer of the program is one of
-two forms.  A polynomial layer is a list of cells, each an ``int`` that
-reads one position or a ``tuple`` pair that is a product tree; one
-function, made by :func:`evaluator`, evaluates any of them.  The lifting
-through a branching layer is a layer of folds, kept as columns
+one, by the semiring's own operations.  Every position lies in one space:
+``0 <= p < size`` reads an old payload, and :data:`ZERO` and :data:`ONE`
+read the two constants, at the end of every source list whatever its
+size.  A layer of the program is one of two forms.  A polynomial layer is
+a list of cells, each an ``int`` that reads one position or a ``tuple``
+of factors that is a product, multiplied left to right; a factor is a
+read or, when the product nests to the right, a product of its own.  The
+lifting through a branching layer is a layer of folds, kept as columns
 (:class:`Folds`): per cell, its weights, its positions and the branching
-values that name it.  :func:`fold_kernel` evaluates any set of its cells
-in one comprehension, with one C-level ``any``, ``min`` or float sum per
+values that name it.  :func:`kernel` evaluates any set of the cells of
+either form; a layer of folds runs in one comprehension
+(:func:`fold_kernel`), with one C-level ``any``, ``min`` or float sum per
 cell that has the semiring fold's bits.
 """
 
@@ -26,10 +30,13 @@ import io
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain
 
 from .errors import CarrierMismatch, KindMismatch, UndefinedSum
 from .semiring import INF, OPS, SemiringKind, SemiringValue
+
+#: The positions of the constants zero and one, the last two of every source list.
+ZERO, ONE = -2, -1
 
 
 class Folds:
@@ -47,16 +54,6 @@ class Folds:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-
-def factors(tree) -> list:
-    """A product tree's factors in the order it multiplies them, found by a loop
-    down its left spine: a power's product nests as deep as it is wide."""
-    out = []
-    while type(tree) is tuple:
-        tree, right = tree
-        out.append(right)
-    return [tree, *reversed(out)]
 
 
 def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], list]:
@@ -102,33 +99,38 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], li
     return run
 
 
-def evaluator(kind: SemiringKind) -> Callable[[object, list], object]:
-    """The function that evaluates a read or product cell of ``kind`` over a
-    source list; a layer of folds runs through :func:`fold_kernel` instead."""
-    mul = OPS[kind].mul
+def kernel(kind: SemiringKind) -> Callable[[list | Folds, Sequence[int], list], list]:
+    """The function that evaluates the cells ``todo`` of a layer of ``kind``,
+    of either form, over a source list.  A read is picked inline; a product
+    multiplies its factors left to right, each nested product first."""
+    fold, mul = fold_kernel(kind), OPS[kind].mul
 
-    def evaluate(cell, src: list):
-        if type(cell) is int:
-            return src[cell]
-        return reduce(mul, map(evaluate, factors(cell), repeat(src)))
+    def product(cell: tuple, src: list):
+        factors = iter(cell)
+        acc = src[next(factors)]  # a product's first factor is a read
+        for f in factors:
+            acc = mul(acc, src[f] if type(f) is int else product(f, src))
+        return acc
 
-    return evaluate
+    def run(cells: list | Folds, todo: Sequence[int], src: list) -> list:
+        if type(cells) is Folds:
+            return fold(cells, todo, src)
+        return [src[c] if type(c) is int else product(c, src)
+                for c in map(cells.__getitem__, todo)]
+
+    return run
 
 
 def reads(cell) -> Iterable[int]:
     """The source positions a read or product cell reads, left to right."""
     if type(cell) is int:
         return (cell,)
-    return chain.from_iterable(map(reads, factors(cell)))
+    return chain.from_iterable(map(reads, cell))
 
 
 def run_cells(cells: list | Folds, kind: SemiringKind, flat: list) -> list:
     """Evaluate every cell, in order, over ``flat`` and the two constant slots."""
-    src = flat + [OPS[kind].zero, OPS[kind].one]
-    if type(cells) is Folds:
-        return fold_kernel(kind)(cells, range(len(cells)), src)
-    evaluate = evaluator(kind)
-    return [evaluate(c, src) for c in cells]
+    return kernel(kind)(cells, range(len(cells)), flat + [OPS[kind].zero, OPS[kind].one])
 
 
 class ValRel:

@@ -125,13 +125,16 @@ class TestRuns:
 
     def test_every_metric_reports_its_verdict(self, tmp_path, capsys, monkeypatch):
         roots = {s: _checkout(tmp_path / s) for s in ("parent", "change")}
-        (roots["parent"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-            {"name": "solve_ref", "better": "lower", "bound": 0.15},
-            {"name": "setup_s", "better": "lower", "bound": 0.25}]}))
+        (roots["parent"] / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 20,
+            "end_to_end": [{"name": "solve_ref", "better": "lower", "bound": 0.15},
+                           {"name": "setup_s", "better": "lower", "bound": 0.25}]}))
         values = {"parent": {"solve_ref": 10.0, "setup_s": 1.0},
                   "change": {"solve_ref": 12.0, "setup_s": 1.0}}
+        lengths = []
 
         def fake_run(root, workload, seed, seconds):
+            lengths.append(seconds)
             side = "parent" if root == roots["parent"] else "change"
             metrics = {k: {"value": v} for k, v in values[side].items()}
             return {"correct": True, "failed": 0, "attempted": 3, "metrics": metrics}
@@ -143,3 +146,4 @@ class TestRuns:
         assert rows[0] == "lts parent: correct=True failed=0/3 0/3 0/3"
         assert rows[2].startswith("lts solve_ref:") and rows[2].endswith("not shown  worse (bound 15%)")
         assert rows[3].startswith("lts setup_s:") and rows[3].endswith("not shown  no worse (bound 25%)")
+        assert lengths == [20] * 6  # every run lasts the benchmark's own run_seconds

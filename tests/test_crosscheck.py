@@ -83,6 +83,8 @@ MULTI_ID_STACKS = (
     ["({*} + Id)^{l,r}", "T"],
     ["Id^{a,b,c}", "T", "{*} + {x} * Id"],
     ["{*} + Id * Id", "T", "{*} + {a,b} * Id"],
+    ["{*} + Id * Id^{a,b}", "T"],
+    ["{*} + (Id * Id)^{a,b}", "T"],
 )
 
 

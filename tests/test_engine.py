@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import chain
 
 import pytest
 
@@ -27,9 +28,10 @@ from ltbe import (
 )
 from ltbe import engine
 from ltbe.engine import _layer, _run_fixpoint
-from ltbe.relation import Folds
+from ltbe.relation import ONE, ZERO, Folds
 from modelgen import (
     LTS_F,
+    SHAPES,
     chain_spec,
     corpus,
     gen_model_pair,
@@ -45,7 +47,7 @@ from modelgen import (
     stop_term,
     tropical_stopper,
 )
-from test_crosscheck import exact, full_chain
+from test_crosscheck import MULTI_ID_STACKS, exact, full_chain
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
 
@@ -332,7 +334,7 @@ class TestMonotonicityGuard:
     def test_climbing_step_is_rejected(self, kind):
         # from bottom everywhere, a step that reads top everywhere climbs
         bottom = ValRel.tabulate(kind, ["x", "y"], ["z"], lambda r, c: zero(kind))
-        top_slot = 3  # the two cells are followed by the constants zero and one
+        top_slot = -1  # the source ends with the constants zero and one
         with pytest.raises(MonotonicityViolation, match="iterate 1 is not below"):
             _run_fixpoint([_layer([top_slot, top_slot], 2)], bottom, FixpointOptions())
 
@@ -450,6 +452,56 @@ class TestStepMonotonicity:
             assert step_operator(sys_model, spec, below).pointwise_leq(
                 step_operator(sys_model, spec, upper)
             )
+
+
+def _position_faults(program):
+    """Each read of a program outside ``ZERO``, ``ONE`` and the positions of its
+    layer's source, and each product whose first factor is a product."""
+    faults = []
+
+    def walk(cell, size):
+        if type(cell) is int:
+            if cell not in (ZERO, ONE) and not 0 <= cell < size:
+                faults.append(cell)
+            return
+        if type(cell[0]) is tuple:
+            faults.append(cell)
+        for factor in cell:
+            walk(factor, size)
+
+    for cells, users in program:
+        for cell in chain.from_iterable(cells.positions) if type(cells) is Folds else cells:
+            walk(cell, len(users))
+    return faults
+
+
+class TestPositionSpace:
+    """Every compiled read is ``ZERO``, ``ONE`` or a position of its layer's
+    source, whatever the layer's size, and every product is flat on the left."""
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_every_read_lies_in_one_space(self, kind):
+        rng = random.Random(f"position-space:{kind.value}")
+        pairs = []
+        for shape in SHAPES:
+            for _ in range(8):
+                pairs += [gen_model_pair(rng, kind, shape), gen_system_pair(rng, kind, shape)]
+        for texts in MULTI_ID_STACKS:
+            for _ in range(4):
+                sys_model, spec = gen_models_on(rng, kind, texts, rng.randint(2, 5),
+                                                rng.randint(1, 3))
+                other, _ = gen_models_on(rng, kind, texts, rng.randint(2, 4), 1)
+                pairs += [(sys_model, spec), (sys_model, other)]
+        constants = products = 0
+        for a, b in pairs:
+            program = engine._walker(a, b)
+            assert _position_faults(program) == []
+            for cells, _ in program:
+                flat = chain.from_iterable(cells.positions) if type(cells) is Folds else cells
+                for cell in flat:
+                    constants += cell in (ZERO, ONE)
+                    products += type(cell) is tuple
+        assert constants > 100 and products > 100
 
 
 class TestReadLayerOverProducts:

@@ -39,6 +39,8 @@ BEHAVIOUR_STACKS = {
     "fork": (["{*} + Id * Id", "T"], STOP),
     "io": (["({*} + Id)^{go,halt}", "T", "Id * {ok,err}"], {"tuple": {"go": STOP, "halt": STOP}}),
     "forkstep": (["{*} + Id * Id", "T", "{*} + {a,b} * Id"], STOP),
+    "rightnest": (["{*} + Id * Id^{a,b}", "T"], STOP),
+    "powerprod": (["{*} + (Id * Id)^{a,b}", "T"], STOP),
 }
 SEEDS = 40
 

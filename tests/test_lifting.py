@@ -28,7 +28,7 @@ from ltbe import (
     parse_expr,
 )
 from ltbe.lifting import compile_double_extension, unit_columns
-from ltbe.relation import Folds
+from ltbe.relation import ZERO, Folds
 from ltbe.semiring import OPS
 from ltbe.system import BranchLayer
 from modelgen import (
@@ -409,8 +409,8 @@ def _bits(op, a, b):
 
 
 def _zero_reads(program):
-    """The reads of the zero slot, right after the source positions, in a program's folds."""
-    return sum(p == len(users) for cells, users in program if type(cells) is Folds
+    """The reads of the zero slot, ``ZERO``, in a program's folds."""
+    return sum(p == ZERO for cells, users in program if type(cells) is Folds
                for ps in cells.positions for p in ps)
 
 

@@ -1,12 +1,14 @@
 """Alternated A/B runs of the query benchmark on two source checkouts.
 
-    python3 tools/ab_bench.py PARENT CHANGE --workload pairs --seeds 501-510 --seconds 3
+    python3 tools/ab_bench.py PARENT CHANGE --workload pairs --seeds 501-510
 
 ``PARENT`` and ``CHANGE`` are the roots of two source checkouts.  For each
 workload and seed, the script runs ``bench/run.py`` of each checkout, in that
 checkout, as one pair; the parent runs first on the pair's even positions
-and second on its odd ones.  It prints, for each workload and end-to-end
-metric of the parent's ``BENCHMARK.json``, each side's median and
+and second on its odd ones.  Every run lasts the ``run_seconds`` of the
+parent's ``BENCHMARK.json``, the length the benchmark itself runs at, since
+at a few seconds one slow process moves a side's quartiles.  It prints, for
+each workload and end-to-end metric of that file, each side's median and
 quartiles, the change of the medians, and the pairs the change wins, loses
 and ties.  A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's quartile distance.
@@ -101,7 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True)
-    parser.add_argument("--seconds", type=float, default=3.0)
     args = parser.parse_args(argv)
     for root in (args.parent, args.change):
         if stale := stale_bytecode(root):
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
         for k, seed in enumerate(parse_seeds(args.seeds)):
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             for side in order:
-                runs[side].append(run(getattr(args, side), workload, seed, args.seconds))
+                runs[side].append(run(getattr(args, side), workload, seed, spec["run_seconds"]))
         for side, records in runs.items():
             failed = [f"{r['failed']}/{r['attempted']}" for r in records]
             correct = all(r["correct"] for r in records)
