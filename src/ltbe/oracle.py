@@ -1,10 +1,11 @@
 """Independent bounded-depth evaluator used as ground truth in tests.
 
 This module re-derives the depth-d matrices by direct structural
-recursion over the stored transition values, with inlined per-kind
-arithmetic.  It deliberately shares no code with the lifting or engine
-modules: agreement between the two routes is the central correctness
-check of the package.
+recursion over the stored transition values.  :func:`_arithmetic` writes
+out each kind's zero, one, sum and product on raw payloads, chosen once
+per run.  The module deliberately shares no code with the lifting or
+engine modules: agreement between the two routes is the central
+correctness check of the package.
 
 One walk serves both queries.  The joint query sums, at each branching
 layer, over both supports.  A specification is the system whose
@@ -19,94 +20,77 @@ from __future__ import annotations
 
 import math
 
-from .errors import StackMismatch
-from .polyfunctor import Const, Coprod, Id, Power, Prod
+from .errors import StackMismatch, UndefinedSum
+from .polyfunctor import Const, Coprod, Id, Prod
 from .relation import ValRel
 from .semiring import PROB_EPS, SemiringKind, SemiringValue
 from .system import BranchLayer, SpecSystem, System, linear_part
 
 
-def _raw_one(kind: SemiringKind):
+def _arithmetic(kind: SemiringKind):
+    """``(zero, one, add, mul)`` of ``kind`` on raw payloads.
+
+    A prob sum beyond ``1 + PROB_EPS`` raises :class:`UndefinedSum`; within
+    that slack it is clamped to 1.
+    """
     if kind is SemiringKind.BOOL:
-        return True
-    if kind is SemiringKind.PROB:
-        return 1.0
-    return 0
-
-
-def _raw_zero(kind: SemiringKind):
-    if kind is SemiringKind.BOOL:
-        return False
-    if kind is SemiringKind.PROB:
-        return 0.0
-    return math.inf
-
-
-def _raw_add(kind: SemiringKind, a, b):
-    if kind is SemiringKind.BOOL:
-        return a or b
+        return False, True, lambda a, b: a or b, lambda a, b: a and b
     if kind is SemiringKind.TROPICAL:
-        return min(a, b)
-    s = a + b
-    assert s <= 1.0 + PROB_EPS, "probability mass escaped [0, 1]"
-    return min(s, 1.0)
+        return math.inf, 0, min, lambda a, b: a + b
 
+    def add(a, b):
+        s = a + b
+        if s > 1.0 + PROB_EPS:
+            raise UndefinedSum(f"probability mass {s!r} escaped [0, 1]")
+        return min(s, 1.0)
 
-def _raw_mul(kind: SemiringKind, a, b):
-    if kind is SemiringKind.BOOL:
-        return a and b
-    if kind is SemiringKind.TROPICAL:
-        return a + b
-    return a * b
-
-
-def _compare(layers, idx, kind, u, v, table, joint):
-    """Depth-step value of ``u`` against ``v``; unless ``joint``, ``v`` branches by the unit."""
-    if idx == len(layers):
-        return table[(u, v)]
-    layer = layers[idx]
-    if not isinstance(layer, BranchLayer):
-        return _compare_terms(layer.expr, layers, idx, kind, u, v, table, joint)
-    ys = [(y, w.payload) for y, w in v.entries] if joint else ((v, _raw_one(kind)),)
-    acc = _raw_zero(kind)
-    for x, xw in u.entries:
-        for y, yw in ys:
-            below = _compare(layers, idx + 1, kind, x, y, table, joint)
-            acc = _raw_add(kind, acc, _raw_mul(kind, _raw_mul(kind, xw.payload, yw), below))
-    return acc
-
-
-def _compare_terms(expr, layers, idx, kind, u, v, table, joint):
-    if isinstance(expr, Id):
-        return _compare(layers, idx + 1, kind, u.target, v.target, table, joint)
-    if isinstance(expr, Const):
-        return _raw_one(kind) if u.label == v.label else _raw_zero(kind)
-    if isinstance(expr, Prod):
-        return _raw_mul(
-            kind,
-            _compare_terms(expr.left, layers, idx, kind, u.fst, v.fst, table, joint),
-            _compare_terms(expr.right, layers, idx, kind, u.snd, v.snd, table, joint),
-        )
-    if isinstance(expr, Coprod):
-        if u.index != v.index:
-            return _raw_zero(kind)
-        branch = expr.branches[u.index]
-        return _compare_terms(branch, layers, idx, kind, u.arg, v.arg, table, joint)
-    assert isinstance(expr, Power)
-    acc = _raw_one(kind)
-    for cu, cv in zip(u.components, v.components):
-        below = _compare_terms(expr.body, layers, idx, kind, cu, cv, table, joint)
-        acc = _raw_mul(kind, acc, below)
-    return acc
+    return 0.0, 1.0, add, lambda a, b: a * b
 
 
 def _expand(a: System, b: System, depth: int, joint: bool) -> ValRel:
-    """``depth`` rounds of :func:`_compare` on every state pair, from the all-one table."""
+    """``depth`` rounds of ``compare`` on every state pair, from the all-one table."""
     kind, layers = a.stack.kind, a.stack.layers
-    table = {(c, z): _raw_one(kind) for c in a.states for z in b.states}
+    zero, one, add, mul = _arithmetic(kind)
+    bottom = len(layers)
+
+    def compare(idx, u, v):
+        """Depth-step value of ``u`` against ``v``; unless ``joint``, ``v`` branches by the unit."""
+        if idx == bottom:
+            return table[(u, v)]
+        layer = layers[idx]
+        if not isinstance(layer, BranchLayer):
+            return terms(layer.expr, idx + 1, u, v)
+        ys = [(y, w.payload) for y, w in v.entries] if joint else ((v, one),)
+        acc = zero
+        for x, xw in u.entries:
+            for y, yw in ys:
+                acc = add(acc, mul(mul(xw.payload, yw), compare(idx + 1, x, y)))
+        return acc
+
+    def terms(expr, below, u, v):
+        """``u`` against ``v``, terms of ``expr``, whose ``Id`` leaves read layer ``below``."""
+        if isinstance(expr, Id):
+            return compare(below, u.target, v.target)
+        if isinstance(expr, Const):
+            return one if u.label == v.label else zero
+        if isinstance(expr, Prod):
+            left = terms(expr.left, below, u.fst, v.fst)
+            return mul(left, terms(expr.right, below, u.snd, v.snd))
+        if isinstance(expr, Coprod):
+            if u.index != v.index:
+                return zero
+            return terms(expr.branches[u.index], below, u.arg, v.arg)
+        acc = one  # a Power
+        for cu, cv in zip(u.components, v.components):
+            acc = mul(acc, terms(expr.body, below, cu, cv))
+        return acc
+
+    # ``compare`` reads ``table`` when called, so the next table is bound
+    # only once the comprehension over the current one has finished
+    table = {(c, z): one for c in a.states for z in b.states}
     for _ in range(depth):
         table = {
-            (c, z): _compare(layers, 0, kind, a.transitions[c], b.transitions[z], table, joint)
+            (c, z): compare(0, a.transitions[c], b.transitions[z])
             for c in a.states
             for z in b.states
         }

@@ -137,13 +137,15 @@ class TestRuns:
             lengths.append(seconds)
             side = "parent" if root == roots["parent"] else "change"
             metrics = {k: {"value": v} for k, v in values[side].items()}
-            return {"correct": True, "failed": 0, "attempted": 3, "metrics": metrics}
+            return {"correct": True, "failed": int(side == "change"), "attempted": 3,
+                    "metrics": metrics}
 
         monkeypatch.setattr(ab_bench, "run", fake_run)
         ab_bench.main([str(roots["parent"]), str(roots["change"]), "--workload", "lts",
                        "--seeds", "1-3"])
         rows = capsys.readouterr().out.splitlines()
         assert rows[0] == "lts parent: correct=True failed=0/3 0/3 0/3"
+        assert rows[1].endswith("failed=1/3 1/3 1/3  totals parent 0/9 change 3/9  share larger")
         assert rows[2].startswith("lts solve_ref:") and rows[2].endswith("not shown  worse (bound 15%)")
         assert rows[3].startswith("lts setup_s:") and rows[3].endswith("not shown  no worse (bound 25%)")
         assert lengths == [20] * 6  # every run lasts the benchmark's own run_seconds

@@ -350,6 +350,30 @@ class TestOtherCommands:
             == 1
         )
 
+    def test_compounded_slack_is_undefined_on_both_routes(self, tmp_path):
+        # each mass is 1 + 9e-10, inside the slack, but the joint mass is
+        # 1 + 1.8e-9, beyond it; the oracle's check must hold under -O too
+        branch = [
+            {"term": {"inj": 1, "of": {"pair": [{"atom": "a"}, {"state": x}]}}, "weight": w}
+            for x, w in [("s", 0.6), ("u", 0.4000000009)]
+        ]
+        model = tmp_path / "slack.json"
+        model.write_text(json.dumps({
+            "kind": "prob", "stack": ["T", "{*} + {a} * Id"], "states": ["s", "u"],
+            "transitions": {"s": branch, "u": branch},
+        }))
+        pair = ["--a", str(model), "--b", str(model)]
+        for python, argv in [
+            ([], ["common", *pair]),
+            ([], ["oracle", *pair, "--depth", "1"]),
+            (["-O"], ["oracle", *pair, "--depth", "1"]),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, *python, "-m", "ltbe", *argv], capture_output=True, timeout=120
+            )
+            assert (proc.returncode, proc.stdout) == (1, b""), proc.stderr
+            assert proc.stderr.startswith(b"ltbe: UndefinedSum:")
+
     @pytest.mark.parametrize("kind", ["bool", "prob", "tropical"])
     def test_check_laws_passes(self, kind, capsys):
         code = main(["check-laws", "--kind", kind, "--samples", "400", "--seed", "1"])

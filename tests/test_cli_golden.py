@@ -6,8 +6,9 @@ with default flags, and the query must exit 0.  Each row
 ``[command, a, b, exit code, stderr]`` of ``golden/rejected.json`` is a
 query on the same files that rejects its input and prints nothing to
 stdout.  Each row ``[command, a, b, flags, exit code, stdout]`` of
-``golden/flags.json`` is a pinned query rerun with ``--format json`` or
-``--max-iter 2`` (which ``bisim`` rejects as a usage error).  Each row
+``golden/flags.json`` is a pinned query rerun with ``--format json``, with
+``--max-iter 2`` (which ``bisim`` rejects as a usage error), or with
+``--format json`` and ``--threshold``.  Each row
 ``[mode, a, b, depth, exit code, stdout, stderr]`` of ``golden/oracle.json``
 is ``ltbe oracle`` at one depth on the pair of a pinned query, read with
 ``--system``/``--spec`` (mode ``spec``) or ``--a``/``--b`` (mode ``pair``),

@@ -124,6 +124,12 @@ class TestStepOperator:
         with pytest.raises(CarrierMismatch):
             step_operator(sys_model, spec, ValRel.top(["nope"], spec.states, B))
 
+    def test_wrong_kind_rejected(self):
+        sys_model = loop_exit_system("bool")
+        spec = omega_spec("bool")
+        with pytest.raises(KindMismatch, match="relation kind does not match"):
+            step_operator(sys_model, spec, ValRel.top(sys_model.states, spec.states, P))
+
 
 class TestBehaviour:
     def test_bool_loop_with_exit_has_both_behaviours(self):

@@ -162,6 +162,13 @@ class TestOutput:
         assert rel.get("c", "z0") == SemiringValue(P, 0.5) == rel.at(0, 1)
         assert rel == ValRel(P, ["c"], ["z1", "z0"], [[SemiringValue(P, 0.0), SemiringValue(P, 0.5)]])
 
+    def test_entries_box_row_major(self):
+        rel = ValRel.from_payloads(T, ["c", "d"], ["z1", "z0"], [0, INF, 3, 4])
+        assert list(rel.entries()) == [
+            ("c", "z1", SemiringValue(T, 0)), ("c", "z0", SemiringValue(T, INF)),
+            ("d", "z1", SemiringValue(T, 3)), ("d", "z0", SemiringValue(T, 4)),
+        ]
+
     def test_json_records(self):
         rel = ValRel(T, ["c"], ["z"], [[SemiringValue(T, INF)]])
         records = rel.to_json_records()

@@ -172,6 +172,38 @@ class TestParseSystem:
                 "a specification stack must not contain branching layers",
                 id="spec-with-T-layer-and-duplicate-state",
             ),
+            pytest.param(
+                parse_system,
+                {"kind": "tropical", "transitions": {"c": [{"term": stop_term(), "weight": None}]}},
+                ValidationError,
+                "bad tropical value None",
+                id="null-weight",
+            ),
+            *(
+                pytest.param(
+                    parse_system,
+                    {"kind": kind,
+                     "transitions": {"c": [{"term": step_term("a", "c"), "weight": w}] * 2}},
+                    ValidationError,
+                    "transitions['c']: duplicate entry 'i1((@a,c))' in branching value",
+                    id=f"duplicate-{kind}-entry",
+                )
+                for kind, w in [("prob", 0.5), ("tropical", 1)]
+            ),
+            pytest.param(
+                parse_system,
+                {"transitions": {"c": stop_term()}},
+                TransitionTypeError,
+                "transitions['c']: expected a branching list, got {'inj': 0, 'of': {'atom': '*'}}",
+                id="branching-value-not-a-list",
+            ),
+            pytest.param(
+                parse_system,
+                {"stack": ["Id^{a,b}", "T", LTS_F], "transitions": {"c": {"tuple": [[], []]}}},
+                TransitionTypeError,
+                "transitions['c']: expected a tuple node, got {'tuple': [[], []]}",
+                id="tuple-node-not-an-object",
+            ),
         ],
     )
     def test_first_error_reported(self, parse, doc, error, message):
@@ -179,6 +211,14 @@ class TestParseSystem:
         with pytest.raises(error) as info:
             parse(doc_text(**doc))
         assert str(info.value) == message
+
+    def test_tropical_inf_weight_is_dropped(self):
+        # inf is the tropical zero, and a branching value keeps no zero weight
+        step = {"term": step_term("a", "c"), "weight": 1}
+        dropped = {"term": stop_term(), "weight": "inf"}
+        text = doc_text(kind="tropical", transitions={"c": [dropped, step]})
+        expected = parse_system(doc_text(kind="tropical", transitions={"c": [step]}))
+        assert parse_system(text).transitions == expected.transitions
 
     def test_tuple_keys_must_match_exponent(self):
         doc = {

@@ -13,7 +13,9 @@ quartiles, the change of the medians, and the pairs the change wins, loses
 and ties.  A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's quartile distance.
 Against the metric's ``bound``, a relative change, each row also reads
-``worse``, ``no worse`` or ``unresolved`` (see :func:`verdict`).
+``worse``, ``no worse`` or ``unresolved`` (see :func:`verdict`).  The
+row of the change's failed operations ends with both sides' totals and
+whether the change fails no larger a share of its operations.
 
 Each run imports its checkout's sources with ``PYTHONDONTWRITEBYTECODE=1``,
 so both sides compile them afresh, as the benchmark's fresh checkouts do.
@@ -73,6 +75,15 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "worse" if sign * (cm - pm) > bound * abs(pm) else "no worse"
 
 
+def failed_shares(parent: list[dict], change: list[dict]) -> str:
+    """Each side's failed operations over its attempted ones, summed over its
+    runs, and whether the change's share is no larger than the parent's."""
+    (pf, pa), (cf, ca) = ((sum(r["failed"] for r in side), sum(r["attempted"] for r in side))
+                          for side in (parent, change))
+    share = "share no larger" if cf * pa <= pf * ca else "share larger"
+    return f"totals parent {pf}/{pa} change {cf}/{ca}  {share}"
+
+
 def parse_seeds(text: str) -> list[int]:
     """``501-510`` or ``1,4,9``."""
     if "-" in text:
@@ -119,7 +130,10 @@ def main(argv=None) -> int:
         for side, records in runs.items():
             failed = [f"{r['failed']}/{r['attempted']}" for r in records]
             correct = all(r["correct"] for r in records)
-            print(f"{workload} {side}: correct={correct} failed={' '.join(failed)}")
+            row = f"{workload} {side}: correct={correct} failed={' '.join(failed)}"
+            if side == "change":
+                row += "  " + failed_shares(runs["parent"], records)
+            print(row)
         for name, better, bound in metrics:
             p = [r["metrics"][name]["value"] for r in runs["parent"]]
             c = [r["metrics"][name]["value"] for r in runs["change"]]
