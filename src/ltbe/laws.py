@@ -79,118 +79,39 @@ def _sample_triples(kind: SemiringKind, samples: int, seed: int):
             yield tuple(SemiringValue(kind, rng.choice(_TROPICAL_SAMPLE_GRID)) for _ in range(3))
 
 
-def _law_add_unit(s, t, u):
-    r = add(zero(s.kind), s)
-    if r is None or not values_equal(r, s):
-        return f"add(0, {s.payload!r}) != {s.payload!r}"
-    return None
+def _same(a: SemiringValue | None, b: SemiringValue | None) -> bool:
+    """Two partial sums agree: both undefined, or both defined and equal."""
+    return (a is None) == (b is None) and (a is None or values_equal(a, b))
 
 
-def _law_add_commutative(s, t, u):
-    ab, ba = add(s, t), add(t, s)
-    if (ab is None) != (ba is None):
-        return f"definedness of add({s.payload!r}, {t.payload!r}) is not symmetric"
-    if ab is not None and not values_equal(ab, ba):
-        return f"add({s.payload!r}, {t.payload!r}) != add({t.payload!r}, {s.payload!r})"
-    return None
+def _plus(a: SemiringValue | None, b: SemiringValue | None) -> SemiringValue | None:
+    """The partial sum, undefined when either argument is."""
+    return None if a is None or b is None else add(a, b)
 
 
-def _law_add_associative(s, t, u):
-    st = add(s, t)
-    left = add(st, u) if st is not None else None
-    tu = add(t, u)
-    right = add(s, tu) if tu is not None else None
-    if (left is None) != (right is None):
-        return f"definedness of ({s.payload!r}+{t.payload!r})+{u.payload!r} differs between groupings"
-    if left is not None and not values_equal(left, right):
-        return f"({s.payload!r}+{t.payload!r})+{u.payload!r} != {s.payload!r}+({t.payload!r}+{u.payload!r})"
-    return None
-
-
-def _law_mul_unit(s, t, u):
-    if not values_equal(mul(one(s.kind), s), s):
-        return f"mul(1, {s.payload!r}) != {s.payload!r}"
-    return None
-
-
-def _law_mul_commutative(s, t, u):
-    if not values_equal(mul(s, t), mul(t, s)):
-        return f"mul({s.payload!r}, {t.payload!r}) not commutative"
-    return None
-
-
-def _law_mul_associative(s, t, u):
-    if not values_equal(mul(mul(s, t), u), mul(s, mul(t, u))):
-        return f"mul not associative on ({s.payload!r}, {t.payload!r}, {u.payload!r})"
-    return None
-
-
-def _law_mul_annihilates(s, t, u):
-    if not values_equal(mul(s, zero(s.kind)), zero(s.kind)):
-        return f"mul({s.payload!r}, 0) != 0"
-    return None
-
-
-def _law_distributivity(s, t, u):
-    tu = add(t, u)
-    if tu is None:
-        return None
-    lhs = add(mul(s, t), mul(s, u))
-    if lhs is None:
-        return f"add({t.payload!r}, {u.payload!r}) defined but the sum of products is not (s={s.payload!r})"
-    if not values_equal(lhs, mul(s, tu)):
-        return f"s*(t+u) != s*t+s*u for s={s.payload!r}, t={t.payload!r}, u={u.payload!r}"
-    return None
-
-
-def _law_order_reflexive(s, t, u):
-    if not leq(s, s):
-        return f"leq({s.payload!r}, {s.payload!r}) is false"
-    return None
-
-
-def _law_order_transitive(s, t, u):
-    if leq(s, t) and leq(t, u) and not leq(s, u):
-        return f"transitivity fails on ({s.payload!r}, {t.payload!r}, {u.payload!r})"
-    return None
-
-
-def _law_order_bounds(s, t, u):
-    if not leq(zero(s.kind), s):
-        return f"0 is not below {s.payload!r}"
-    if not leq(s, one(s.kind)):
-        return f"{s.payload!r} is not below 1"
-    return None
-
-
-def _law_add_inflationary(s, t, u):
-    st = add(s, t)
-    if st is not None and not leq(s, st):
-        return f"s not below s+t for s={s.payload!r}, t={t.payload!r}"
-    return None
-
-
-def _law_mul_monotone(s, t, u):
-    if leq(s, t):
-        if not leq(mul(s, u), mul(t, u)) or not leq(mul(u, s), mul(u, t)):
-            return f"mul not monotone on ({s.payload!r}, {t.payload!r}) with {u.payload!r}"
-    return None
-
-
+# One row per law: its name, its statement, and whether it holds at a triple.
+# ``0`` and ``1`` are the kind's zero and one (for tropical, inf and 0).
 _LAWS = (
-    ("add-unit", _law_add_unit),
-    ("add-commutative", _law_add_commutative),
-    ("add-associative", _law_add_associative),
-    ("add-inflationary", _law_add_inflationary),
-    ("mul-unit", _law_mul_unit),
-    ("mul-commutative", _law_mul_commutative),
-    ("mul-associative", _law_mul_associative),
-    ("mul-annihilates", _law_mul_annihilates),
-    ("distributivity-partial", _law_distributivity),
-    ("order-reflexive", _law_order_reflexive),
-    ("order-transitive", _law_order_transitive),
-    ("order-bounds", _law_order_bounds),
-    ("mul-monotone", _law_mul_monotone),
+    ("add-unit", "0 + s = s", lambda s, t, u: _same(add(zero(s.kind), s), s)),
+    ("add-commutative", "s + t = t + s", lambda s, t, u: _same(add(s, t), add(t, s))),
+    ("add-associative", "(s + t) + u = s + (t + u)",
+     lambda s, t, u: _same(_plus(add(s, t), u), _plus(s, add(t, u)))),
+    ("add-inflationary", "s <= s + t where s + t is defined",
+     lambda s, t, u: (st := add(s, t)) is None or leq(s, st)),
+    ("mul-unit", "1 * s = s", lambda s, t, u: values_equal(mul(one(s.kind), s), s)),
+    ("mul-commutative", "s * t = t * s", lambda s, t, u: values_equal(mul(s, t), mul(t, s))),
+    ("mul-associative", "(s * t) * u = s * (t * u)",
+     lambda s, t, u: values_equal(mul(mul(s, t), u), mul(s, mul(t, u)))),
+    ("mul-annihilates", "s * 0 = 0",
+     lambda s, t, u: values_equal(mul(s, zero(s.kind)), zero(s.kind))),
+    ("distributivity-partial", "s * (t + u) = s * t + s * u where t + u is defined",
+     lambda s, t, u: (tu := add(t, u)) is None or _same(add(mul(s, t), mul(s, u)), mul(s, tu))),
+    ("order-reflexive", "s <= s", lambda s, t, u: leq(s, s)),
+    ("order-transitive", "s <= t <= u implies s <= u",
+     lambda s, t, u: not (leq(s, t) and leq(t, u)) or leq(s, u)),
+    ("order-bounds", "0 <= s <= 1", lambda s, t, u: leq(zero(s.kind), s) and leq(s, one(s.kind))),
+    ("mul-monotone", "s <= t implies s * u <= t * u and u * s <= u * t",
+     lambda s, t, u: not leq(s, t) or (leq(mul(s, u), mul(t, u)) and leq(mul(u, s), mul(u, t)))),
 )
 
 
@@ -205,13 +126,12 @@ def check_semiring_laws(kind: SemiringKind, samples: int = 10000, seed: int = 0)
         raise ValueError("samples must be >= 1")
     failures: dict[str, str] = {}
     for s, t, u in _sample_triples(kind, samples, seed):
-        for name, law in _LAWS:
-            if name in failures:
-                continue
-            msg = law(s, t, u)
-            if msg is not None:
-                failures[name] = msg
-    checks = tuple(_outcome(name, failures.get(name)) for name, _ in _LAWS)
+        for name, statement, holds in _LAWS:
+            if name not in failures and not holds(s, t, u):
+                failures[name] = (
+                    f"{statement} fails at s={s.payload!r}, t={t.payload!r}, u={u.payload!r}"
+                )
+    checks = tuple(_outcome(name, failures.get(name)) for name, _, _ in _LAWS)
     return LawReport(kind=kind, samples=samples, seed=seed, checks=checks)
 
 

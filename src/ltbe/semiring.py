@@ -278,8 +278,6 @@ def to_json_value(v: SemiringValue) -> bool | int | float | str:
 def from_json_value(kind: SemiringKind, raw: object) -> SemiringValue:
     if kind is SemiringKind.TROPICAL and raw == "inf":
         return SemiringValue(kind, INF)
-    if isinstance(raw, str):
-        return from_text(kind, raw)
     if not isinstance(raw, (bool, int, float)):
         raise ValidationError(f"bad {kind.value} value {raw!r}")
     return SemiringValue(kind, raw)

@@ -350,10 +350,7 @@ def _parse_model(text: str) -> tuple[TypeStack, list[str], dict]:
         if entry == "T":
             layers.append(BranchLayer())
         elif isinstance(entry, str):
-            try:
-                layers.append(_poly_layer(entry))
-            except ValueError as exc:
-                raise ParseError(f"bad functor expression {entry!r}: {exc}") from exc
+            layers.append(_poly_layer(entry))
         else:
             raise ParseError(f"bad stack entry {entry!r}")
     stack = TypeStack(kind, tuple(layers))

@@ -1,9 +1,10 @@
-"""The FAIL path of the algebraic self-checks, driven by a broken extension."""
+"""The FAIL path of the algebraic self-checks, driven by a broken extension
+or a broken product."""
 
 import pytest
 
 import ltbe.laws
-from ltbe import SemiringKind, ValRel, check_monad_consistency
+from ltbe import SemiringKind, ValRel, check_monad_consistency, check_semiring_laws
 from ltbe.cli import main
 
 B = SemiringKind.BOOL
@@ -41,4 +42,45 @@ def test_check_laws_command_fails(broken_extension, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL extension-unit" in out and "FAIL extension-linear" in out
+    assert out.endswith("CHECKS FAILED\n")
+
+
+@pytest.fixture
+def broken_product(monkeypatch):
+    """A product that projects onto its left factor."""
+    monkeypatch.setattr(ltbe.laws, "mul", lambda a, b: a)
+
+
+_PRODUCT_LAWS = {"mul-unit", "mul-commutative", "mul-annihilates"}
+
+
+@pytest.mark.parametrize(
+    "kind, failing",
+    [
+        (SemiringKind.BOOL, _PRODUCT_LAWS),
+        # s*t + s*u is s + s, which is not s in prob
+        (SemiringKind.PROB, _PRODUCT_LAWS | {"distributivity-partial"}),
+        (SemiringKind.TROPICAL, _PRODUCT_LAWS),
+    ],
+)
+def test_semiring_laws_report_a_broken_product(broken_product, kind, failing):
+    report = check_semiring_laws(kind, samples=300, seed=3)
+    assert {c.name for c in report.checks if not c.passed} == failing
+    assert not report.passed
+    text = report.format()
+    for c in report.checks:
+        assert text.count(f"  FAIL {c.name}: ") == (c.name in failing)
+
+
+def test_semiring_law_counterexample_format(broken_product):
+    report = check_semiring_laws(SemiringKind.TROPICAL, samples=300, seed=3)
+    checks = {c.name: c for c in report.checks}
+    assert checks["mul-commutative"].counterexample == "s * t = t * s fails at s=15, t=8, u=23"
+
+
+def test_check_laws_command_fails_on_a_broken_product(broken_product, capsys):
+    code = main(["check-laws", "--kind", "tropical", "--samples", "300", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "  FAIL mul-commutative: " in out
     assert out.endswith("CHECKS FAILED\n")

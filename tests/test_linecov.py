@@ -1,0 +1,54 @@
+"""The listing of ``tools/linecov.py``: which statements it names as never run."""
+
+import importlib.util
+import pathlib
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "linecov.py"
+_SPEC = importlib.util.spec_from_file_location("linecov", _PATH)
+linecov = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(linecov)
+
+MODULE = '''\
+"""A module docstring."""
+
+import os
+from sys import argv
+
+
+class Box:
+    """A class docstring."""
+
+    def open(self, flag):
+        if flag:
+            return os.sep
+        total = sum(
+            argv,
+        )
+        return total
+
+
+def unused():
+    global X
+    X = 1
+'''
+
+
+def test_lists_the_statements_that_never_ran(tmp_path):
+    path = tmp_path / "box.py"
+    path.write_text(MODULE)
+    # the call ran flag false: its header, the second line of the sum and the return
+    hits = {path: {11, 14, 16}}
+    assert linecov.listing([path], hits) == ["box.py: 12 21"]
+
+
+def test_a_module_no_line_of_which_ran(tmp_path):
+    path = tmp_path / "box.py"
+    path.write_text(MODULE)
+    assert linecov.listing([path], {}) == ["box.py: 11 12 13 16 21"]
+
+
+def test_a_module_every_statement_of_which_ran(tmp_path):
+    path = tmp_path / "box.py"
+    path.write_text(MODULE)
+    hits = {path: set(range(1, 22))}
+    assert linecov.listing([path], hits) == ["box.py: every statement ran"]

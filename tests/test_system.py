@@ -179,6 +179,17 @@ class TestParseSystem:
                 "bad tropical value None",
                 id="null-weight",
             ),
+            # a weight is a JSON number, or the string "inf" for tropical
+            *(
+                pytest.param(
+                    parse_system,
+                    {"kind": kind, "transitions": {"c": [{"term": stop_term(), "weight": w}]}},
+                    ValidationError,
+                    f"bad {kind} value {w!r}",
+                    id=f"string-{kind}-weight",
+                )
+                for kind, w in [("prob", "0.5"), ("tropical", "Inf")]
+            ),
             *(
                 pytest.param(
                     parse_system,
