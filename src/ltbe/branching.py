@@ -14,7 +14,7 @@ orders downstream.
 from __future__ import annotations
 
 from .errors import KindMismatch, ValidationError
-from .polyfunctor import value_key
+from .polyfunctor import name_key, value_key
 from .semiring import OPS, PROB_EPS, Record, SemiringKind, SemiringValue, one
 
 
@@ -53,12 +53,12 @@ class BranchVal(Record):
 
     def key(self) -> str:
         if self._key is None:
+            keys = [name_key(k) if isinstance(item, str) else k
+                    for k, (item, _) in zip(self._support_keys, self.entries)]
             if self.kind is SemiringKind.BOOL:
-                inner = "|".join(self._support_keys)
+                inner = "|".join(keys)
             else:
-                inner = "|".join(
-                    f"{k}:{w.payload!r}" for k, (_, w) in zip(self._support_keys, self.entries)
-                )
+                inner = "|".join(f"{k}:{w.payload!r}" for k, (_, w) in zip(keys, self.entries))
             object.__setattr__(self, "_key", "{" + inner + "}")
         return self._key
 

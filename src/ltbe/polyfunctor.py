@@ -11,11 +11,12 @@ The textual grammar, used in model files, is:
 
 so ``{*} + {a,b} * Id`` is "terminate, or emit a label and continue".
 Terms render to canonical keys, so relation carriers built from them are
-reproducible across runs.
+reproducible across runs; distinct terms have distinct keys.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 from .errors import ParseError
@@ -100,7 +101,8 @@ class StateRef(PolyTerm):
         object.__setattr__(self, "target", target)
 
     def key(self) -> str:
-        return value_key(self.target)
+        target = self.target
+        return name_key(target) if isinstance(target, str) else target.key()
 
 
 class Atom(PolyTerm):
@@ -110,7 +112,7 @@ class Atom(PolyTerm):
         object.__setattr__(self, "label", label)
 
     def key(self) -> str:
-        return "@" + self.label
+        return "@" + name_key(self.label)
 
 
 class Pair(PolyTerm):
@@ -153,6 +155,18 @@ def value_key(value: object) -> str:
     if isinstance(value, str):
         return value
     return value.key()  # type: ignore[attr-defined]
+
+
+_PLAIN_NAME = re.compile(r'[^\s(),;|:{}@"]+')
+
+
+def name_key(name: str) -> str:
+    """A raw state id or label as written inside a structured key.
+
+    A plain name is written as itself and any other as a JSON string, so
+    that no two distinct values share a key.
+    """
+    return name if name.isalnum() or _PLAIN_NAME.fullmatch(name) else json.dumps(name)
 
 
 # --- validation ----------------------------------------------------------------

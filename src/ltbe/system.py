@@ -6,7 +6,8 @@ expression or a branching layer of the stack's kind; ``[G, T, F]`` means
 finite carrier with one transition value per state, well typed against the
 stack.  A specification is the branching-free case and describes the
 linear-time behaviours to test against.  A model's constructor decodes its
-transitions and, in the same walk, collects the distinct values at each
+transitions, in one walk over layer indices with the model's stack and
+states bound once, and in that walk collects the distinct values at each
 layer of the stack, which :meth:`System.values_at` lists.  It then resolves
 each of those values once to integer positions in the layer below
 (``System.resolved``) and each state to the position of its transition
@@ -49,13 +50,11 @@ from .polyfunctor import (
     Inj,
     Pair,
     PolyExpr,
-    Power,
     Prod,
     StateRef,
     TupleTerm,
     expr_to_text,
     parse_expr,
-    value_key,
 )
 from .semiring import Record, SemiringKind, from_json_value, one, to_json_value
 
@@ -103,132 +102,121 @@ def linear_part(stack: TypeStack) -> TypeStack:
 
 # --- transition value codec ----------------------------------------------------
 
-def _decode_value(layers: tuple[Layer, ...], kind: SemiringKind, raw: object, states, found,
-                  path: str):
-    """Decode ``raw`` as a value of ``layers`` and record it under its key.
+def _decoder(stack: TypeStack, states, found):
+    """The decoder of ``stack``'s values over the state ids ``states``.
 
-    ``found`` has one table per layer of the whole stack, so the table of
-    the head of ``layers`` is ``found[-len(layers)]``.
+    ``decode(idx, raw, path)`` decodes ``raw`` as a value of layer ``idx``,
+    a state reference at ``idx == len(stack.layers)``, and records each
+    layer's value under its key in ``found[idx]``.
     """
-    if not layers:
-        if not (isinstance(raw, dict) and set(raw) == {"state"}):
-            raise TransitionTypeError(f"{path}: expected a state reference, got {raw!r}")
-        target = raw["state"]
-        if not isinstance(target, str):
-            raise TransitionTypeError(f"{path}: expected a state id, got {target!r}")
-        if target not in states:
-            raise ValidationError(f"{path}: unknown state id {target!r}")
-        return target
-    head, rest = layers[0], layers[1:]
-    if isinstance(head, BranchLayer):
-        if not isinstance(raw, list):
-            raise TransitionTypeError(f"{path}: expected a branching list, got {raw!r}")
-        pairs = []
-        unit = one(kind) if kind is SemiringKind.BOOL else None
-        for i, elem in enumerate(raw):
-            at = f"{path}[{i}]"
-            if kind is SemiringKind.BOOL:
-                pairs.append((_decode_value(rest, kind, elem, states, found, at), unit))
-            else:
-                if not isinstance(elem, dict) or set(elem) != {"term", "weight"}:
-                    raise TransitionTypeError(
-                        f"{at}: expected {{'term': ..., 'weight': ...}}, got {elem!r}"
-                    )
-                weight = from_json_value(kind, elem["weight"])
-                pairs.append((_decode_value(rest, kind, elem["term"], states, found, at), weight))
-        try:
-            value = BranchVal(kind, tuple(pairs))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-        if not validate_branchval(value):
-            raise ValidationError(f"{path}: branching weights sum to more than 1")
-    else:
-        value = _decode_term(head.expr, rest, kind, raw, states, found, path)
-    found[-len(layers)].setdefault(value_key(value), value)
-    return value
+    layers, kind = stack.layers, stack.kind
+    bottom = len(layers)
+    unit = one(kind) if kind is SemiringKind.BOOL else None
+
+    def decode(idx, raw, path):
+        if idx == bottom:
+            if not (isinstance(raw, dict) and set(raw) == {"state"}):
+                raise TransitionTypeError(f"{path}: expected a state reference, got {raw!r}")
+            target = raw["state"]
+            if not isinstance(target, str):
+                raise TransitionTypeError(f"{path}: expected a state id, got {target!r}")
+            if target not in states:
+                raise ValidationError(f"{path}: unknown state id {target!r}")
+            return target
+        layer = layers[idx]
+        if isinstance(layer, BranchLayer):
+            if not isinstance(raw, list):
+                raise TransitionTypeError(f"{path}: expected a branching list, got {raw!r}")
+            pairs = []
+            for i, elem in enumerate(raw):
+                at, weight = f"{path}[{i}]", unit
+                if weight is None:  # a weight is decoded before its term
+                    if not isinstance(elem, dict) or set(elem) != {"term", "weight"}:
+                        raise TransitionTypeError(
+                            f"{at}: expected {{'term': ..., 'weight': ...}}, got {elem!r}"
+                        )
+                    weight, elem = from_json_value(kind, elem["weight"]), elem["term"]
+                pairs.append((decode(idx + 1, elem, at), weight))
+            try:
+                value = BranchVal(kind, tuple(pairs))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
+            if not validate_branchval(value):
+                raise ValidationError(f"{path}: branching weights sum to more than 1")
+        else:
+            value = term(layer.expr, idx + 1, raw, path)
+        found[idx].setdefault(value.key(), value)
+        return value
+
+    def term(expr: PolyExpr, below: int, raw, path: str):
+        """Decode ``raw`` as a term of ``expr`` whose ``Id`` leaves are values of layer ``below``."""
+        if isinstance(expr, Id):
+            return StateRef(decode(below, raw, path))
+        if not isinstance(raw, dict):
+            raise TransitionTypeError(f"{path}: expected a term node, got {raw!r}")
+        if isinstance(expr, Const):
+            if set(raw) != {"atom"}:
+                raise TransitionTypeError(f"{path}: expected an atom node, got {raw!r}")
+            if raw["atom"] not in expr.labels:
+                raise TransitionTypeError(f"{path}: label {raw['atom']!r} not in {expr.labels!r}")
+            return Atom(raw["atom"])
+        if isinstance(expr, Prod):
+            if set(raw) != {"pair"} or not isinstance(raw["pair"], list) or len(raw["pair"]) != 2:
+                raise TransitionTypeError(f"{path}: expected a pair node, got {raw!r}")
+            fst = term(expr.left, below, raw["pair"][0], path + ".pair[0]")
+            return Pair(fst, term(expr.right, below, raw["pair"][1], path + ".pair[1]"))
+        if isinstance(expr, Coprod):
+            if set(raw) != {"inj", "of"}:
+                raise TransitionTypeError(f"{path}: expected an injection node, got {raw!r}")
+            index = raw["inj"]
+            if not isinstance(index, int) or not 0 <= index < len(expr.branches):
+                raise TransitionTypeError(f"{path}: injection index {index!r} out of range")
+            return Inj(index, term(expr.branches[index], below, raw["of"], path + f".inj{index}"))
+        if set(raw) != {"tuple"} or not isinstance(raw["tuple"], dict):  # a Power
+            raise TransitionTypeError(f"{path}: expected a tuple node, got {raw!r}")
+        if set(raw["tuple"]) != set(expr.exponent):
+            raise TransitionTypeError(
+                f"{path}: tuple components {sorted(raw['tuple'])!r} do not match exponent {expr.exponent!r}"
+            )
+        comps = []  # a loop: a comprehension would make this call's locals closure cells
+        for a in expr.exponent:
+            comps.append(term(expr.body, below, raw["tuple"][a], path + f".{a}"))
+        return TupleTerm(tuple(comps))
+
+    return decode
 
 
-def _decode_term(expr: PolyExpr, rest: tuple[Layer, ...], kind, raw, states, found,
-                 path: str):
-    if isinstance(expr, Id):
-        return StateRef(_decode_value(rest, kind, raw, states, found, path))
-    if not isinstance(raw, dict):
-        raise TransitionTypeError(f"{path}: expected a term node, got {raw!r}")
-    if isinstance(expr, Const):
-        if set(raw) != {"atom"}:
-            raise TransitionTypeError(f"{path}: expected an atom node, got {raw!r}")
-        if raw["atom"] not in expr.labels:
-            raise TransitionTypeError(f"{path}: label {raw['atom']!r} not in {expr.labels!r}")
-        return Atom(raw["atom"])
-    if isinstance(expr, Prod):
-        if set(raw) != {"pair"} or not isinstance(raw["pair"], list) or len(raw["pair"]) != 2:
-            raise TransitionTypeError(f"{path}: expected a pair node, got {raw!r}")
-        fst = _decode_term(expr.left, rest, kind, raw["pair"][0], states, found, path + ".pair[0]")
-        snd = _decode_term(expr.right, rest, kind, raw["pair"][1], states, found, path + ".pair[1]")
-        return Pair(fst, snd)
-    if isinstance(expr, Coprod):
-        if set(raw) != {"inj", "of"}:
-            raise TransitionTypeError(f"{path}: expected an injection node, got {raw!r}")
-        index = raw["inj"]
-        if not isinstance(index, int) or not 0 <= index < len(expr.branches):
-            raise TransitionTypeError(f"{path}: injection index {index!r} out of range")
-        arg = _decode_term(
-            expr.branches[index], rest, kind, raw["of"], states, found, path + f".inj{index}"
-        )
-        return Inj(index, arg)
-    assert isinstance(expr, Power)
-    if set(raw) != {"tuple"} or not isinstance(raw["tuple"], dict):
-        raise TransitionTypeError(f"{path}: expected a tuple node, got {raw!r}")
-    if set(raw["tuple"]) != set(expr.exponent):
-        raise TransitionTypeError(
-            f"{path}: tuple components {sorted(raw['tuple'])!r} do not match exponent {expr.exponent!r}"
-        )
-    comps = tuple(
-        _decode_term(expr.body, rest, kind, raw["tuple"][a], states, found, path + f".{a}")
-        for a in expr.exponent
-    )
-    return TupleTerm(comps)
+def _encoder(stack: TypeStack):
+    """The inverse of :func:`_decoder`: ``encode(idx, value)`` renders a value of layer ``idx``."""
+    layers, bottom = stack.layers, len(stack.layers)
+    weighted = stack.kind is not SemiringKind.BOOL
 
+    def encode(idx, value):
+        if idx == bottom:
+            return {"state": value}
+        layer = layers[idx]
+        if not isinstance(layer, BranchLayer):
+            return term(layer.expr, idx + 1, value)
+        if weighted:
+            return [{"term": encode(idx + 1, item), "weight": to_json_value(weight)}
+                    for item, weight in value.entries]
+        return [encode(idx + 1, item) for item, _ in value.entries]
 
-def _encode_value(layers: tuple[Layer, ...], kind: SemiringKind, value) -> object:
-    if not layers:
-        return {"state": value}
-    head, rest = layers[0], layers[1:]
-    if isinstance(head, BranchLayer):
-        assert isinstance(value, BranchVal)
-        if kind is SemiringKind.BOOL:
-            return [_encode_value(rest, kind, item) for item, _ in value.entries]
-        return [
-            {"term": _encode_value(rest, kind, item), "weight": to_json_value(weight)}
-            for item, weight in value.entries
-        ]
-    return _encode_term(head.expr, rest, kind, value)
+    def term(expr: PolyExpr, below: int, t):
+        if isinstance(expr, Id):
+            return encode(below, t.target)
+        if isinstance(expr, Const):
+            return {"atom": t.label}
+        if isinstance(expr, Prod):
+            return {"pair": [term(expr.left, below, t.fst), term(expr.right, below, t.snd)]}
+        if isinstance(expr, Coprod):
+            return {"inj": t.index, "of": term(expr.branches[t.index], below, t.arg)}
+        comps = {}  # a Power
+        for a, c in zip(expr.exponent, t.components):
+            comps[a] = term(expr.body, below, c)
+        return {"tuple": comps}
 
-
-def _encode_term(expr: PolyExpr, rest: tuple[Layer, ...], kind, term) -> object:
-    if isinstance(expr, Id):
-        return _encode_value(rest, kind, term.target)
-    if isinstance(expr, Const):
-        return {"atom": term.label}
-    if isinstance(expr, Prod):
-        return {
-            "pair": [
-                _encode_term(expr.left, rest, kind, term.fst),
-                _encode_term(expr.right, rest, kind, term.snd),
-            ]
-        }
-    if isinstance(expr, Coprod):
-        return {
-            "inj": term.index,
-            "of": _encode_term(expr.branches[term.index], rest, kind, term.arg),
-        }
-    assert isinstance(expr, Power)
-    return {
-        "tuple": {
-            a: _encode_term(expr.body, rest, kind, c)
-            for a, c in zip(expr.exponent, term.components)
-        }
-    }
+    return encode
 
 
 # --- models ---------------------------------------------------------------------
@@ -242,11 +230,9 @@ class System:
         states = tuple(states)
         known = set(states)
         found: list[dict[str, object]] = [{} for _ in stack.layers]
+        decode = _decoder(stack, known, found)
         decoded = {
-            state: _decode_value(
-                stack.layers, stack.kind, raw, known, found, f"transitions[{state!r}]"
-            )
-            for state, raw in transitions.items()
+            state: decode(0, raw, f"transitions[{state!r}]") for state, raw in transitions.items()
         }
         # a malformed transition is reported first, then the stack, then the carrier
         self._check_stack(stack)
@@ -273,7 +259,7 @@ class System:
             for layer, vals, below in zip(stack.layers, self._values, index[1:])
         )
         #: The position in ``values_at(0)`` of each state's transition, in state order.
-        self.top_positions = [index[0][value_key(decoded[s])] for s in states]
+        self.top_positions = [index[0][decoded[s].key()] for s in states]
 
     @staticmethod
     def _check_stack(stack: TypeStack) -> None:
@@ -289,14 +275,12 @@ class System:
         return self._values[layer_index]
 
     def to_json(self) -> dict:
+        encode = _encoder(self.stack)
         return {
             "kind": self.stack.kind.value,
             "stack": self.stack.layer_texts(),
             "states": list(self.states),
-            "transitions": {
-                s: _encode_value(self.stack.layers, self.stack.kind, self.transitions[s])
-                for s in self.states
-            },
+            "transitions": {s: encode(0, self.transitions[s]) for s in self.states},
         }
 
     def to_text(self) -> str:

@@ -1,10 +1,16 @@
-"""The FAIL path of the algebraic self-checks, driven by a broken extension
-or a broken product."""
+"""The FAIL path of the algebraic self-checks, driven by a broken extension,
+sum or product."""
 
 import pytest
 
 import ltbe.laws
-from ltbe import SemiringKind, ValRel, check_monad_consistency, check_semiring_laws
+from ltbe import (
+    SemiringKind,
+    SemiringValue,
+    ValRel,
+    check_monad_consistency,
+    check_semiring_laws,
+)
 from ltbe.cli import main
 
 B = SemiringKind.BOOL
@@ -76,6 +82,23 @@ def test_semiring_law_counterexample_format(broken_product):
     report = check_semiring_laws(SemiringKind.TROPICAL, samples=300, seed=3)
     checks = {c.name: c for c in report.checks}
     assert checks["mul-commutative"].counterexample == "s * t = t * s fails at s=15, t=8, u=23"
+
+
+def test_monad_check_reports_a_sum_defined_beyond_the_mass_bound(monkeypatch):
+    """A prob sum clamped to 1 is defined where no two-point value carries it."""
+    monkeypatch.setattr(ltbe.laws, "add",
+                        lambda a, b: SemiringValue(a.kind, min(a.payload + b.payload, 1.0)))
+    checks = {c.name: c for c in check_monad_consistency(SemiringKind.PROB, 1).checks}
+    assert checks["induced-add-agrees"].counterexample == "definedness of 0.25 + 1.0 disagrees"
+
+
+def test_monad_check_reports_a_wrong_collapsed_weight(monkeypatch):
+    """A product that keeps its right factor weighs each collapsed point by one."""
+    monkeypatch.setattr(ltbe.laws, "mul", lambda a, b: b)
+    checks = {c.name: c for c in check_monad_consistency(SemiringKind.TROPICAL, 1).checks}
+    assert checks["induced-add-agrees"].counterexample == (
+        "collapsed weight of (inf, inf) is 0, expected inf"
+    )
 
 
 def test_check_laws_command_fails_on_a_broken_product(broken_product, capsys):

@@ -47,6 +47,18 @@ def test_a_module_no_line_of_which_ran(tmp_path):
     assert linecov.listing([path], {}) == ["box.py: 11 12 13 16 21"]
 
 
+def test_a_script_guard_is_not_listed(tmp_path):
+    path = tmp_path / "tool.py"
+    path.write_text(MODULE + '\n\nif __name__ == "__main__":\n    unused()\n    print(X)\n')
+    assert linecov.listing([path], {}) == ["tool.py: 11 12 13 16 21"]
+
+
+def test_a_guard_in_a_function_is_listed(tmp_path):
+    path = tmp_path / "tool.py"
+    path.write_text('def main():\n    if __name__ == "__main__":\n        return 1\n')
+    assert linecov.listing([path], {}) == ["tool.py: 2 3"]
+
+
 def test_a_module_every_statement_of_which_ran(tmp_path):
     path = tmp_path / "box.py"
     path.write_text(MODULE)

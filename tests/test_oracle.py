@@ -5,6 +5,7 @@ import pytest
 from ltbe import (
     SemiringKind,
     StackMismatch,
+    UndefinedSum,
     ValRel,
     behaviour,
     common_iterates,
@@ -136,6 +137,33 @@ class TestAgreementWithEngine:
                         assert rel.max_gap(reference) <= 1e-9
                     else:
                         assert rel == reference
+
+    @pytest.mark.xfail(strict=True, raises=UndefinedSum,
+                       reason="the engine compiles every pair of branching values at a "
+                              "layer, read or not, and an unread pair's joint mass "
+                              "escapes [0, 1]")
+    def test_common_with_an_unread_heavy_pair(self):
+        """The components swap a stop of mass 0.5 and two steps of mass 1 + 9e-10.
+
+        No state pair reads the two heavy values against each other, so
+        every entry is 0; their joint mass, 1 + 1.8e-9, passes the slack.
+        """
+        stop = [{"term": {"inj": 0, "of": {"atom": "*"}}, "weight": 0.5}]
+        heavy = [{"term": step_term("a", "s"), "weight": 0.6},
+                 {"term": step_term("a", "s2"), "weight": 0.4000000009}]
+
+        def model(first, second):
+            def value(a, b):
+                return {"pair": [{"atom": "x"}, {"tuple": {"a": a, "b": b}}]}
+
+            doc = {"kind": "prob", "stack": ["{x} * Id^{a,b}", "T", "{*} + {a} * Id"],
+                   "states": ["t", "s", "s2"],
+                   "transitions": {"t": value(first, second), "s": value([], []),
+                                   "s2": value([], [])}}
+            return parse_system(json.dumps(doc))
+
+        a, b = model(stop, heavy), model(heavy, stop)
+        assert common_trace(a, b).result == oracle_common(a, b, 3)
 
 
 class TestUnitBranching:

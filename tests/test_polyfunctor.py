@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +62,31 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expr("Id^{a,a}")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [("Id^Id", "expected '{...}' after '^'"), ("(Id {a}", "missing ')'")],
+    )
+    def test_reports_what_it_expected(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_expr(text)
+
+    def test_trailing_whitespace_is_ignored(self):
+        assert parse_expr("Id  ") == Id()
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Const(()), "nonempty"),
+            (lambda: Const(("a", "a")), "duplicate labels"),
+            (lambda: Coprod((Id(),)), "at least two branches"),
+            (lambda: Power((), Id()), "nonempty"),
+            (lambda: Power(("a", "a"), Id()), "duplicate exponent atoms"),
+        ],
+    )
+    def test_constructors_reject_what_the_grammar_cannot_write(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 names = st.lists(st.sampled_from("abcxyz*"), min_size=1, max_size=3, unique=True).map(tuple)
 exprs = st.recursive(
@@ -77,6 +104,9 @@ class TestRender:
     @given(exprs)
     def test_round_trip(self, expr):
         assert parse_expr(expr_to_text(expr)) == expr
+
+    def test_a_coproduct_branch_keeps_its_parentheses(self):
+        assert expr_to_text(parse_expr("({*} + Id) + Id")) == "({*} + Id) + Id"
 
 
 class TestValidate:

@@ -59,6 +59,14 @@ class TestConstruction:
         with pytest.raises(CarrierMismatch):
             rel.get("q", "z")
 
+    def test_duplicate_column_keys_rejected(self):
+        with pytest.raises(CarrierMismatch, match="column carrier"):
+            ValRel.from_payloads(B, ["c"], ["z", "z"], [True, True])
+
+    def test_payload_count_must_match_the_carriers(self):
+        with pytest.raises(CarrierMismatch, match="grid shape"):
+            ValRel.from_payloads(B, ["c"], ["z"], [True, True])
+
 
 class TestReindex:
     def setup_method(self):
@@ -82,6 +90,10 @@ class TestReindex:
         with pytest.raises(CarrierMismatch):
             reindex({"c": "nowhere"}, {"z": "p"}, self.rel)
 
+    def test_escaping_column_image_rejected(self):
+        with pytest.raises(CarrierMismatch, match="column image 'nowhere' of 'z'"):
+            reindex({"c": "u"}, {"z": "nowhere"}, self.rel)
+
     @pytest.mark.parametrize("kind", list(SemiringKind))
     def test_preserves_order(self, kind):
         rng = random.Random(11)
@@ -98,6 +110,10 @@ class TestComparison:
     def test_pointwise_leq_reflexive(self):
         rel = random_valrel(random.Random(1), P, ["a", "b"], ["x"])
         assert rel.pointwise_leq(rel)
+
+    def test_a_relation_is_not_equal_to_a_number(self):
+        rel = ValRel.top(["c"], ["z"], B)
+        assert (rel == 3) is False
 
     def test_lowering_one_entry(self):
         top = ValRel.top(["a", "b"], ["x"], P)

@@ -26,6 +26,7 @@ from ltbe.semiring import (
     from_text,
     prob_all_leq,
     prob_max_gap,
+    to_json_value,
     to_text,
     values_equal,
 )
@@ -87,6 +88,10 @@ class TestConstruction:
     def test_bool_payload_must_be_bool(self):
         with pytest.raises(ValidationError):
             SemiringValue(B, 1)
+
+    def test_prob_payload_must_be_a_number(self):
+        with pytest.raises(ValidationError, match="must be a real"):
+            SemiringValue(P, "0.5")
 
 
 class TestAdd:
@@ -224,6 +229,14 @@ class TestText:
     def test_bad_text(self):
         with pytest.raises(ValidationError):
             from_text(T, "many")
+
+    def test_bad_bool_text(self):
+        with pytest.raises(ValidationError, match="not a boolean value"):
+            from_text(B, "maybe")
+
+    def test_tropical_infinity_in_json(self):
+        assert to_json_value(t(INF)) == "inf"
+        assert to_json_value(t(3)) == 3
 
 
 class TestProperties:

@@ -273,6 +273,14 @@ class TestLinearPart:
         with pytest.raises(DegenerateStack):
             linear_part(stack)
 
+    def test_a_stack_needs_a_layer(self):
+        with pytest.raises(ValidationError, match="at least one layer"):
+            TypeStack(SemiringKind.BOOL, ())
+
+    def test_a_layer_needs_its_expression(self):
+        with pytest.raises(TypeError, match="PolyLayer takes the fields expr"):
+            PolyLayer()
+
     def test_models_of_one_stack_text_share_its_layers(self):
         # so the stack check of every query finds each layer identical at once
         model = parse_system(doc_text())

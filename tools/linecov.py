@@ -8,9 +8,11 @@ import path, its own and that of the Python subprocesses the tests start.
 It then prints, for each module, the first lines of the statements that
 never ran, and exits with pytest's status.  Docstrings and ``def``,
 ``class`` and ``import`` lines are not listed: they run when the module is
-imported, not when its code is used.  A statement counts as run when any
-line of its own ran, since the tracer may report any line of a statement
-that spans several; a compound statement owns its header, not its body.
+imported, not when its code is used.  Nor is a module's
+``if __name__ == "__main__":`` block, which runs only when the file is run
+as a script.  A statement counts as run when any line of its own ran,
+since the tracer may report any line of a statement that spans several; a
+compound statement owns its header, not its body.
 
 Two limits:
 
@@ -39,15 +41,21 @@ def _is_docstring(node: ast.stmt) -> bool:
             and isinstance(node.value.value, str))
 
 
+def _is_script_guard(node: ast.stmt) -> bool:
+    return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+
+
 def never_ran(source: str, hit: set[int]) -> list[int]:
     """The first lines of the statements of ``source`` none of whose own lines is in ``hit``.
 
     A statement's own lines are its lines less those of the statements
     nested in it, so an ``if`` owns the lines of its condition, not its body.
     """
+    tree = ast.parse(source)
+    script = {id(n) for top in tree.body if _is_script_guard(top) for n in ast.walk(top)}
     owned: dict[int, set[int]] = {}
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.stmt):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or id(node) in script:
             continue
         lines = set(range(node.lineno, node.end_lineno + 1))
         for child in ast.walk(node):
