@@ -41,7 +41,7 @@ from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackM
 from .lifting import compile_double_extension, compile_poly, unit_columns
 from .relation import ONE, ZERO, Folds, ValRel, kernel, reads
 from .semiring import OPS, Record, SemiringKind, SemiringValue, prob_all_leq, prob_max_gap
-from .system import BranchLayer, SpecSystem, System, linear_part
+from .system import BranchLayer, PolyLayer, SpecSystem, System, linear_part
 
 
 class FixpointOptions(Record):
@@ -61,10 +61,14 @@ class FixpointOptions(Record):
 
     def __init__(self, max_iterations: int | None = None, tolerance: float = 1e-9,
                  threshold: SemiringValue | None = None) -> None:
+        if max_iterations is not None and type(max_iterations) is not int:  # a bool too
+            raise ValueError(f"max_iterations must be an int, got {max_iterations!r}")
         if max_iterations is not None and max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not tolerance >= 0:  # NaN too
             raise ValueError("tolerance must be >= 0")
+        if threshold is not None and not isinstance(threshold, SemiringValue):
+            raise ValueError(f"threshold must be a SemiringValue, got {threshold!r}")
         object.__setattr__(self, "max_iterations", max_iterations)
         object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "threshold", threshold)
@@ -96,8 +100,14 @@ class FixpointReport(Record):
         return self.stop_reason == "threshold"
 
 
+_DEFAULTS = FixpointOptions()  # the options of a run given none
+
+
 def _check_behaviour_inputs(sys: System, spec: SpecSystem) -> None:
-    if spec.stack != linear_part(sys.stack):
+    # ``linear_part(sys.stack)``'s layers; a spec parsed with its text shares them
+    layers = tuple(layer for layer in sys.stack.layers if isinstance(layer, PolyLayer))
+    if spec.stack.layers != layers or spec.stack.kind is not sys.stack.kind:
+        linear_part(sys.stack)  # raises DegenerateStack if ``layers`` is empty
         raise StackMismatch(
             "the specification stack must be the linear part of the system stack"
         )
@@ -237,7 +247,7 @@ def _chain(program: list, start: ValRel, steps: int) -> list[ValRel]:
     out = [start]
     n = len(start.rows) * len(start.cols)
     for _, (cur, _) in zip(range(steps), _rounds(program, start.kind, start.payloads())):
-        out.append(ValRel.from_payloads(start.kind, start.rows, start.cols, cur[:n]))
+        out.append(ValRel._wrap(start.kind, start.rows, start.cols, cur[:n]))
     return out
 
 
@@ -251,30 +261,31 @@ def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
     return _chain(_walker(sys, spec), rel, 1)[1]
 
 
-def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> FixpointReport:
-    """Iterate ``program`` from ``start`` and box the last iterate.
+def _run_fixpoint(program: list, kind: SemiringKind, rows: tuple, cols: tuple,
+                  opts: FixpointOptions | None, start: list | None = None) -> FixpointReport:
+    """Iterate ``program`` from ``start`` (one everywhere by default) and box the last iterate.
 
     The checks read the changed cells only, since an unchanged cell has gap
     0 and is below itself.  A bool or tropical run converges on an empty
     change list, the exact repeat it needs, so its gap is computed for the
     report alone.
     """
-    kind = start.kind
     ops = OPS[kind]
+    opts = opts or _DEFAULTS
     threshold = opts.threshold
     if threshold is not None and threshold.kind is not kind:
         raise KindMismatch(f"cannot combine {kind.value} with {threshold.kind.value}")
-    n = len(start.rows) * len(start.cols)
+    n = len(rows) * len(cols)
     limit = opts.max_iterations or 10 * n + 10
     prob = kind is SemiringKind.PROB
 
     def report(cur: list, i: int, reason: str):  # the gap of the last round's changes
-        result = ValRel.from_payloads(kind, start.rows, start.cols, cur[:n])
+        result = ValRel._wrap(kind, rows, cols, cur[:n])
         return FixpointReport(result, i, max(map(ops.gap, news, olds), default=0.0), reason)
 
     # an all-false bool iterate repeats on the next round, so it converges instead
     bound = threshold.payload if threshold is not None and kind is not SemiringKind.BOOL else None
-    for i, (cur, changes) in zip(range(1, limit + 1), _rounds(program, kind, start.payloads())):
+    for i, (cur, changes) in zip(range(1, limit + 1), _rounds(program, kind, start or [ops.one] * n)):
         _, olds, news = zip(*changes) if changes else ((), (), ())
         if not (prob_all_leq(news, olds) if prob else all(map(ops.leq, news, olds))):
             raise MonotonicityViolation(
@@ -290,9 +301,7 @@ def _run_fixpoint(program: list, start: ValRel, opts: FixpointOptions) -> Fixpoi
 def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None) -> FixpointReport:
     """Greatest-fixpoint behaviour values of every (system state, spec state) pair."""
     _check_behaviour_inputs(sys, spec)
-    opts = opts or FixpointOptions()
-    start = ValRel.top(sys.states, spec.states, sys.stack.kind)
-    return _run_fixpoint(_walker(sys, spec), start, opts)
+    return _run_fixpoint(_walker(sys, spec), sys.stack.kind, sys.states, spec.states, opts)
 
 
 def iterates(sys: System, spec: SpecSystem, steps: int) -> list[ValRel]:
@@ -309,9 +318,7 @@ def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None
     is trace existence, joint probability, or joint minimal cost.
     """
     _check_pair_inputs(sysA, sysB)
-    opts = opts or FixpointOptions()
-    start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
-    return _run_fixpoint(_walker(sysA, sysB), start, opts)
+    return _run_fixpoint(_walker(sysA, sysB), sysA.stack.kind, sysA.states, sysB.states, opts)
 
 
 def common_iterates(sysA: System, sysB: System, steps: int) -> list[ValRel]:
@@ -345,6 +352,6 @@ def bisimilarity(sysA: System, sysB: System) -> FixpointReport:
         classes = [[c[p] for p in m.top_positions] for m, c in zip((sysA, sysB), classes)]
         new = [x == y for x in classes[0] for y in classes[1]]
         if new == rel:
-            result = ValRel.from_payloads(SemiringKind.BOOL, sysA.states, sysB.states, rel)
+            result = ValRel._wrap(SemiringKind.BOOL, sysA.states, sysB.states, rel)
             return FixpointReport(result, rounds, 0.0, "converged")
         rel = new

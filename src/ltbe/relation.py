@@ -25,11 +25,9 @@ cell that has the semiring fold's bits.
 
 from __future__ import annotations
 
-import csv
-import io
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 
 from .errors import CarrierMismatch, KindMismatch, UndefinedSum
@@ -65,9 +63,10 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], li
     a ``BranchVal`` drops zero weights, so every bool weight is ``True``.
     Tropical: the least ``weight + value``, ``INF`` if none; ``min`` keeps
     the first of equal terms, as the fold from ``INF`` does.  Prob: the
-    plain float sum.  Its terms are non-negative, so if it is at most 1.0 no
-    partial sum passed 1.0, where ``add`` clamps or raises; a larger sum is
-    folded again with ``add``.
+    plain float sum, ``0.0`` if none.  Both test for an empty fold first, as
+    passing ``min`` a ``default`` costs more than a short fold.  The prob
+    terms are non-negative, so if a sum is at most 1.0 no partial sum passed
+    1.0, where ``add`` clamps or raises; a larger sum is folded again with ``add``.
     """
     add, mul = OPS[kind].add, OPS[kind].mul
 
@@ -78,11 +77,12 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], li
     elif kind is SemiringKind.TROPICAL:
         def run(folds: Folds, todo: Sequence[int], src: list) -> list:
             get, W, P = src.__getitem__, folds.weights, folds.positions
-            return [min(map(mul, W[k], map(get, P[k])), default=INF) for k in todo]
+            return [min(map(mul, W[k], map(get, P[k]))) if P[k] else INF for k in todo]
     else:
         def run(folds: Folds, todo: Sequence[int], src: list) -> list:
             get, W, P = src.__getitem__, folds.weights, folds.positions
-            out = [reduce(operator.add, map(mul, W[k], map(get, P[k])), 0.0) for k in todo]
+            out = [reduce(operator.add, map(mul, W[k], map(get, P[k])), 0.0) if P[k] else 0.0
+                   for k in todo]
             if max(out, default=0.0) > 1.0:
                 for i, total in enumerate(out):
                     if total > 1.0:
@@ -99,10 +99,11 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], li
     return run
 
 
+@cache
 def kernel(kind: SemiringKind) -> Callable[[list | Folds, Sequence[int], list], list]:
-    """The function that evaluates the cells ``todo`` of a layer of ``kind``,
-    of either form, over a source list.  A read is picked inline; a product
-    multiplies its factors left to right, each nested product first."""
+    """The function (one per kind) that evaluates the cells ``todo`` of a layer
+    of ``kind``, of either form, over a source list.  A read is picked inline;
+    a product multiplies its factors left to right, each nested product first."""
     fold, mul = fold_kernel(kind), OPS[kind].mul
 
     def product(cell: tuple, src: list):
@@ -133,33 +134,46 @@ def run_cells(cells: list | Folds, kind: SemiringKind, flat: list) -> list:
     return kernel(kind)(cells, range(len(cells)), flat + [OPS[kind].zero, OPS[kind].one])
 
 
+def _field(key) -> str:
+    """A key as a CSV field: quoted, quotes doubled, if it holds a comma, a quote or a newline."""
+    text = str(key)
+    quote = "," in text or '"' in text or "\n" in text
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
 class ValRel:
-    """An immutable dense matrix of semiring values."""
+    """An immutable dense matrix of semiring values; its key indexes are built on first use."""
 
     __slots__ = ("kind", "rows", "cols", "row_index", "col_index", "_flat")
 
     def __init__(self, kind: SemiringKind, rows, cols, grid) -> None:
-        self._carriers(kind, rows, cols)
+        rows, cols = self._carriers(rows, cols)
         grid = tuple(tuple(r) for r in grid)
-        if len(grid) != len(self.rows) or any(len(r) != len(self.cols) for r in grid):
+        if len(grid) != len(rows) or any(len(r) != len(cols) for r in grid):
             raise CarrierMismatch("grid shape does not match the carriers")
         for row in grid:
             for v in row:
                 if not isinstance(v, SemiringValue) or v.kind is not kind:
                     raise KindMismatch(f"entry {v!r} does not belong to kind {kind.value}")
+        self.kind, self.rows, self.cols = kind, rows, cols
         self._flat = [v.payload for row in grid for v in row]
 
-    def _carriers(self, kind: SemiringKind, rows, cols) -> None:
+    @staticmethod
+    def _carriers(rows, cols) -> tuple[tuple, tuple]:
         rows, cols = tuple(rows), tuple(cols)
         if len(set(rows)) != len(rows):
             raise CarrierMismatch("duplicate keys in the row carrier")
         if len(set(cols)) != len(cols):
             raise CarrierMismatch("duplicate keys in the column carrier")
-        self.kind = kind
-        self.rows = rows
-        self.cols = cols
-        self.row_index = {k: i for i, k in enumerate(rows)}
-        self.col_index = {k: j for j, k in enumerate(cols)}
+        return rows, cols
+
+    def __getattr__(self, name: str) -> dict:
+        """Build ``row_index`` or ``col_index``, the slot read but not yet set."""
+        if name not in ("row_index", "col_index"):
+            raise AttributeError(f"'ValRel' object has no attribute {name!r}")
+        index = {k: i for i, k in enumerate(self.rows if name == "row_index" else self.cols)}
+        setattr(self, name, index)
+        return index
 
     @classmethod
     def top(cls, rows, cols, kind: SemiringKind) -> "ValRel":
@@ -181,10 +195,16 @@ class ValRel:
         The list is kept, not copied.  A prob ``-0.0`` becomes ``0.0``, as
         boxing it would, since ``{:.9f}`` prints it as ``-0.000000000``.
         """
-        rel = cls.__new__(cls)
-        rel._carriers(kind, rows, cols)
-        if len(flat) != len(rel.rows) * len(rel.cols):
+        rows, cols = cls._carriers(rows, cols)
+        if len(flat) != len(rows) * len(cols):
             raise CarrierMismatch("grid shape does not match the carriers")
+        return cls._wrap(kind, rows, cols, flat)
+
+    @classmethod
+    def _wrap(cls, kind: SemiringKind, rows: tuple, cols: tuple, flat: list) -> "ValRel":
+        """:meth:`from_payloads` over two tuples of distinct keys, such as two models' states."""
+        rel = cls.__new__(cls)
+        rel.kind, rel.rows, rel.cols = kind, rows, cols
         rel._flat = [p + 0.0 for p in flat] if kind is SemiringKind.PROB else flat
         return rel
 
@@ -246,13 +266,10 @@ class ValRel:
             cells = ["inf" if p == INF else str(p) for p in self._flat]
         else:
             cells = [f"{p:.9f}" for p in self._flat]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + [str(c) for c in self.cols])
         n = len(self.cols)
-        for i, r in enumerate(self.rows):
-            writer.writerow([str(r)] + cells[i * n : i * n + n])
-        return buf.getvalue()
+        lines = [",".join(["", *map(_field, self.cols)])]
+        lines += [",".join([_field(r), *cells[i * n : i * n + n]]) for i, r in enumerate(self.rows)]
+        return "".join([line + "\n" if line else '""\n' for line in lines])  # as ``csv.writer``
 
     def to_json_records(self) -> list[dict]:
         tropical = self.kind is SemiringKind.TROPICAL

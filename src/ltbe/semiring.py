@@ -84,6 +84,7 @@ class SemiringKind(Enum):
     BOOL = "bool"
     PROB = "prob"
     TROPICAL = "tropical"
+    __hash__ = object.__hash__  # in C: ``Enum``'s hash runs a Python frame per ``OPS[kind]``
 
 
 class SemiringValue(Record):

@@ -118,6 +118,14 @@ class TestStepOperator:
         with pytest.raises(StackMismatch):
             behaviour(sys_model, other_spec)
 
+    def test_spec_of_another_kind_rejected(self):
+        # the spec's layers are the system's polynomial layers; only the kind differs
+        sys_model = loop_exit_system("bool")
+        spec = omega_spec("prob")
+        assert spec.stack.layers == sys_model.stack.layers[1:]
+        with pytest.raises(StackMismatch):
+            behaviour(sys_model, spec)
+
     def test_wrong_carriers_rejected(self):
         sys_model = loop_exit_system("bool")
         spec = omega_spec("bool")
@@ -179,6 +187,28 @@ class TestBehaviour:
             chain = iterates(sys_model, spec, 5)
             for below, above in zip(chain[1:], chain):
                 assert below.pointwise_leq(above)
+
+
+class TestResultRelation:
+    """The relation a fixpoint run returns is the one ``from_payloads`` builds over
+    the two models' states, though it skips the carrier checks and builds
+    its key indexes on first use."""
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_same_as_from_payloads(self, kind):
+        rng = random.Random(f"result:{kind.value}")
+        runs = []
+        for shape in SHAPES:
+            sys_model, spec = gen_model_pair(rng, kind, shape)
+            runs.append((behaviour(sys_model, spec).result, sys_model.states, spec.states))
+            a, b = gen_system_pair(rng, kind, shape)
+            runs.append((common_trace(a, b).result, a.states, b.states))
+            if kind is B:
+                runs.append((bisimilarity(a, b).result, a.states, b.states))
+        for result, rows, cols in runs:
+            want = ValRel.from_payloads(kind, rows, cols, result.payloads())
+            assert result == want and result.to_csv() == want.to_csv()
+            assert (result.row_index, result.col_index) == (want.row_index, want.col_index)
 
 
 class TestTropicalDivergence:
@@ -306,10 +336,14 @@ class TestFixpointOptions:
         "kwargs",
         [
             {"max_iterations": 0},
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
             {"tolerance": -1e-9},
             {"tolerance": float("nan")},
+            {"threshold": 0.5},
         ],
-        ids=["max-iterations", "negative-tolerance", "nan-tolerance"],
+        ids=["max-iterations", "float-max-iterations", "bool-max-iterations",
+             "negative-tolerance", "nan-tolerance", "bare-threshold"],
     )
     def test_invalid_options_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -342,17 +376,21 @@ class TestMonotonicityGuard:
         bottom = ValRel.tabulate(kind, ["x", "y"], ["z"], lambda r, c: zero(kind))
         top_slot = -1  # the source ends with the constants zero and one
         with pytest.raises(MonotonicityViolation, match="iterate 1 is not below"):
-            _run_fixpoint([_layer([top_slot, top_slot], 2)], bottom, FixpointOptions())
+            _run_fixpoint([_layer([top_slot, top_slot], 2)], kind, bottom.rows, bottom.cols,
+                          FixpointOptions(), bottom.payloads())
 
     def test_climb_after_descent_is_rejected(self):
-        start = ValRel.top(["x"], ["z"], P)  # 1.0, then 0.5, 0.25 and 0.75
+        start = [1.0]  # then 0.5, 0.25 and 0.75
         with pytest.raises(MonotonicityViolation, match="iterate 3 is not below"):
-            _run_fixpoint(_self_scaling(0.5, 0.5, 3.0), start, FixpointOptions())
+            _run_fixpoint(_self_scaling(0.5, 0.5, 3.0), P, ("x",), ("z",), FixpointOptions(),
+                          start)
 
     def test_climb_within_prob_slack_is_tolerated(self):
-        start = ValRel.top(["x"], ["z"], P)  # 1.0, then 0.5 and 0.5 + 1e-10
-        report = _run_fixpoint(_self_scaling(0.5, 1 + 2e-10), start, FixpointOptions())
+        start = [1.0]  # then 0.5 and 0.5 + 1e-10
+        report = _run_fixpoint(_self_scaling(0.5, 1 + 2e-10), P, ("x",), ("z",),
+                               FixpointOptions(), start)
         assert report.converged and report.iterations == 2
+        assert report.result == ValRel.from_payloads(P, ["x"], ["z"], [0.5 * (1 + 2e-10)])
 
 
 class TestCommonTrace:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 from functools import reduce
@@ -17,7 +19,7 @@ from ltbe import (
     reindex,
 )
 from ltbe.relation import Folds, fold_kernel
-from ltbe.semiring import OPS
+from ltbe.semiring import OPS, to_text
 from modelgen import lowered, random_valrel
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
@@ -171,6 +173,23 @@ class TestOutput:
         lines = rel.to_csv().splitlines()
         assert lines[1].startswith('"(a,b)"')
 
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_csv_is_what_the_csv_module_writes(self, kind):
+        """Keys with quotes, commas, line breaks and blanks, and empty carriers,
+        against ``csv.writer`` over the same rows."""
+        rng = random.Random(f"csv:{kind.value}")
+        alphabet = ['a', 'b', ',', '"', "\n", "\r", " ", "\t", "é", ";"]
+        for _ in range(300):
+            rows, cols = ({"".join(rng.choices(alphabet, k=rng.randint(0, 4)))
+                           for _ in range(rng.randint(0, 3))} for _ in range(2))
+            rel = random_valrel(rng, kind, sorted(rows), sorted(cols))
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["", *rel.cols])
+            for r in rel.rows:
+                writer.writerow([r, *(_cell(rel.get(r, c)) for c in rel.cols)])
+            assert rel.to_csv() == buf.getvalue(), (rel.rows, rel.cols)
+
     def test_payloads_box_on_read_and_drop_the_sign_of_zero(self):
         rel = ValRel.from_payloads(P, ["c"], ["z1", "z0"], [-0.0, 0.5])
         assert rel.to_csv() == ",z1,z0\nc,0.000000000,0.500000000\n"
@@ -190,6 +209,11 @@ class TestOutput:
         records = rel.to_json_records()
         assert records == [{"row": "c", "col": "z", "value": "inf"}]
         json.dumps(records)  # all payloads serializable
+
+
+def _cell(v):
+    """A value as a CSV cell: ``to_text``, with prob at nine decimals."""
+    return f"{v.payload:.9f}" if v.kind is P else to_text(v)
 
 
 def _reference(kind, weights, values):
@@ -267,6 +291,25 @@ class TestFold:
     def test_empty_fold_is_zero(self, kind):
         got = _fold(kind, [], [])
         assert (type(got), repr(got)) == (type(OPS[kind].zero), repr(OPS[kind].zero))
+
+    def test_empty_folds_in_a_layer(self):
+        # each empty fold is the kind's zero, of its type, between folds that read
+        wants = {B: [False, True, False], P: [0.0, 0.5, 0.0], T: [INF, 3, INF]}
+        for kind, want in wants.items():
+            one = OPS[kind].one
+            layer = Folds([[], [one], []], [[], [0], []], [(), (), ()])
+            src = [{B: True, P: 0.5, T: 3}[kind]]
+            got = fold_kernel(kind)(layer, range(3), src)
+            assert [(type(g), repr(g)) for g in got] == [(type(w), repr(w)) for w in want]
+            assert fold_kernel(kind)(layer, [2, 0], src) == want[:1] * 2
+
+    def test_tropical_tie_keeps_the_first_term(self):
+        # as the fold from INF does: min(INF, a) is a, and min(a, b) is a when a == b
+        for weights, values in [([1, 0], [2.0, 3]), ([0, 1], [3, 2.0])]:
+            got, want = _fold(T, weights, values), _reference(T, weights, values)
+            assert (type(got), repr(got)) == (type(want), repr(want))
+        assert type(_fold(T, [1, 0], [2.0, 3])) is float
+        assert type(_fold(T, [0, 1], [3, 2.0])) is int
 
     def test_tropical_infinite_entries(self):
         assert _fold(T, [2, 1], [INF, 3]) == 4
