@@ -29,6 +29,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# command: help, the flags of its two models (a ``spec`` is parsed as a
+# specification), the engine's call, and whether that call iterates to a
+# fixpoint and so takes ``--max-iter``, ``--tol`` and ``--threshold``
+_QUERIES = {
+    "behaviour": ("behaviour values of a system against a spec", ("system", "spec"),
+                  engine.behaviour, True),
+    "bisim": ("largest bisimulation between two bool systems", ("a", "b"),
+              engine.bisimilarity, False),
+    "common": ("joint behaviour values of two systems", ("a", "b"), engine.common_trace, True),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ltbe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -37,33 +49,19 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
-    def add_fixpoint_flags(p):
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--threshold", default=None, help="early-exit verification threshold")
-
-    p = sub.add_parser("behaviour", help="behaviour values of a system against a spec")
-    p.add_argument("--system", required=True)
-    p.add_argument("--spec", required=True)
-    add_fixpoint_flags(p)
-    add_output_flags(p)
-
-    p = sub.add_parser("bisim", help="largest bisimulation between two bool systems")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    add_output_flags(p)
-
-    p = sub.add_parser("common", help="joint behaviour values of two systems")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    add_fixpoint_flags(p)
-    add_output_flags(p)
+    for command, (text, flags, _, fixpoint) in _QUERIES.items():
+        p = sub.add_parser(command, help=text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", required=True)
+        if fixpoint:
+            p.add_argument("--max-iter", type=int, default=None)
+            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--threshold", default=None, help="early-exit verification threshold")
+        add_output_flags(p)
 
     p = sub.add_parser("oracle", help="bounded-depth brute-force matrix")
-    p.add_argument("--system", default=None)
-    p.add_argument("--spec", default=None)
-    p.add_argument("--a", default=None)
-    p.add_argument("--b", default=None)
+    for flag in ("system", "spec", "a", "b"):
+        p.add_argument(f"--{flag}", default=None)
     p.add_argument("--depth", type=int, required=True)
     add_output_flags(p)
 
@@ -90,93 +88,57 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _gap_json(g: float):
-    return "inf" if math.isinf(g) else g
+def _models(args, flags: tuple) -> list:
+    """The two models named by ``flags``, parsed in order, the first as a system."""
+    return [(parse_spec if flag == "spec" else parse_system)(_read(getattr(args, flag)))
+            for flag in flags]
 
 
-def _matrix_text(rel, fmt: str, report=None, with_threshold: bool = False) -> str:
+def _matrix_text(rel, fmt: str, footer: list) -> str:
+    """``rel`` and its ``(name, value)`` footer rows as CSV or as a JSON document.
+
+    A CSV footer follows a blank line and writes booleans as ``true`` and
+    ``false`` and floats by ``repr``; JSON writes an infinite value as
+    ``"inf"``.
+    """
     if fmt == "json":
-        doc: dict = {"matrix": rel.to_json_records()}
-        if report is not None:
-            doc["iterations"] = report.iterations
-            doc["converged"] = report.converged
-            doc["final_gap"] = _gap_json(report.final_gap)
-            if with_threshold:
-                doc["threshold_decided"] = report.threshold_decided
+        doc = {"matrix": rel.to_json_records()}
+        doc.update((name, "inf" if v == math.inf else v) for name, v in footer)
         return json.dumps(doc, indent=2) + "\n"
-    text = rel.to_csv()
-    if report is not None:
-        text += "\n"
-        text += f"iterations,{report.iterations}\n"
-        text += f"converged,{'true' if report.converged else 'false'}\n"
-        text += f"final_gap,{report.final_gap!r}\n"
-        if with_threshold:
-            text += f"threshold_decided,{'true' if report.threshold_decided else 'false'}\n"
-    return text
-
-
-def _fixpoint_options(args, kind: SemiringKind) -> engine.FixpointOptions:
-    threshold = None
-    if args.threshold is not None:
-        threshold = from_text(kind, args.threshold)
-    return engine.FixpointOptions(
-        max_iterations=args.max_iter, tolerance=args.tol, threshold=threshold
-    )
+    rows = "".join(f"{name},{str(v).lower() if type(v) is bool else repr(v)}\n"
+                   for name, v in footer)
+    return rel.to_csv() + ("\n" + rows if rows else "")
 
 
 _EXIT_CODES = {"converged": 0, "budget": 3, "threshold": 4}
 
 
-def _cmd_behaviour(args) -> int:
-    sys_model = parse_system(_read(args.system))
-    spec_model = parse_spec(_read(args.spec))
-    opts = _fixpoint_options(args, sys_model.stack.kind)
-    report = engine.behaviour(sys_model, spec_model, opts)
-    _emit(
-        _matrix_text(report.result, args.format, report, args.threshold is not None),
-        args.out,
-    )
-    return _EXIT_CODES[report.stop_reason]
-
-
-def _cmd_bisim(args) -> int:
-    a = parse_system(_read(args.a))
-    b = parse_system(_read(args.b))
-    report = engine.bisimilarity(a, b)
-    _emit(_matrix_text(report.result, args.format, report), args.out)
-    return _EXIT_CODES[report.stop_reason]
-
-
-def _cmd_common(args) -> int:
-    a = parse_system(_read(args.a))
-    b = parse_system(_read(args.b))
-    opts = _fixpoint_options(args, a.stack.kind)
-    report = engine.common_trace(a, b, opts)
-    _emit(
-        _matrix_text(report.result, args.format, report, args.threshold is not None),
-        args.out,
-    )
+def _cmd_query(args) -> int:
+    _, flags, run, fixpoint = _QUERIES[args.command]
+    left, right = _models(args, flags)
+    opts = ()
+    if fixpoint:
+        threshold = None if args.threshold is None else from_text(left.stack.kind, args.threshold)
+        opts = (engine.FixpointOptions(args.max_iter, args.tol, threshold),)
+    report = run(left, right, *opts)
+    footer = [("iterations", report.iterations), ("converged", report.converged),
+              ("final_gap", report.final_gap)]
+    if getattr(args, "threshold", None) is not None:
+        footer.append(("threshold_decided", report.threshold_decided))
+    _emit(_matrix_text(report.result, args.format, footer), args.out)
     return _EXIT_CODES[report.stop_reason]
 
 
 def _cmd_oracle(args) -> int:
     from . import oracle
 
-    pair_mode = args.a is not None or args.b is not None
-    spec_mode = args.system is not None or args.spec is not None
-    if pair_mode == spec_mode or (pair_mode and (args.a is None or args.b is None)) or (
-        spec_mode and (args.system is None or args.spec is None)
-    ):
+    given = [flags for flags in (("system", "spec"), ("a", "b"))
+             if any(getattr(args, flag) is not None for flag in flags)]
+    if len(given) != 1 or None in (getattr(args, flag) for flag in given[0]):
         raise _UsageError("oracle needs either --system and --spec, or --a and --b")
-    if spec_mode:
-        rel = oracle.oracle_matrix(
-            parse_system(_read(args.system)), parse_spec(_read(args.spec)), args.depth
-        )
-    else:
-        rel = oracle.oracle_common(
-            parse_system(_read(args.a)), parse_system(_read(args.b)), args.depth
-        )
-    _emit(_matrix_text(rel, args.format), args.out)
+    left, right = _models(args, given[0])
+    run = oracle.oracle_matrix if given[0][1] == "spec" else oracle.oracle_common
+    _emit(_matrix_text(run(left, right, args.depth), args.format, []), args.out)
     return 0
 
 
@@ -193,33 +155,20 @@ def _cmd_check_laws(args) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "behaviour": _cmd_behaviour,
-    "bisim": _cmd_bisim,
-    "common": _cmd_common,
-    "oracle": _cmd_oracle,
-    "check-laws": _cmd_check_laws,
-}
+_COMMANDS = {"oracle": _cmd_oracle, "check-laws": _cmd_check_laws}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"ltbe: {exc}", file=sys.stderr)
-        return 1
+        return _COMMANDS.get(args.command, _cmd_query)(args)
     except LtbeError as exc:
         print(f"ltbe: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"ltbe: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"ltbe: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

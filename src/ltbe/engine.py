@@ -65,6 +65,8 @@ class FixpointOptions(Record):
             raise ValueError(f"max_iterations must be an int, got {max_iterations!r}")
         if max_iterations is not None and max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+            raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
         if not tolerance >= 0:  # NaN too
             raise ValueError("tolerance must be >= 0")
         if threshold is not None and not isinstance(threshold, SemiringValue):
@@ -169,7 +171,9 @@ def _walker(left: System, right: System) -> list:
     own value, at the two models' top positions, so its cells are the
     relation's.  The program is the list of fused layers (see
     :func:`_layer`); the first reads and the last writes the relation, a
-    row-major payload list over the two state sets.
+    row-major payload list over the two state sets.  A cell below the last
+    layer is live if a live cell above reads it, and a ``users`` list names
+    live cells only, so no round evaluates a cell that nothing reads.
     """
     plan, j = [], 0
     for idx, layer in enumerate(left.stack.layers):
@@ -202,7 +206,11 @@ def _walker(left: System, right: System) -> list:
         else:
             program.append([cells, rows * cols, pure])
         rows, cols = len(mine), len(theirs)
-    return [_layer(cells, size) for cells, size, _ in program]
+    program = [_layer(cells, size) for cells, size, _ in program]
+    for (_, users), (_, above) in zip(program[-2::-1], program[:0:-1]):  # top down
+        for ks in users:  # keep the live cells: those that a live cell above reads
+            ks[:] = [k for k in ks if above[k]]
+    return program
 
 
 def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[list, list]]:
@@ -210,7 +218,8 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
 
     A round evaluates, layer by layer and in cell order, the cells that read
     a position changed (``!=``) in the round, or for the first layer in the
-    round before; the first round evaluates every cell.  The last layer's
+    round before; the first round evaluates every live cell, and a dead cell
+    keeps the zero constant, which no cell reads.  The last layer's
     changes are applied after it has run, since the relation is both its
     input and its output.  Every source list ends with the two constants,
     so ``ZERO`` and ``ONE`` read them at any layer.  Each round yields the
@@ -226,12 +235,18 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
     while True:
         src = cur
         for depth, (cells, users) in enumerate(program):
-            todo = range(len(cells)) if changed is None else sorted(
-                {k for p in changed for k in users[p]})
+            if changed is not None:
+                todo = sorted({k for p in changed for k in users[p]})
+            elif depth < last:  # the first round: the live cells
+                todo = [k for k, ks in enumerate(program[depth + 1][1]) if ks]
+            else:
+                todo = range(len(cells))
             new = run(cells, todo, src)
             old = cur if depth == last else outs[depth]
             if old is None:
-                outs[depth] = src = new + consts
+                outs[depth] = src = [consts[0]] * len(cells) + consts
+                for k, v in zip(todo, new):
+                    src[k] = v
                 continue
             changes = [(k, old[k], v) for k, v in zip(todo, new) if v != old[k]]
             changed = [k for k, _, _ in changes]

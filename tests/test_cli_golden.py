@@ -12,7 +12,10 @@ stdout.  Each row ``[command, a, b, flags, exit code, stdout]`` of
 ``[mode, a, b, depth, exit code, stdout, stderr]`` of ``golden/oracle.json``
 is ``ltbe oracle`` at one depth on the pair of a pinned query, read with
 ``--system``/``--spec`` (mode ``spec``) or ``--a``/``--b`` (mode ``pair``),
-plus a negative depth and a stack mismatch.  Queries
+plus a negative depth and a stack mismatch.  Each row
+``[command, exit code, stdout]`` of ``golden/help.json`` is
+``ltbe --help`` or ``ltbe <command> --help`` at a terminal 80 columns
+wide, which pins every subcommand, flag, metavar and their order.  Queries
 that end ``converged=false`` are not pinned, so a change that makes them
 converge needs no edit here.
 """
@@ -32,6 +35,7 @@ GOLDEN = sorted((HERE / "golden").glob("*.csv"))
 REJECTED = json.loads((HERE / "golden" / "rejected.json").read_text(encoding="utf-8"))
 FLAGGED = json.loads((HERE / "golden" / "flags.json").read_text(encoding="utf-8"))
 ORACLE = json.loads((HERE / "golden" / "oracle.json").read_text(encoding="utf-8"))
+HELP = json.loads((HERE / "golden" / "help.json").read_text(encoding="utf-8"))
 FLAGS = {"behaviour": ("--system", "--spec"), "common": ("--a", "--b"), "bisim": ("--a", "--b")}
 
 
@@ -76,6 +80,16 @@ def test_oracle_output_matches_golden(row, capsys):
     args = ["oracle", first, str(DATA / f"{a}.json"), second, str(DATA / f"{b}.json")]
     assert main([*args, "--depth", str(depth)]) == code
     assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("row", HELP, ids=lambda r: r[0] or "ltbe")
+def test_help_matches_golden(row, capsys, monkeypatch):
+    command, code, out = row
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as stop:
+        main([*command.split(), "--help"])
+    assert stop.value.code == code
+    assert capsys.readouterr() == (out, "")
 
 
 def _no_key(self):

@@ -28,7 +28,7 @@ from ltbe import (
 )
 from ltbe import engine
 from ltbe.engine import _layer, _run_fixpoint
-from ltbe.relation import ONE, ZERO, Folds
+from ltbe.relation import ONE, ZERO, Folds, reads
 from modelgen import (
     LTS_F,
     SHAPES,
@@ -340,17 +340,22 @@ class TestFixpointOptions:
             {"max_iterations": True},
             {"tolerance": -1e-9},
             {"tolerance": float("nan")},
+            {"tolerance": "0.1"},
+            {"tolerance": None},
+            {"tolerance": True},
             {"threshold": 0.5},
         ],
         ids=["max-iterations", "float-max-iterations", "bool-max-iterations",
-             "negative-tolerance", "nan-tolerance", "bare-threshold"],
+             "negative-tolerance", "nan-tolerance", "str-tolerance", "none-tolerance",
+             "bool-tolerance", "bare-threshold"],
     )
     def test_invalid_options_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FixpointOptions(**kwargs)
 
     def test_zero_tolerance_and_cap_accepted(self):
-        FixpointOptions(tolerance=0.0)
+        for tolerance in (0, 0.0, float("inf")):
+            assert FixpointOptions(tolerance=tolerance).tolerance == tolerance
 
 
 class _Schedule:
@@ -546,6 +551,33 @@ class TestPositionSpace:
                     constants += cell in (ZERO, ONE)
                     products += type(cell) is tuple
         assert constants > 100 and products > 100
+
+
+class TestLiveCells:
+    """A ``users`` list names exactly the cells that read its position and
+    that a live cell above reads; every cell of the last layer is live."""
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_users_name_the_live_readers(self, kind):
+        rng = random.Random(f"live-cells:{kind.value}")
+        dead = 0
+        for texts in MULTI_ID_STACKS:
+            for _ in range(4):
+                sys_model, spec = gen_models_on(rng, kind, texts, rng.randint(2, 5),
+                                                rng.randint(1, 3))
+                program = engine._walker(sys_model, spec)
+                live = None  # every cell of the last layer
+                for cells, users in reversed(program):
+                    dead += 0 if live is None else len(cells) - len(live)
+                    ps = cells.positions if type(cells) is Folds else map(reads, cells)
+                    want = [[] for _ in users]
+                    for k, read in enumerate(ps):
+                        for p in set(read) if live is None or k in live else ():
+                            if p >= 0:
+                                want[p].append(k)
+                    assert [sorted(set(ks)) for ks in users] == want
+                    live = {p for p, ks in enumerate(want) if ks}
+        assert dead > 0
 
 
 class TestReadLayerOverProducts:

@@ -5,7 +5,6 @@ import pytest
 from ltbe import (
     SemiringKind,
     StackMismatch,
-    UndefinedSum,
     ValRel,
     behaviour,
     common_iterates,
@@ -138,10 +137,6 @@ class TestAgreementWithEngine:
                     else:
                         assert rel == reference
 
-    @pytest.mark.xfail(strict=True, raises=UndefinedSum,
-                       reason="the engine compiles every pair of branching values at a "
-                              "layer, read or not, and an unread pair's joint mass "
-                              "escapes [0, 1]")
     def test_common_with_an_unread_heavy_pair(self):
         """The components swap a stop of mass 0.5 and two steps of mass 1 + 9e-10.
 
