@@ -8,7 +8,9 @@ zero branching value (deadlock).
 
 Values are canonical on construction: zero weights are dropped and entries
 are sorted by the canonical key of the inner value, which fixes all fold
-orders downstream.
+orders downstream.  :func:`canonical`, :func:`within_mass` and
+:func:`branch_key` state these rules once, for :class:`BranchVal` and for
+the model decoder, which applies them to keys and bare payloads.
 """
 
 from __future__ import annotations
@@ -16,6 +18,38 @@ from __future__ import annotations
 from .errors import KindMismatch, ValidationError
 from .polyfunctor import name_key, value_key
 from .semiring import OPS, PROB_EPS, Record, SemiringKind, SemiringValue, one
+
+
+def canonical(kind: SemiringKind, keys, items, payloads) -> tuple[list, list, list]:
+    """The support of a branching value: the keys, items and payloads of the
+    entries whose payload is not zero, in key order.  A repeated key
+    collapses for bool (a set of successors) and is an error otherwise."""
+    zero = OPS[kind].zero
+    keyed: dict[str, tuple] = {}
+    for k, item, w in zip(keys, items, payloads):
+        if w == zero:
+            continue
+        if k in keyed:
+            if kind is SemiringKind.BOOL:
+                continue
+            raise ValidationError(f"duplicate entry {k!r} in branching value")
+        keyed[k] = item, w
+    support = sorted(keyed)
+    return support, [keyed[k][0] for k in support], [keyed[k][1] for k in support]
+
+
+def within_mass(kind: SemiringKind, payloads) -> bool:
+    """The carrier constraint on the weights, in support order: a prob
+    value's mass is at most 1, up to :data:`PROB_EPS`."""
+    return kind is not SemiringKind.PROB or sum(payloads) <= 1.0 + PROB_EPS
+
+
+def branch_key(kind: SemiringKind, names, payloads) -> str:
+    """The canonical key of a branching value, from its support's keys as a
+    key embeds them (:func:`~ltbe.polyfunctor.name_key` for a state id)."""
+    if kind is SemiringKind.BOOL:
+        return "{" + "|".join(names) + "}"
+    return "{" + "|".join(f"{k}:{w!r}" for k, w in zip(names, payloads)) + "}"
 
 
 class BranchVal(Record):
@@ -30,36 +64,24 @@ class BranchVal(Record):
 
     def __init__(self, kind: SemiringKind,
                  entries: tuple[tuple[object, SemiringValue], ...]) -> None:
-        z = OPS[kind].zero
-        keyed: dict[str, tuple[object, SemiringValue]] = {}
-        for item, weight in entries:
+        for _, weight in entries:
             if weight.kind is not kind:
                 raise KindMismatch(
                     f"{weight.kind.value} weight inside a {kind.value} branching value"
                 )
-            if weight.payload == z:
-                continue
-            k = value_key(item)
-            if k in keyed:
-                if kind is SemiringKind.BOOL:
-                    continue  # set semantics: repeated successors collapse
-                raise ValidationError(f"duplicate entry {k!r} in branching value")
-            keyed[k] = (item, weight)
-        support = tuple(sorted(keyed))
+        support, entries, _ = canonical(kind, [value_key(item) for item, _ in entries], entries,
+                                        [w.payload for _, w in entries])
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "entries", tuple(keyed[k] for k in support))
-        object.__setattr__(self, "_support_keys", support)
+        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "_support_keys", tuple(support))
         object.__setattr__(self, "_key", None)
 
     def key(self) -> str:
         if self._key is None:
-            keys = [name_key(k) if isinstance(item, str) else k
-                    for k, (item, _) in zip(self._support_keys, self.entries)]
-            if self.kind is SemiringKind.BOOL:
-                inner = "|".join(keys)
-            else:
-                inner = "|".join(f"{k}:{w.payload!r}" for k, (_, w) in zip(keys, self.entries))
-            object.__setattr__(self, "_key", "{" + inner + "}")
+            names = [name_key(k) if isinstance(item, str) else k
+                     for k, (item, _) in zip(self._support_keys, self.entries)]
+            key = branch_key(self.kind, names, [w.payload for _, w in self.entries])
+            object.__setattr__(self, "_key", key)
         return self._key
 
     @property
@@ -85,6 +107,4 @@ def validate_branchval(v: BranchVal) -> bool:
     Construction already enforces canonical support, so the remaining
     constraint is the sub-probability mass bound.
     """
-    if v.kind is SemiringKind.PROB:
-        return v.total_mass() <= 1.0 + PROB_EPS
-    return True
+    return within_mass(v.kind, [w.payload for _, w in v.entries])

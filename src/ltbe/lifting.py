@@ -24,18 +24,18 @@ layer and the branching values of a branching layer.
 
 The engine's liftings have one implementation each, in stages.
 ``resolve_term`` and ``resolve_branch`` turn a value into integer
-positions in the carrier below it; a model does so once, when it is
-parsed (``System.resolved``), and :func:`unit_columns` gives the unit
-branching already resolved.  ``compile_poly`` and
+positions in the carrier below it; a model's decoder makes the same rows
+straight from its file (``System.resolved``), and :func:`unit_columns`
+gives the unit branching already resolved.  ``compile_poly`` and
 ``compile_double_extension`` take the resolved values and the two source
 carrier sizes, and turn every cell of the lifted matrix into cells of
 :mod:`ltbe.relation`.  A polynomial cell is a single read, ``ZERO`` or
 ``ONE``, or a product: a flat tuple of factors in the order it multiplies
 them.  A branching layer compiles straight into the columns of a layer of
-folds (``Folds``): per cell its weights, its positions and its branching
-values.  The public ``lift_*`` functions resolve their arguments against
-the relation's carriers, compile, evaluate every cell in order and box
-the result; the engine passes ``source`` to compile a layer that reads
+folds (``Folds``): per cell its weights, its positions and the keys of its
+branching values.  The public ``lift_*`` functions resolve their arguments
+against the relation's carriers, compile, evaluate every cell in order and
+box the result; the engine passes ``source`` to compile a layer that reads
 through a layer of single reads below it.  A read through that layer can
 land on ``ZERO``, where two terms' shapes differ; the double extension
 leaves such a pair out of its fold, since a zero term changes no sum.
@@ -56,20 +56,27 @@ from .semiring import OPS, SemiringKind
 Index = Mapping[object, int]
 
 #: A compiled polynomial cell that is the unit, whatever the relation.
-_TOP = "top"
+TOP = "top"
 
 
-def _times(a, b):
+def times(a, b):
     """The compiled product of two cells, flat on the left, so ``(a, b, c)``
     multiplies as ``(a * b) * c``; a unit factor folds away exactly."""
-    return b if a is _TOP else a if b is _TOP else (*a, b) if type(a) is tuple else (a, b)
+    return b if a is TOP else a if b is TOP else (*a, b) if type(a) is tuple else (a, b)
+
+
+def product(trees: list):
+    """``reduce(times, trees, TOP)`` over trees none of which is ``TOP``, in one pass."""
+    if len(trees) < 2:
+        return trees[0] if trees else TOP
+    return (*trees[0], *trees[1:]) if type(trees[0]) is tuple else tuple(trees)
 
 
 def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
     """A term of ``expr`` as ``(shape, tree, leaves)`` over the carrier below.
 
     The shape is the term's sequence of injection indices and labels.  The
-    tree is ``_TOP``, a leaf, or the product of its identity positions as a
+    tree is ``TOP``, a leaf, or the product of its identity positions as a
     flat tuple of factors in the order the expression multiplies them, a
     factor being a leaf or a product nested on the right; leaf ``i`` stands
     for the position ``leaves[i]`` of that identity's target in ``index``.
@@ -82,20 +89,18 @@ def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
             return len(leaves) - 1
         if isinstance(e, Const):
             shape.append(t.label)
-            return _TOP
+            return TOP
         if isinstance(e, Prod):
-            return _times(walk(e.left, t.fst), walk(e.right, t.snd))
+            return times(walk(e.left, t.fst), walk(e.right, t.snd))
         if isinstance(e, Coprod):
             shape.append(t.index)
             return walk(e.branches[t.index], t.arg)
-        trees = []  # a power: the product of its components, built in one pass
+        trees = []  # a power: the product of its components
         for c in t.components:
             tree = walk(e.body, c)
-            if tree is not _TOP:
+            if tree is not TOP:
                 trees.append(tree)
-        if len(trees) < 2:
-            return trees[0] if trees else _TOP
-        return (*trees[0], *trees[1:]) if type(trees[0]) is tuple else tuple(trees)
+        return product(trees)
 
     try:
         tree = walk(expr, term)
@@ -105,16 +110,17 @@ def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
 
 
 def resolve_branch(value: BranchVal, index: Index) -> tuple:
-    """A branching value as ``(positions, weights, value)``.
+    """A branching value as ``(positions, weights, key)``.
 
     The positions in ``index`` of its support and the raw payloads of its
-    weights are in canonical support order, which fixes every fold order.
+    weights are in canonical support order, which fixes every fold order;
+    the key names the value where a fold of it is undefined.
     """
     try:
         positions = list(map(index.__getitem__, value.support_keys()))
     except KeyError as exc:
         raise CarrierMismatch(f"key {exc.args[0]!r} is not in the carrier") from None
-    return positions, [w.payload for _, w in value.entries], value
+    return positions, [w.payload for _, w in value.entries], value.key()
 
 
 def compile_poly(rows: int, cols: int, row_terms: Sequence, col_terms: Sequence,
@@ -135,7 +141,7 @@ def compile_poly(rows: int, cols: int, row_terms: Sequence, col_terms: Sequence,
         return tuple(map(cell, tree, repeat(lu), repeat(lv)))
 
     return [
-        (ONE if tree is _TOP else cell(tree, lu, lv)) if su == sv else ZERO
+        (ONE if tree is TOP else cell(tree, lu, lv)) if su == sv else ZERO
         for su, tree, lu in row_terms
         for sv, _, lv in col_terms
     ]

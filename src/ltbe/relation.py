@@ -16,9 +16,9 @@ a list of cells, each an ``int`` that reads one position or a ``tuple``
 of factors that is a product, multiplied left to right; a factor is a
 read or, when the product nests to the right, a product of its own.  The
 lifting through a branching layer is a layer of folds, kept as columns
-(:class:`Folds`): per cell, its weights, its positions and the branching
-values that name it.  :func:`kernel` evaluates any set of the cells of
-either form; a layer of folds runs in one comprehension
+(:class:`Folds`): per cell, its weights, its positions and the keys of
+the branching values that name it.  :func:`kernel` evaluates any set of
+the cells of either form; a layer of folds runs in one comprehension
 (:func:`fold_kernel`), with one C-level ``any``, ``min`` or float sum per
 cell that has the semiring fold's bits.
 """
@@ -40,8 +40,8 @@ ZERO, ONE = -2, -1
 class Folds:
     """A layer of folds as three columns: cell ``k`` sums
     ``weights[k][i] * src[positions[k][i]]`` from zero, left to right, and
-    ``where[k]`` holds the branching values whose keys name the cell if a
-    prob sum is undefined (``None`` for a unit column, which names none)."""
+    ``where[k]`` holds the keys of the branching values that name the cell if
+    a prob sum is undefined (``None`` for a unit column, which names none)."""
 
     __slots__ = ("weights", "positions", "where")
 
@@ -90,8 +90,8 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], li
                         try:
                             out[i] = reduce(add, map(mul, W[k], map(get, P[k])), 0.0)
                         except UndefinedSum:
-                            where = " x ".join(repr(v.key()) for v in folds.where[k]
-                                              if v is not None)
+                            where = " x ".join(repr(key) for key in folds.where[k]
+                                              if key is not None)
                             raise UndefinedSum(
                                 f"partial sum undefined while extending over {where}") from None
             return out

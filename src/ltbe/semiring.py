@@ -103,34 +103,38 @@ class SemiringValue(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        p = self.payload
-        if self.kind is SemiringKind.BOOL:
-            if not isinstance(p, bool):
-                raise ValidationError(f"bool payload must be a bool, got {p!r}")
-        elif self.kind is SemiringKind.PROB:
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise ValidationError(f"prob payload must be a real, got {p!r}")
-            try:
-                p = float(p)
-            except OverflowError:  # an int beyond the float range
-                raise ValidationError("prob payload is beyond the float range") from None
-            if not math.isfinite(p):
-                raise ValidationError(f"prob payload {p!r} is not a finite real")
-            if p < -PROB_EPS or p > 1.0 + PROB_EPS:
-                raise ValidationError(f"prob payload {p!r} outside [0, 1]")
-            # 0.0 first, so that -0.0 becomes 0.0
-            object.__setattr__(self, "payload", min(max(0.0, p), 1.0))
-        else:
-            if isinstance(p, float) and not isinstance(p, bool):
-                if p == INF:
-                    return
-                if p.is_integer():
-                    p = int(p)
-                else:
-                    raise ValidationError(f"tropical payload {p!r} is not a natural or inf")
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-                raise ValidationError(f"tropical payload {p!r} is not a natural or inf")
-            object.__setattr__(self, "payload", p)
+        object.__setattr__(self, "payload", checked_payload(self.kind, self.payload))
+
+
+def checked_payload(kind: SemiringKind, p: object) -> bool | int | float:
+    """``p`` as a payload of ``kind``: a prob real is clamped into [0, 1] as a
+    float (``-0.0`` to ``0.0``) and a whole tropical float becomes an int;
+    anything else that is not a payload raises :class:`ValidationError`."""
+    if kind is SemiringKind.BOOL:
+        if not isinstance(p, bool):
+            raise ValidationError(f"bool payload must be a bool, got {p!r}")
+        return p
+    if kind is SemiringKind.PROB:
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ValidationError(f"prob payload must be a real, got {p!r}")
+        try:
+            p = float(p)
+        except OverflowError:  # an int beyond the float range
+            raise ValidationError("prob payload is beyond the float range") from None
+        if not math.isfinite(p):
+            raise ValidationError(f"prob payload {p!r} is not a finite real")
+        if p < -PROB_EPS or p > 1.0 + PROB_EPS:
+            raise ValidationError(f"prob payload {p!r} outside [0, 1]")
+        return min(max(0.0, p), 1.0)  # 0.0 first, so that -0.0 becomes 0.0
+    if isinstance(p, float):
+        if p == INF:
+            return p
+        if not p.is_integer():
+            raise ValidationError(f"tropical payload {p!r} is not a natural or inf")
+        p = int(p)
+    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+        raise ValidationError(f"tropical payload {p!r} is not a natural or inf")
+    return p
 
 
 def _prob_add(a: float, b: float) -> float:
@@ -276,10 +280,11 @@ def to_json_value(v: SemiringValue) -> bool | int | float | str:
     return v.payload
 
 
-def from_json_value(kind: SemiringKind, raw: object) -> SemiringValue:
+def json_payload(kind: SemiringKind, raw: object) -> bool | int | float:
+    """The payload of a weight as a model file writes it: a JSON number, or
+    for tropical the string "inf"."""
     if kind is SemiringKind.TROPICAL and raw == "inf":
-        return SemiringValue(kind, INF)
+        return INF
     if not isinstance(raw, (bool, int, float)):
         raise ValidationError(f"bad {kind.value} value {raw!r}")
-    return SemiringValue(kind, raw)
-
+    return checked_payload(kind, raw)

@@ -5,13 +5,16 @@ expression or a branching layer of the stack's kind; ``[G, T, F]`` means
 "a G-shaped observation of branching over F-shaped steps".  A system is a
 finite carrier with one transition value per state, well typed against the
 stack.  A specification is the branching-free case and describes the
-linear-time behaviours to test against.  A model's constructor decodes its
-transitions, in one walk over layer indices with the model's stack and
-states bound once, and in that walk collects the distinct values at each
-layer of the stack, which :meth:`System.values_at` lists.  It then resolves
-each of those values once to integer positions in the layer below
-(``System.resolved``) and each state to the position of its transition
-(``System.top_positions``), so a run compiles from positions alone.
+linear-time behaviours to test against.
+
+A model's constructor decodes its transitions in one walk straight into
+rows, one per distinct value of each layer, found by its canonical key.
+Once each layer's keys are sorted, the keys in the rows become positions
+in the layer below (``System.resolved``, the rows ``lifting.resolve_term``
+and ``resolve_branch`` make of boxed values) and each state's key the
+position of its transition (``System.top_positions``), so a run compiles
+from positions alone.  The boxed values of :meth:`System.values_at` and
+``System.transitions`` are rebuilt from the rows on first read.
 
 The file format is JSON::
 
@@ -32,16 +35,16 @@ objects (prob and tropical).
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .branching import BranchVal, validate_branchval
+from .branching import BranchVal, branch_key, canonical, within_mass
 from .errors import (
     DegenerateStack,
     ParseError,
     TransitionTypeError,
     ValidationError,
 )
-from .lifting import resolve_branch, resolve_term
+from .lifting import TOP, product, times
 from .polyfunctor import (
     Atom,
     Const,
@@ -54,13 +57,21 @@ from .polyfunctor import (
     StateRef,
     TupleTerm,
     expr_to_text,
+    name_key,
     parse_expr,
 )
-from .semiring import Record, SemiringKind, from_json_value, one, to_json_value
+from .semiring import (Record, SemiringKind, SemiringValue, json_payload,
+                       to_json_value)
 
 
 class PolyLayer(Record):
-    __slots__ = ("expr",)
+    __slots__ = ("expr", "_decode")
+
+    def decoder(self):
+        """The expression's term decoder (:func:`_term_decoder`), built on first use."""
+        if getattr(self, "_decode", None) is None:
+            object.__setattr__(self, "_decode", _term_decoder(self.expr))
+        return self._decode
 
 
 class BranchLayer(Record):
@@ -102,121 +113,169 @@ def linear_part(stack: TypeStack) -> TypeStack:
 
 # --- transition value codec ----------------------------------------------------
 
-def _decoder(stack: TypeStack, states, found):
-    """The decoder of ``stack``'s values over the state ids ``states``.
+def _expected(node: str, raw, path: str) -> TransitionTypeError:
+    """The error for ``raw`` where a term's ``node`` node (``"a pair"``, say) belongs."""
+    node = node if isinstance(raw, dict) else "a term"
+    return TransitionTypeError(f"{path}: expected {node} node, got {raw!r}")
 
-    ``decode(idx, raw, path)`` decodes ``raw`` as a value of layer ``idx``,
-    a state reference at ``idx == len(stack.layers)``, and records each
-    layer's value under its key in ``found[idx]``.
+
+def _term_decoder(expr: PolyExpr):
+    """The decoder of the terms of ``expr``, one closure per node of it.
+
+    ``decode(raw, path, below, shape, leaves)`` checks that ``raw`` is a
+    term of ``expr`` and returns its canonical key and its product tree
+    (see ``lifting.resolve_term``), appending its injection indices and
+    labels to ``shape``.  ``below(raw, path, leaves)`` decodes an ``Id``
+    leaf: it appends the leaf's key to ``leaves`` and returns the key as a
+    term embeds it.
     """
-    layers, kind = stack.layers, stack.kind
-    bottom = len(layers)
-    unit = one(kind) if kind is SemiringKind.BOOL else None
+    if isinstance(expr, Id):
+        return lambda raw, path, below, shape, leaves: (below(raw, path, leaves), len(leaves) - 1)
+    if isinstance(expr, Const):
+        labels, atoms = expr.labels, {label: "@" + name_key(label) for label in expr.labels}
 
-    def decode(idx, raw, path):
-        if idx == bottom:
-            if not (isinstance(raw, dict) and set(raw) == {"state"}):
-                raise TransitionTypeError(f"{path}: expected a state reference, got {raw!r}")
-            target = raw["state"]
-            if not isinstance(target, str):
-                raise TransitionTypeError(f"{path}: expected a state id, got {target!r}")
-            if target not in states:
-                raise ValidationError(f"{path}: unknown state id {target!r}")
-            return target
-        layer = layers[idx]
-        if isinstance(layer, BranchLayer):
-            if not isinstance(raw, list):
-                raise TransitionTypeError(f"{path}: expected a branching list, got {raw!r}")
-            pairs = []
-            for i, elem in enumerate(raw):
-                at, weight = f"{path}[{i}]", unit
-                if weight is None:  # a weight is decoded before its term
-                    if not isinstance(elem, dict) or set(elem) != {"term", "weight"}:
-                        raise TransitionTypeError(
-                            f"{at}: expected {{'term': ..., 'weight': ...}}, got {elem!r}"
-                        )
-                    weight, elem = from_json_value(kind, elem["weight"]), elem["term"]
-                pairs.append((decode(idx + 1, elem, at), weight))
-            try:
-                value = BranchVal(kind, tuple(pairs))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: {exc}") from None
-            if not validate_branchval(value):
-                raise ValidationError(f"{path}: branching weights sum to more than 1")
-        else:
-            value = term(layer.expr, idx + 1, raw, path)
-        found[idx].setdefault(value.key(), value)
-        return value
+        def decode(raw, path, below, shape, leaves):
+            if not isinstance(raw, dict) or raw.keys() != {"atom"}:
+                raise _expected("an atom", raw, path)
+            if raw["atom"] not in labels:
+                raise TransitionTypeError(f"{path}: label {raw['atom']!r} not in {labels!r}")
+            shape.append(raw["atom"])
+            return atoms[raw["atom"]], TOP
+    elif isinstance(expr, Prod):
+        left, right = _term_decoder(expr.left), _term_decoder(expr.right)
 
-    def term(expr: PolyExpr, below: int, raw, path: str):
-        """Decode ``raw`` as a term of ``expr`` whose ``Id`` leaves are values of layer ``below``."""
-        if isinstance(expr, Id):
-            return StateRef(decode(below, raw, path))
-        if not isinstance(raw, dict):
-            raise TransitionTypeError(f"{path}: expected a term node, got {raw!r}")
-        if isinstance(expr, Const):
-            if set(raw) != {"atom"}:
-                raise TransitionTypeError(f"{path}: expected an atom node, got {raw!r}")
-            if raw["atom"] not in expr.labels:
-                raise TransitionTypeError(f"{path}: label {raw['atom']!r} not in {expr.labels!r}")
-            return Atom(raw["atom"])
-        if isinstance(expr, Prod):
-            if set(raw) != {"pair"} or not isinstance(raw["pair"], list) or len(raw["pair"]) != 2:
-                raise TransitionTypeError(f"{path}: expected a pair node, got {raw!r}")
-            fst = term(expr.left, below, raw["pair"][0], path + ".pair[0]")
-            return Pair(fst, term(expr.right, below, raw["pair"][1], path + ".pair[1]"))
-        if isinstance(expr, Coprod):
-            if set(raw) != {"inj", "of"}:
-                raise TransitionTypeError(f"{path}: expected an injection node, got {raw!r}")
+        def decode(raw, path, below, shape, leaves):
+            if (not isinstance(raw, dict) or raw.keys() != {"pair"}
+                    or not isinstance(pair := raw["pair"], list) or len(pair) != 2):
+                raise _expected("a pair", raw, path)
+            fst, t = left(pair[0], path + ".pair[0]", below, shape, leaves)
+            snd, u = right(pair[1], path + ".pair[1]", below, shape, leaves)
+            return f"({fst},{snd})", times(t, u)
+    elif isinstance(expr, Coprod):
+        branches = [_term_decoder(b) for b in expr.branches]
+
+        def decode(raw, path, below, shape, leaves):
+            if not isinstance(raw, dict) or raw.keys() != {"inj", "of"}:
+                raise _expected("an injection", raw, path)
             index = raw["inj"]
-            if not isinstance(index, int) or not 0 <= index < len(expr.branches):
+            if not isinstance(index, int) or not 0 <= index < len(branches):
                 raise TransitionTypeError(f"{path}: injection index {index!r} out of range")
-            return Inj(index, term(expr.branches[index], below, raw["of"], path + f".inj{index}"))
-        if set(raw) != {"tuple"} or not isinstance(raw["tuple"], dict):  # a Power
-            raise TransitionTypeError(f"{path}: expected a tuple node, got {raw!r}")
-        if set(raw["tuple"]) != set(expr.exponent):
-            raise TransitionTypeError(
-                f"{path}: tuple components {sorted(raw['tuple'])!r} do not match exponent {expr.exponent!r}"
-            )
-        comps = []  # a loop: a comprehension would make this call's locals closure cells
-        for a in expr.exponent:
-            comps.append(term(expr.body, below, raw["tuple"][a], path + f".{a}"))
-        return TupleTerm(tuple(comps))
+            shape.append(index)
+            key, tree = branches[index](raw["of"], f"{path}.inj{index}", below, shape, leaves)
+            return f"i{index}({key})", tree
+    else:  # a Power
+        body, exponent, names = _term_decoder(expr.body), expr.exponent, set(expr.exponent)
 
+        def decode(raw, path, below, shape, leaves):
+            if (not isinstance(raw, dict) or raw.keys() != {"tuple"}
+                    or not isinstance(comps := raw["tuple"], dict)):
+                raise _expected("a tuple", raw, path)
+            if comps.keys() != names:
+                raise TransitionTypeError(f"{path}: tuple components {sorted(comps)!r} "
+                                          f"do not match exponent {exponent!r}")
+            keys, trees = [], []
+            for a in exponent:
+                key, tree = body(comps[a], f"{path}.{a}", below, shape, leaves)
+                keys.append(key)
+                if tree is not TOP:
+                    trees.append(tree)
+            return "t(" + ";".join(keys) + ")", product(trees)
     return decode
 
 
-def _encoder(stack: TypeStack):
-    """The inverse of :func:`_decoder`: ``encode(idx, value)`` renders a value of layer ``idx``."""
-    layers, bottom = stack.layers, len(stack.layers)
-    weighted = stack.kind is not SemiringKind.BOOL
+def _row_decoder(stack: TypeStack, states, rows: list[dict]):
+    """The decoder of the values of ``stack``'s top layer over the state ids ``states``.
 
-    def encode(idx, value):
-        if idx == bottom:
-            return {"state": value}
-        layer = layers[idx]
-        if not isinstance(layer, BranchLayer):
-            return term(layer.expr, idx + 1, value)
-        if weighted:
-            return [{"term": encode(idx + 1, item), "weight": to_json_value(weight)}
-                    for item, weight in value.entries]
-        return [encode(idx + 1, item) for item, _ in value.entries]
+    ``decode(raw, path, keys)`` checks ``raw``, appends its key to ``keys``
+    and returns it as a term embeds it: a state id is its own key, embedded
+    as its :func:`~ltbe.polyfunctor.name_key`.  On the way it records each
+    value of layer ``i`` under its key in ``rows[i]``, once: a term as
+    ``(shape, tree, leaf keys)``, a branching value as ``(support keys,
+    weights, key)``.
+    """
+    kind, names = stack.kind, {s: name_key(s) for s in states}
+    weighted = kind is not SemiringKind.BOOL
 
-    def term(expr: PolyExpr, below: int, t):
-        if isinstance(expr, Id):
-            return encode(below, t.target)
-        if isinstance(expr, Const):
-            return {"atom": t.label}
-        if isinstance(expr, Prod):
-            return {"pair": [term(expr.left, below, t.fst), term(expr.right, below, t.snd)]}
-        if isinstance(expr, Coprod):
-            return {"inj": t.index, "of": term(expr.branches[t.index], below, t.arg)}
-        comps = {}  # a Power
-        for a, c in zip(expr.exponent, t.components):
-            comps[a] = term(expr.body, below, c)
-        return {"tuple": comps}
+    def state(raw, path, keys):
+        if not (isinstance(raw, dict) and raw.keys() == {"state"}):
+            raise TransitionTypeError(f"{path}: expected a state reference, got {raw!r}")
+        if not isinstance(target := raw["state"], str):
+            raise TransitionTypeError(f"{path}: expected a state id, got {target!r}")
+        if target not in names:
+            raise ValidationError(f"{path}: unknown state id {target!r}")
+        keys.append(target)
+        return names[target]
 
-    return encode
+    def poly(term, below, found):
+        def decode(raw, path, keys):
+            shape, leaves = [], []
+            key, tree = term(raw, path, below, shape, leaves)
+            if key not in found:
+                found[key] = tuple(shape), tree, leaves
+            keys.append(key)
+            return key
+        return decode
+
+    def branch(below, found):
+        def decode(raw, path, keys):
+            if not isinstance(raw, list):
+                raise TransitionTypeError(f"{path}: expected a branching list, got {raw!r}")
+            support, inner, weights = [], [], [] if weighted else [True] * len(raw)
+            for i, elem in enumerate(raw):
+                at = f"{path}[{i}]"
+                if weighted:  # a weight is decoded before its term
+                    if not isinstance(elem, dict) or elem.keys() != {"term", "weight"}:
+                        raise TransitionTypeError(
+                            f"{at}: expected {{'term': ..., 'weight': ...}}, got {elem!r}")
+                    weights.append(json_payload(kind, elem["weight"]))
+                    elem = elem["term"]
+                inner.append(below(elem, at, support))
+            try:
+                support, inner, weights = canonical(kind, support, inner, weights)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
+            if not within_mass(kind, weights):
+                raise ValidationError(f"{path}: branching weights sum to more than 1")
+            key = branch_key(kind, inner, weights)
+            if key not in found:
+                found[key] = support, weights, key
+            keys.append(key)
+            return key
+        return decode
+
+    decode = state
+    for layer, found in zip(reversed(stack.layers), reversed(rows)):
+        decode = (branch(decode, found) if isinstance(layer, BranchLayer)
+                  else poly(layer.decoder(), decode, found))
+    return decode
+
+
+#: How :func:`_unfold_term` builds a term's nodes: boxed, or as a model file writes them.
+_BOXED = (StateRef, Atom, Pair, Inj, lambda names, parts: TupleTerm(tuple(parts)))
+_JSON = (lambda leaf: leaf, lambda label: {"atom": label}, lambda fst, snd: {"pair": [fst, snd]},
+         lambda index, arg: {"inj": index, "of": arg},
+         lambda names, parts: {"tuple": dict(zip(names, parts))})
+
+
+def _unfold_term(expr: PolyExpr, shape, leaves, make):
+    """The term of ``expr`` with the injection indices and labels ``shape`` and
+    the ``Id`` leaves ``leaves``, each in key order, built by ``make``."""
+    shape, leaves = iter(shape), iter(leaves)
+    leaf, atom, pair, inj, power = make
+
+    def walk(e: PolyExpr):
+        if isinstance(e, Id):
+            return leaf(next(leaves))
+        if isinstance(e, Const):
+            return atom(next(shape))
+        if isinstance(e, Prod):
+            return pair(walk(e.left), walk(e.right))
+        if isinstance(e, Coprod):
+            index = next(shape)
+            return inj(index, walk(e.branches[index]))
+        return power(e.exponent, [walk(e.body) for _ in e.exponent])
+
+    return walk(expr)
 
 
 # --- models ---------------------------------------------------------------------
@@ -226,16 +285,15 @@ class System:
 
     def __init__(self, stack: TypeStack, states, transitions: dict) -> None:
         """Decode ``transitions``, each state's value as read from a model file,
-        collecting on the way the values that :meth:`values_at` lists."""
+        into ``resolved`` and ``top_positions``."""
         states = tuple(states)
-        known = set(states)
-        found: list[dict[str, object]] = [{} for _ in stack.layers]
-        decode = _decoder(stack, known, found)
-        decoded = {
-            state: decode(0, raw, f"transitions[{state!r}]") for state, raw in transitions.items()
-        }
+        rows: list[dict] = [{} for _ in stack.layers]
+        decode, tops = _row_decoder(stack, states, rows), []
+        for state, raw in transitions.items():
+            decode(raw, f"transitions[{state!r}]", tops)
         # a malformed transition is reported first, then the stack, then the carrier
         self._check_stack(stack)
+        known, decoded = set(states), dict(zip(transitions, tops))
         if len(known) != len(states):
             raise ValidationError("duplicate state ids")
         missing = [s for s in states if s not in decoded]
@@ -246,41 +304,65 @@ class System:
             raise ValidationError(f"transitions for unknown states: {extra!r}")
         self.stack = stack
         self.states = states
-        self.transitions = decoded
-        keys = [sorted(vals) for vals in found] + [states]
+        keys = [sorted(found) for found in rows] + [states]
         index = [{k: i for i, k in enumerate(ks)} for ks in keys]
-        self._values = tuple(tuple(vals[k] for k in ks) for vals, ks in zip(found, keys))
-        #: Per layer, each value of ``values_at`` resolved to positions in the values of
+        for layer, found, below in zip(stack.layers, rows, index[1:]):
+            at = 0 if isinstance(layer, BranchLayer) else 2  # the row's key list
+            for row in found.values():
+                row[at][:] = map(below.__getitem__, row[at])
+        #: Per layer, in key order, each value resolved to positions in the values of
         #: the layer below, or the states (see ``lifting.resolve_term``/``resolve_branch``).
-        self.resolved = tuple(
-            [resolve_branch(v, below) for v in vals]
-            if isinstance(layer, BranchLayer)
-            else [resolve_term(layer.expr, v, below) for v in vals]
-            for layer, vals, below in zip(stack.layers, self._values, index[1:])
-        )
+        self.resolved = tuple([found[k] for k in ks] for found, ks in zip(rows, keys))
         #: The position in ``values_at(0)`` of each state's transition, in state order.
-        self.top_positions = [index[0][decoded[s].key()] for s in states]
+        self.top_positions = [index[0][decoded[s]] for s in states]
 
     @staticmethod
     def _check_stack(stack: TypeStack) -> None:
         """Reject a stack this kind of model cannot have; a system may have any."""
 
-    def values_at(self, layer_index: int) -> tuple[object, ...]:
-        """The values occurring at one layer, in canonical key order.
+    def _unfold(self, bottom: list, make, branch) -> list[list]:
+        """Every layer's values, outermost first, rebuilt from ``resolved`` over
+        ``bottom``, one value per state: a term with the nodes of ``make`` (see
+        :func:`_unfold_term`), a branching value by ``branch`` of its ``(item,
+        weight)`` list.  A value below is shared by each value that holds it."""
+        values = [bottom]
+        for layer, rows in zip(reversed(self.stack.layers), reversed(self.resolved)):
+            below = values[0]
+            values.insert(0, [
+                branch([(below[q], w) for q, w in zip(row[0], row[1])])
+                if isinstance(layer, BranchLayer)
+                else _unfold_term(layer.expr, row[0], map(below.__getitem__, row[2]), make)
+                for row in rows
+            ])
+        return values
 
-        These are the branching values at a branching layer and the terms
-        of the layer's expression at a polynomial layer; they are collected
-        while the transitions are decoded.
-        """
+    @cached_property
+    def _values(self) -> list[tuple]:
+        kind = self.stack.kind
+        return [tuple(vals) for vals in self._unfold(list(self.states), _BOXED, lambda entries: (
+            BranchVal(kind, tuple((item, SemiringValue(kind, w)) for item, w in entries))))]
+
+    def values_at(self, layer_index: int) -> tuple[object, ...]:
+        """The values occurring at one layer, in canonical key order: the
+        branching values at a branching layer and the terms of the layer's
+        expression at a polynomial layer, boxed on first read."""
         return self._values[layer_index]
 
+    @cached_property
+    def transitions(self) -> dict:
+        """Each state's transition value, boxed on first read."""
+        return {s: self.values_at(0)[p] for s, p in zip(self.states, self.top_positions)}
+
     def to_json(self) -> dict:
-        encode = _encoder(self.stack)
+        kind = self.stack.kind
+        top = self._unfold([{"state": s} for s in self.states], _JSON, lambda entries: [
+            {"term": item, "weight": to_json_value(SemiringValue(kind, w))}
+            if kind is not SemiringKind.BOOL else item for item, w in entries])[0]
         return {
-            "kind": self.stack.kind.value,
+            "kind": kind.value,
             "stack": self.stack.layer_texts(),
             "states": list(self.states),
-            "transitions": {s: encode(0, self.transitions[s]) for s in self.states},
+            "transitions": {s: top[p] for s, p in zip(self.states, self.top_positions)},
         }
 
     def to_text(self) -> str:

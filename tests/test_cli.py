@@ -350,6 +350,32 @@ class TestOtherCommands:
             == 1
         )
 
+    def test_undefined_joint_mass_names_both_values_by_key(self, tmp_path, capsys):
+        # each mass is within the slack of 1, their product is not; the engine
+        # names the fold's two branching values by their canonical keys, a
+        # state id that is no plain name written as a JSON string
+        def step(state):
+            return {"inj": 1, "of": {"pair": [{"atom": "a"}, {"state": state}]}}
+
+        def model(name, states, transitions):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"kind": "prob", "stack": ["T", "{*} + {a} * Id"],
+                                        "states": states, "transitions": transitions}))
+            return str(path)
+
+        split = [{"term": step("s"), "weight": 0.6}, {"term": step("u"), "weight": 0.4000000009}]
+        a = model("a", ["s", "u"], {"s": split, "u": split})
+        b = model("b", ["q r", "t"], {
+            "q r": [{"term": step("q r"), "weight": 0.5}, {"term": step("t"), "weight": 0.5000000009}],
+            "t": [{"term": {"inj": 0, "of": {"atom": "*"}}, "weight": 1}],
+        })
+        assert main(["common", "--a", a, "--b", b]) == 1
+        assert capsys.readouterr().err == (
+            "ltbe: UndefinedSum: partial sum undefined while extending over "
+            "'{i1((@a,s)):0.6|i1((@a,u)):0.4000000009}' x "
+            "'{i1((@a,\"q r\")):0.5|i1((@a,t)):0.5000000009}'\n"
+        )
+
     def test_compounded_slack_is_undefined_on_both_routes(self, tmp_path):
         # each mass is 1 + 9e-10, inside the slack, but the joint mass is
         # 1 + 1.8e-9, beyond it; the oracle's check must hold under -O too

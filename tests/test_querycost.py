@@ -1,7 +1,9 @@
-"""The counting and timing helpers of ``tools/querycost.py``."""
+"""The counting and timing helpers of ``tools/querycost.py``, and its ``--setup`` mode."""
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import ltbe
@@ -30,3 +32,33 @@ def test_query_call_is_the_benchmark_call():
     assert call() == ltbe.behaviour(system, spec).result.to_csv()
     assert querycost.median_us(call, 3, cold=True) > 0.0
     assert querycost.code_objects(call) > 10
+
+
+def test_setup_models_are_the_texts_time_setup_parses():
+    queries = [SimpleNamespace(name="q1", op="behaviour", a="A", b="S"),
+               SimpleNamespace(name="q2", op="common", a="S", b="B"),
+               SimpleNamespace(name="q3", op="behaviour", a="B", b="A")]
+    # like ``time_setup``: a text read as a system once is parsed as a system
+    assert querycost.setup_models(queries) == {
+        "A": ("q1.a", False), "S": ("q1.b", False), "B": ("q2.b", False)}
+
+
+def test_setup_cost_times_the_load_and_every_parse():
+    system, spec = loop_exit_system("prob"), chain_spec(1, "prob")
+    models = {system.to_text(): ("sys", False), spec.to_text(): ("spec", True)}
+    loads = []
+    import_ms, parse_ms, per_text = querycost.setup_cost(models, 3, lambda: loads.append(1) or ltbe)
+    assert len(loads) == 3
+    assert import_ms >= 0.0 and parse_ms > 0.0
+    assert per_text.keys() == models.keys() and all(ms > 0.0 for ms in per_text.values())
+
+
+def test_setup_mode_prints_import_parse_and_the_slowest_texts():
+    proc = subprocess.run([sys.executable, str(_PATH), "--workload", "pairs", "--setup",
+                           "--reps", "1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[0] == "import_ms" and float(lines[0].split()[1]) > 0.0
+    assert lines[1].split()[0] == "parse_ms" and lines[1].endswith("model texts)")
+    assert lines[2] == "slowest to parse (ms):"
+    assert len(lines) == 8 and all(line.startswith("  pairs.") for line in lines[3:])

@@ -261,7 +261,7 @@ class TestFold:
             weights, values = _random_fold(rng, kind)
             layer.weights.append(weights)
             layer.positions.append(list(range(len(src), len(src) + len(values))))
-            layer.where.append((_branch(kind, f"t{k}"), _branch(kind, f"u{k}")))
+            layer.where.append((_branch(kind, f"t{k}").key(), _branch(kind, f"u{k}").key()))
             src += values
             try:
                 wants[k] = _reference(kind, weights, values)
@@ -331,12 +331,12 @@ class TestFold:
         u = BranchVal(P, (("z", SemiringValue(P, 1.0)),))
         msg = "partial sum undefined while extending over '{x:0.7|y:0.7}' x '{z:1.0}'"
         with pytest.raises(UndefinedSum) as exc:
-            _fold(P, [0.7, 0.7], [1.0, 1.0], (t, u))
+            _fold(P, [0.7, 0.7], [1.0, 1.0], (t.key(), u.key()))
         assert str(exc.value) == msg
 
     def test_unit_column_names_the_left_value_alone(self):
         # a specification branches by the unit, a column no value names
         t = BranchVal(P, (("x", SemiringValue(P, 0.7)), ("y", SemiringValue(P, 0.7))))
         with pytest.raises(UndefinedSum) as exc:
-            _fold(P, [0.7, 0.7], [1.0, 1.0], (t, None))
+            _fold(P, [0.7, 0.7], [1.0, 1.0], (t.key(), None))
         assert str(exc.value) == "partial sum undefined while extending over '{x:0.7|y:0.7}'"

@@ -1,33 +1,47 @@
 import json
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from ltbe import (
+    INF,
     Atom,
     BranchLayer,
+    BranchVal,
     DegenerateStack,
     Inj,
     Pair,
     ParseError,
     PolyLayer,
     SemiringKind,
+    SemiringValue,
+    SpecSystem,
     StateRef,
     TransitionTypeError,
+    TupleTerm,
     TypeStack,
     ValidationError,
     behaviour,
+    bisimilarity,
+    common_trace,
     linear_part,
+    one,
+    oracle_matrix,
     parse_expr,
     parse_spec,
     parse_system,
 )
-from ltbe.polyfunctor import Coprod, Id, Power, Prod, value_key
+from ltbe.lifting import resolve_branch, resolve_term
+from ltbe.polyfunctor import Const, Coprod, Id, Power, Prod, value_key
 from modelgen import (
     LTS_F,
+    SHAPES,
     corpus,
     gen_models_on,
+    gen_system_pair,
     loop_exit_system,
     omega_spec,
     step_term,
@@ -458,8 +472,22 @@ def stack_models():
     ]
 
 
+def pair_models():
+    rng = random.Random(11)
+    return [
+        model
+        for kind in SemiringKind
+        for shape in SHAPES
+        for _ in range(3)
+        for model in gen_system_pair(rng, kind, shape)
+    ]
+
+
+MODEL_FAMILIES = [demo_models, corpus_models, stack_models, pair_models]
+
+
 class TestCollectedValues:
-    @pytest.mark.parametrize("models", [demo_models, corpus_models, stack_models])
+    @pytest.mark.parametrize("models", MODEL_FAMILIES)
     def test_values_match_a_walk_of_the_transitions(self, models):
         widest = 0
         for model in models():
@@ -469,23 +497,30 @@ class TestCollectedValues:
         assert widest > 1
 
 
-class TestResolvedPositions:
-    """Every position a model resolves at parse, against the keys one layer down."""
+def carrier_indexes(model):
+    """The position of each key at every layer of ``model`` and of each state."""
+    layers = model.stack.layers
+    keys = [[value_key(v) for v in model.values_at(i)] for i in range(len(layers))]
+    keys.append(list(model.states))
+    return [{k: i for i, k in enumerate(ks)} for ks in keys]
 
-    @pytest.mark.parametrize("models", [demo_models, corpus_models, stack_models])
+
+class TestResolvedPositions:
+    """Every row a model's decoder makes, against the values boxed from the rows."""
+
+    @pytest.mark.parametrize("models", MODEL_FAMILIES)
     def test_positions_index_the_keys_below(self, models):
         checked = 0
         for model in models():
             layers = model.stack.layers
-            keys = [[value_key(v) for v in model.values_at(i)] for i in range(len(layers))]
-            keys.append(list(model.states))
+            keys = [list(index) for index in carrier_indexes(model)]
             for idx, layer in enumerate(layers):
                 below = keys[idx + 1]
                 assert len(model.resolved[idx]) == len(model.values_at(idx))
                 for value, record in zip(model.values_at(idx), model.resolved[idx]):
                     if isinstance(layer, BranchLayer):
                         positions, weights, same = record
-                        assert same is value
+                        assert same == value.key()
                         assert weights == [w.payload for _, w in value.entries]
                         items = [item for item, _ in value.entries]
                     else:
@@ -497,3 +532,167 @@ class TestResolvedPositions:
                 keys[0].index(value_key(model.transitions[s])) for s in model.states
             ]
         assert checked > 0
+
+    @pytest.mark.parametrize("models", MODEL_FAMILIES)
+    def test_rows_resolve_the_boxed_values(self, models):
+        """The one decoding walk gives the rows that ``lifting`` makes of the boxed values."""
+        for model in models():
+            index = carrier_indexes(model)
+            for idx, layer in enumerate(model.stack.layers):
+                values = model.values_at(idx)
+                if isinstance(layer, BranchLayer):
+                    expected = [resolve_branch(v, index[idx + 1]) for v in values]
+                else:
+                    expected = [resolve_term(layer.expr, v, index[idx + 1]) for v in values]
+                assert model.resolved[idx] == expected
+
+    @pytest.mark.parametrize("models", MODEL_FAMILIES)
+    def test_text_round_trip_keeps_rows_and_keys(self, models):
+        for model in models():
+            twin = (parse_spec if type(model) is SpecSystem else parse_system)(model.to_text())
+            assert twin.resolved == model.resolved
+            assert twin.top_positions == model.top_positions
+            assert [list(i) for i in carrier_indexes(twin)] == [
+                list(i) for i in carrier_indexes(model)]
+
+
+BOXED_CLASSES = (StateRef, Atom, Pair, Inj, TupleTerm, BranchVal, SemiringValue)
+
+
+@pytest.fixture
+def boxed(monkeypatch):
+    """The number of boxed values built while the fixture is live."""
+    built = []
+    for cls in BOXED_CLASSES:
+        def counting(self, *args, __init=cls.__init__, **kwargs):
+            built.append(self)
+            __init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def box_json(stack, raw, idx=0):
+    """The boxed value of layer ``idx`` that ``raw`` writes, built by the value constructors."""
+    layers, kind = stack.layers, stack.kind
+    if idx == len(layers):
+        return raw["state"]
+    if isinstance(layers[idx], BranchLayer):
+        if kind is SemiringKind.BOOL:
+            return BranchVal(kind, tuple((box_json(stack, r, idx + 1), one(kind)) for r in raw))
+        return BranchVal(kind, tuple(
+            (box_json(stack, r["term"], idx + 1), SemiringValue(kind, INF if r["weight"] == "inf"
+                                                                else r["weight"]))
+            for r in raw))
+
+    def term(expr, raw):
+        if isinstance(expr, Id):
+            return StateRef(box_json(stack, raw, idx + 1))
+        if isinstance(expr, Const):
+            return Atom(raw["atom"])
+        if isinstance(expr, Prod):
+            return Pair(term(expr.left, raw["pair"][0]), term(expr.right, raw["pair"][1]))
+        if isinstance(expr, Coprod):
+            return Inj(raw["inj"], term(expr.branches[raw["inj"]], raw["of"]))
+        return TupleTerm(tuple(term(expr.body, raw["tuple"][a]) for a in expr.exponent))
+
+    return term(layers[idx].expr, raw)
+
+
+class TestValuesBoxedOnFirstRead:
+    QUERIES = [
+        (parse_spec, behaviour, "coin", "spec_chain2"),
+        (parse_spec, behaviour, "automaton", "spec_always_accept"),
+        (parse_spec, behaviour, "io_machine", "spec_io_all_ok"),
+        (parse_system, common_trace, "routes", "stop_cost2"),
+        (parse_system, common_trace, "coin", "coin"),
+        (parse_system, bisimilarity, "lts_loop_exit", "loop_or_deadlock"),
+    ]
+
+    @pytest.mark.parametrize("parse, query, a, b", QUERIES)
+    def test_a_query_boxes_nothing(self, boxed, parse, query, a, b):
+        sys_model = parse_system((DATA / f"{a}.json").read_text(encoding="utf-8"))
+        other = parse((DATA / f"{b}.json").read_text(encoding="utf-8"))
+        query(sys_model, other).result.to_csv()
+        assert boxed == []
+        assert sys_model.values_at(0) and boxed  # built on first read
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
+    def test_boxed_values_are_those_the_file_writes(self, path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        model = parse_system(path.read_text(encoding="utf-8"))
+        expected = {s: box_json(model.stack, doc["transitions"][s]) for s in model.states}
+        assert model.transitions == expected
+        assert [model.values_at(i) for i in range(len(model.stack.layers))] == reference_values(model)
+        twin = json.loads(json.dumps(model.to_json()))
+        assert {s: box_json(model.stack, twin["transitions"][s]) for s in model.states} == expected
+
+    @pytest.mark.parametrize("models", MODEL_FAMILIES)
+    def test_to_json_writes_the_boxed_values(self, models):
+        for model in models():
+            doc = json.loads(json.dumps(model.to_json()))
+            assert {s: box_json(model.stack, doc["transitions"][s])
+                    for s in model.states} == model.transitions
+
+    def test_oracle_reads_the_boxed_values(self, boxed):
+        sys_model = parse_system((DATA / "coin.json").read_text(encoding="utf-8"))
+        spec = parse_spec((DATA / "spec_chain2.json").read_text(encoding="utf-8"))
+        assert oracle_matrix(sys_model, spec, 6) == behaviour(sys_model, spec).result
+        assert boxed
+
+
+# The deepest nesting of each shape that the previous decoder parsed at the
+# default recursion limit, called from one function at module level, as found
+# by bisection; 10x deeper it ended in a ParseError.
+NESTING = {"prod-chain": 494, "power": 247, "branching-stack": 987}
+NESTING_SCRIPT = """
+import json, sys
+import ltbe
+
+def text(shape, n):
+    if shape == "prod-chain":
+        stack, value = ["Id" + " * Id" * n], '{"pair": [' * n + '{"state": "c"}' + ', {"state": "c"}]}' * n
+    elif shape == "power":
+        stack, value = ["Id" + "^{a}" * n], '{"tuple": {"a": ' * n + '{"state": "c"}' + "}}" * n
+    else:
+        stack, value = ["T"] * n + ["{*}"], "[" * n + '{"atom": "*"}' + "]" * n
+    return '{"kind": "bool", "stack": %s, "states": ["c"], "transitions": {"c": %s}}' % (
+        json.dumps(stack), value)
+
+def parses(shape, n):
+    parse = ltbe.parse_system if shape == "branching-stack" else ltbe.parse_spec
+    try:
+        parse(text(shape, n))
+    except ltbe.ParseError:
+        return False
+    return True
+
+shape, n = sys.argv[1], int(sys.argv[2])
+if len(sys.argv) > 3:
+    open(sys.argv[3], "w").write(text(shape, n))
+else:
+    print(parses(shape, n))
+"""
+
+
+class TestNestingDepth:
+    """The decoder recurses once per term node and once per branching layer."""
+
+    @pytest.mark.parametrize("shape", NESTING)
+    def test_the_deepest_nesting_parsed_before_still_parses(self, shape):
+        proc = subprocess.run([sys.executable, "-c", NESTING_SCRIPT, shape, str(NESTING[shape])],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.stdout, proc.stderr) == ("True\n", "")
+
+    @pytest.mark.parametrize("shape", NESTING)
+    def test_ten_times_deeper_is_a_parse_error(self, shape, tmp_path):
+        model = tmp_path / "deep.json"
+        subprocess.run([sys.executable, "-c", NESTING_SCRIPT, shape, str(10 * NESTING[shape]),
+                        str(model)], check=True, timeout=120)
+        flags = ["--a", str(model), "--b", str(model)]
+        if shape != "branching-stack":
+            flags = ["--system", str(DATA / "spec_a_stop.json"), "--spec", str(model)]
+        proc = subprocess.run([sys.executable, "-m", "ltbe",
+                               "common" if shape == "branching-stack" else "behaviour", *flags],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "ltbe: ParseError: input is nested too deeply\n"

@@ -1,6 +1,7 @@
 """Per-query cost of a workload's queries, warm and cold, and the code each runs.
 
     python3 tools/querycost.py --workload tree [--root CHECKOUT] [--seed 1] [--reps 15]
+    python3 tools/querycost.py --workload lts --setup [--root CHECKOUT] [--seed 1] [--reps 15]
 
 For each query of the workload at the seed (``bench/workloads.py``), the
 script parses the two models once and then times the call the benchmark
@@ -16,6 +17,16 @@ sized without the 20 s benchmark: run the script on both checkouts, in
 alternation, on an otherwise idle machine.  Times are plain wall times,
 not divided by the benchmark's reference loop.
 
+With ``--setup`` it sizes the benchmark's ``setup_s`` instead, in its two
+parts: ``--reps`` times, it imports ``ltbe`` afresh and then parses every
+model text of the workload, as ``bench/run.py``'s ``time_setup`` does,
+each part timed right after ``gc.collect()``.  It prints the median import
+and parse times in milliseconds, and the five model texts slowest to parse
+with their median times, each named by the first query that reads it.
+The import compiles the sources unless ``src/ltbe/__pycache__`` holds
+their bytecode, which the benchmark's fresh checkouts do not; the script
+warns of such a checkout.
+
 The package is imported from ``CHECKOUT/src`` (by default the checkout
 that holds this script); the queries come from this checkout's
 ``bench/workloads.py``, the only module imported from ``bench/``.
@@ -25,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import statistics
 import sys
 from pathlib import Path
@@ -78,12 +90,65 @@ def query_call(ltbe, q):
     return call
 
 
+def fresh_import():
+    """Import ltbe as if for the first time in this process, as ``bench/run.py`` does."""
+    for name in [m for m in sys.modules if m == "ltbe" or m.startswith("ltbe.")]:
+        del sys.modules[name]
+    return importlib.import_module("ltbe")
+
+
+def setup_models(queries) -> dict[str, tuple[str, bool]]:
+    """Each model text that ``time_setup`` parses, with the name of the first
+    query side that reads it and whether it is parsed as a specification."""
+    spec, names = {}, {}
+    for q in queries:
+        spec[q.a] = False
+        spec.setdefault(q.b, q.op == "behaviour")
+        names.setdefault(q.a, f"{q.name}.a")
+        names.setdefault(q.b, f"{q.name}.b")
+    return {text: (names[text], is_spec) for text, is_spec in spec.items()}
+
+
+def setup_cost(models: dict, reps: int, load=fresh_import) -> tuple[float, float, dict]:
+    """The median milliseconds of ``load()`` and of parsing every text of
+    ``models`` with the package it returns, each after ``gc.collect()``, and
+    each text's median parse milliseconds."""
+    imports, parses, per_text = [], [], {text: [] for text in models}
+    for _ in range(reps):
+        gc.collect()
+        start = perf_counter()
+        ltbe = load()
+        imports.append(perf_counter() - start)
+        gc.collect()
+        for text, (_, is_spec) in models.items():
+            start = perf_counter()
+            (ltbe.parse_spec if is_spec else ltbe.parse_system)(text)
+            per_text[text].append(perf_counter() - start)
+        parses.append(sum(times[-1] for times in per_text.values()))
+    return (statistics.median(imports) * 1e3, statistics.median(parses) * 1e3,
+            {text: statistics.median(times) * 1e3 for text, times in per_text.items()})
+
+
+def print_setup(workload: str, seed: int, reps: int) -> None:
+    import workloads
+
+    models = setup_models(workloads.build(workload, seed))
+    import_ms, parse_ms, per_text = setup_cost(models, reps)
+    print(f"import_ms {import_ms:9.2f}")
+    print(f"parse_ms  {parse_ms:9.2f}  ({len(models)} model texts)")
+    print("slowest to parse (ms):")
+    for text in sorted(per_text, key=per_text.get, reverse=True)[:5]:
+        print(f"  {models[text][0]:<44} {per_text[text]:7.3f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=("lts", "tree", "pairs"))
     parser.add_argument("--root", type=Path, default=HERE)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=15)
+    parser.add_argument("--setup", action="store_true",
+                        help="time the fresh import and the parse of the model texts instead")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
@@ -92,6 +157,12 @@ def main(argv=None) -> int:
         parser.error(f"no ltbe sources under {src}")
     sys.path[:0] = [str(src), str(HERE / "bench")]
     sys.dont_write_bytecode = True  # stale bytecode in a checkout would skew its setup_s
+    if args.setup:
+        if any((src / "ltbe" / "__pycache__").glob("*.pyc")):
+            print(f"querycost: {src / 'ltbe' / '__pycache__'} holds bytecode, "
+                  "so import_ms leaves out compiling", file=sys.stderr)
+        print_setup(args.workload, args.seed, args.reps)
+        return 0
     import ltbe
     import workloads
 
