@@ -32,7 +32,13 @@ from .errors import (
     UndefinedSum,
     ValidationError,
 )
-from .lifting import lift_double_extension, lift_egli_milner, lift_extension, lift_poly
+from .lifting import (
+    lift_double_extension,
+    lift_egli_milner,
+    lift_extension,
+    lift_poly,
+    validate_term,
+)
 from .polyfunctor import (
     Atom,
     Const,
@@ -49,7 +55,6 @@ from .polyfunctor import (
     UNIT,
     expr_to_text,
     parse_expr,
-    validate_term,
     value_key,
 )
 from .relation import ValRel, reindex

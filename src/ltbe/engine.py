@@ -37,7 +37,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import count
 
-from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch
+from .errors import (CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch,
+                     plain_int)
 from .lifting import compile_double_extension, compile_poly, unit_columns
 from .relation import ONE, ZERO, Folds, ValRel, kernel, reads
 from .semiring import OPS, Record, SemiringKind, SemiringValue, prob_all_leq, prob_max_gap
@@ -61,9 +62,7 @@ class FixpointOptions(Record):
 
     def __init__(self, max_iterations: int | None = None, tolerance: float = 1e-9,
                  threshold: SemiringValue | None = None) -> None:
-        if max_iterations is not None and type(max_iterations) is not int:  # a bool too
-            raise ValueError(f"max_iterations must be an int, got {max_iterations!r}")
-        if max_iterations is not None and max_iterations < 1:
+        if max_iterations is not None and plain_int("max_iterations", max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
         if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
             raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
@@ -257,7 +256,7 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
 
 
 def _chain(program: list, start: ValRel, steps: int) -> list[ValRel]:
-    if steps < 0:
+    if plain_int("steps", steps) < 0:
         raise ValueError("steps must be >= 0")
     out = [start]
     n = len(start.rows) * len(start.cols)

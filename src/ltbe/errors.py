@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count argument."""
+
+
+def plain_int(name: str, value: object) -> int:
+    """``value``, if it is a plain ``int``; else a :class:`ValueError` naming
+    the argument ``name``.  A ``bool`` is no count."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 class LtbeError(Exception):

@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from itertools import product
 
 from .branching import BranchVal, dirac
+from .errors import plain_int
 from .lifting import lift_extension
 from .polyfunctor import value_key
 from .relation import ValRel
@@ -122,7 +123,7 @@ def check_semiring_laws(kind: SemiringKind, samples: int = 10000, seed: int = 0)
     uniformly on [0, 1]; tropical samples from {0..32, inf}.  The report
     carries the first counterexample found for each failing law.
     """
-    if samples < 1:
+    if plain_int("samples", samples) < 1:
         raise ValueError("samples must be >= 1")
     failures: dict[str, str] = {}
     for s, t, u in _sample_triples(kind, samples, seed):
@@ -284,7 +285,7 @@ def check_monad_consistency(kind: SemiringKind, size_bound: int = 2) -> MonadRep
     with unit weight changes nothing; and extension is linear in weighted
     mixtures of branching values.
     """
-    if not 1 <= size_bound <= 4:
+    if not 1 <= plain_int("size_bound", size_bound) <= 4:
         raise ValueError("size_bound must be between 1 and 4")
     xs = [f"x{i}" for i in range(size_bound)]
     ys = [f"y{i}" for i in range(size_bound)]

@@ -47,9 +47,10 @@ from collections.abc import Mapping, Sequence
 from itertools import repeat
 
 from .branching import BranchVal
-from .errors import CarrierMismatch, KindMismatch
-from .polyfunctor import Const, Coprod, Id, PolyExpr, PolyTerm, Prod, value_key
-from .relation import ONE, ZERO, Folds, ValRel, run_cells
+from .errors import CarrierMismatch, KindMismatch, TransitionTypeError
+from .polyfunctor import (Atom, Const, Coprod, Id, Inj, Pair, PolyExpr, PolyTerm, Power, Prod,
+                          StateRef, TupleTerm, expr_to_text, value_key)
+from .relation import ONE, ZERO, Folds, ValRel, kernel
 from .semiring import OPS, SemiringKind
 
 #: The position of each key of a carrier.
@@ -57,6 +58,9 @@ Index = Mapping[object, int]
 
 #: A compiled polynomial cell that is the unit, whatever the relation.
 TOP = "top"
+
+#: What an identity position can hold: a raw key or a value of the layer below.
+_TARGETS = (str, PolyTerm, BranchVal)
 
 
 def times(a, b):
@@ -80,33 +84,45 @@ def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
     flat tuple of factors in the order the expression multiplies them, a
     factor being a leaf or a product nested on the right; leaf ``i`` stands
     for the position ``leaves[i]`` of that identity's target in ``index``.
+    A node that does not fit its expression raises
+    :class:`TransitionTypeError`, and a target not in ``index``
+    :class:`CarrierMismatch`.
     """
     shape, leaves = [], []
 
     def walk(e: PolyExpr, t):
-        if isinstance(e, Id):
+        if isinstance(e, Id) and isinstance(t, StateRef) and isinstance(t.target, _TARGETS):
             leaves.append(index[value_key(t.target)])
             return len(leaves) - 1
-        if isinstance(e, Const):
+        if isinstance(e, Const) and isinstance(t, Atom) and t.label in e.labels:
             shape.append(t.label)
             return TOP
-        if isinstance(e, Prod):
+        if isinstance(e, Prod) and isinstance(t, Pair):
             return times(walk(e.left, t.fst), walk(e.right, t.snd))
-        if isinstance(e, Coprod):
+        if (isinstance(e, Coprod) and isinstance(t, Inj) and type(t.index) is int
+                and 0 <= t.index < len(e.branches)):
             shape.append(t.index)
             return walk(e.branches[t.index], t.arg)
-        trees = []  # a power: the product of its components
-        for c in t.components:
-            tree = walk(e.body, c)
-            if tree is not TOP:
-                trees.append(tree)
-        return product(trees)
+        if (isinstance(e, Power) and isinstance(t, TupleTerm)
+                and isinstance(t.components, tuple) and len(t.components) == len(e.exponent)):
+            return product([tree for c in t.components if (tree := walk(e.body, c)) is not TOP])
+        raise TransitionTypeError(f"{t!r} is not a term of {expr_to_text(e)}")
 
     try:
         tree = walk(expr, term)
     except KeyError as exc:
         raise CarrierMismatch(f"key {exc.args[0]!r} is not in the carrier") from None
     return tuple(shape), tree, leaves
+
+
+def validate_term(expr: PolyExpr, term: PolyTerm, states) -> bool:
+    """True iff ``term`` is a term of ``expr`` over the carrier keys ``states``:
+    iff :func:`resolve_term` resolves it against them."""
+    try:
+        resolve_term(expr, term, dict.fromkeys(states, 0))
+    except (TransitionTypeError, CarrierMismatch):
+        return False
+    return True
 
 
 def resolve_branch(value: BranchVal, index: Index) -> tuple:
@@ -185,14 +201,18 @@ def unit_columns(kind: SemiringKind, size: int) -> list:
 def _run(rel: ValRel, cells: list, rows: Sequence, cols: Sequence | None = None) -> ValRel:
     """Evaluate ``cells`` over ``rel``, keyed by ``rows`` and ``cols`` (default: ``rel.cols``)."""
     col_keys = rel.cols if cols is None else [v.key() for v in cols]
-    payloads = run_cells(cells, rel.kind, rel.payloads())
+    zero, one = OPS[rel.kind].zero, OPS[rel.kind].one
+    payloads = kernel(rel.kind)(cells, range(len(cells)), rel.payloads() + [zero, one])
     return ValRel.from_payloads(rel.kind, [v.key() for v in rows], col_keys, payloads)
 
 
 def _resolve(rel: ValRel, left_values: Sequence[BranchVal],
              right_values: Sequence[BranchVal]) -> tuple[list, list]:
-    """Check every kind, then resolve both sides against ``rel``'s carriers, columns first."""
+    """Check every value and kind, then resolve both sides against ``rel``'s carriers,
+    columns first."""
     for bv in [*left_values, *right_values]:
+        if not isinstance(bv, BranchVal):
+            raise TransitionTypeError(f"{bv!r} is not a branching value")
         if bv.kind is not rel.kind:
             raise KindMismatch(
                 f"{bv.kind.value} branching value used with a {rel.kind.value} relation"

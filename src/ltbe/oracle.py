@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import StackMismatch, UndefinedSum
+from .errors import StackMismatch, UndefinedSum, plain_int
 from .polyfunctor import Const, Coprod, Id, Prod
 from .relation import ValRel
 from .semiring import PROB_EPS, SemiringKind, SemiringValue
@@ -104,7 +104,7 @@ def _expand(a: System, b: System, depth: int, joint: bool) -> ValRel:
 
 def oracle_matrix(sys: System, spec: SpecSystem, depth: int) -> ValRel:
     """The depth-``depth`` behaviour matrix, computed by definitional expansion."""
-    if depth < 0:
+    if plain_int("depth", depth) < 0:
         raise ValueError("depth must be >= 0")
     if spec.stack != linear_part(sys.stack):
         raise StackMismatch(
@@ -115,7 +115,7 @@ def oracle_matrix(sys: System, spec: SpecSystem, depth: int) -> ValRel:
 
 def oracle_common(sysA: System, sysB: System, depth: int) -> ValRel:
     """Depth-bounded joint-behaviour matrix of two systems of the same type."""
-    if depth < 0:
+    if plain_int("depth", depth) < 0:
         raise ValueError("depth must be >= 0")
     if sysA.stack != sysB.stack:
         raise StackMismatch("the two systems must share one type stack")

@@ -11,7 +11,9 @@ The textual grammar, used in model files, is:
 
 so ``{*} + {a,b} * Id`` is "terminate, or emit a label and continue".
 Terms render to canonical keys, so relation carriers built from them are
-reproducible across runs; distinct terms have distinct keys.
+reproducible across runs; distinct terms have distinct keys.  Whether a
+term is one of an expression is checked where it is resolved, by
+:func:`ltbe.lifting.resolve_term` and :func:`~ltbe.lifting.validate_term`.
 """
 
 from __future__ import annotations
@@ -78,27 +80,16 @@ class PolyTerm(Record):
     """Base class for terms of a functor expression over a carrier.
 
     Every node renders to a canonical key string via :func:`value_key`;
-    carriers of lifted relations are lists of such keys.  Terms are
-    immutable, so a compound term renders its key once, on first use, from
-    the children's keys, and keeps it in a ``_key`` slot that takes no
-    part in equality, hashing or repr.
+    carriers of lifted relations are lists of such keys.
     """
 
     __slots__ = ()
-
-    def key(self) -> str:
-        if self._key is None:  # type: ignore[attr-defined]
-            object.__setattr__(self, "_key", self._render())
-        return self._key  # type: ignore[attr-defined]
 
 
 class StateRef(PolyTerm):
     """Identity position; the target is a carrier key or a nested value."""
 
     __slots__ = ("target",)
-
-    def __init__(self, target: object) -> None:
-        object.__setattr__(self, "target", target)
 
     def key(self) -> str:
         target = self.target
@@ -108,45 +99,28 @@ class StateRef(PolyTerm):
 class Atom(PolyTerm):
     __slots__ = ("label",)
 
-    def __init__(self, label: str) -> None:
-        object.__setattr__(self, "label", label)
-
     def key(self) -> str:
         return "@" + name_key(self.label)
 
 
 class Pair(PolyTerm):
-    __slots__ = ("fst", "snd", "_key")
+    __slots__ = ("fst", "snd")
 
-    def __init__(self, fst: PolyTerm, snd: PolyTerm) -> None:
-        object.__setattr__(self, "fst", fst)
-        object.__setattr__(self, "snd", snd)
-        object.__setattr__(self, "_key", None)
-
-    def _render(self) -> str:
+    def key(self) -> str:
         return f"({self.fst.key()},{self.snd.key()})"
 
 
 class Inj(PolyTerm):
-    __slots__ = ("index", "arg", "_key")
+    __slots__ = ("index", "arg")
 
-    def __init__(self, index: int, arg: PolyTerm) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_key", None)
-
-    def _render(self) -> str:
+    def key(self) -> str:
         return f"i{self.index}({self.arg.key()})"
 
 
 class TupleTerm(PolyTerm):
-    __slots__ = ("components", "_key")
+    __slots__ = ("components",)
 
-    def __init__(self, components: tuple[PolyTerm, ...]) -> None:
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_key", None)
-
-    def _render(self) -> str:
+    def key(self) -> str:
         return "t(" + ";".join(c.key() for c in self.components) + ")"
 
 
@@ -167,38 +141,6 @@ def name_key(name: str) -> str:
     that no two distinct values share a key.
     """
     return name if name.isalnum() or _PLAIN_NAME.fullmatch(name) else json.dumps(name)
-
-
-# --- validation ----------------------------------------------------------------
-
-def validate_term(expr: PolyExpr, term: PolyTerm, states) -> bool:
-    """True iff ``term`` is well typed for ``expr`` over the carrier ``states``.
-
-    Identity positions must hold a plain key that is a member of ``states``.
-    """
-    state_set = set(states)
-
-    def walk(e: PolyExpr, t: PolyTerm) -> bool:
-        if isinstance(e, Id):
-            return isinstance(t, StateRef) and isinstance(t.target, str) and t.target in state_set
-        if isinstance(e, Const):
-            return isinstance(t, Atom) and t.label in e.labels
-        if isinstance(e, Prod):
-            return isinstance(t, Pair) and walk(e.left, t.fst) and walk(e.right, t.snd)
-        if isinstance(e, Coprod):
-            return (
-                isinstance(t, Inj)
-                and 0 <= t.index < len(e.branches)
-                and walk(e.branches[t.index], t.arg)
-            )
-        assert isinstance(e, Power)
-        return (
-            isinstance(t, TupleTerm)
-            and len(t.components) == len(e.exponent)
-            and all(walk(e.body, c) for c in t.components)
-        )
-
-    return walk(expr, term)
 
 
 # --- textual grammar -----------------------------------------------------------

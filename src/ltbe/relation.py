@@ -129,11 +129,6 @@ def reads(cell) -> Iterable[int]:
     return chain.from_iterable(map(reads, cell))
 
 
-def run_cells(cells: list | Folds, kind: SemiringKind, flat: list) -> list:
-    """Evaluate every cell, in order, over ``flat`` and the two constant slots."""
-    return kernel(kind)(cells, range(len(cells)), flat + [OPS[kind].zero, OPS[kind].one])
-
-
 def _field(key) -> str:
     """A key as a CSV field: quoted, quotes doubled, if it holds a comma, a quote or a newline."""
     text = str(key)

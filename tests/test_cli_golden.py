@@ -25,9 +25,8 @@ import pathlib
 
 import pytest
 
-from ltbe import Atom, BranchVal, StateRef, cli
+from ltbe import Atom, BranchVal, Inj, Pair, StateRef, TupleTerm, cli
 from ltbe.cli import main
-from ltbe.polyfunctor import PolyTerm
 
 HERE = pathlib.Path(__file__).resolve().parent
 DATA = HERE.parent / "demos" / "data"
@@ -107,7 +106,7 @@ def test_query_path_renders_no_key(golden, capsys, monkeypatch):
     models = {("system", text_a): parse["system"](text_a), (kind_b, text_b): parse[kind_b](text_b)}
     monkeypatch.setattr(cli, "parse_system", lambda text: models["system", text])
     monkeypatch.setattr(cli, "parse_spec", lambda text: models["spec", text])
-    for cls in (PolyTerm, StateRef, Atom, BranchVal):
+    for cls in (StateRef, Atom, Pair, Inj, TupleTerm, BranchVal):
         monkeypatch.setattr(cls, "key", _no_key)
     code = main([command, first, str(DATA / f"{a}.json"), second, str(DATA / f"{b}.json")])
     assert (code, capsys.readouterr().out) == (0, golden.read_text(encoding="utf-8"))

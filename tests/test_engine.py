@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from itertools import chain
 
 import pytest
@@ -18,9 +19,12 @@ from ltbe import (
     behaviour,
     bisimilarity,
     check_monad_consistency,
+    check_semiring_laws,
     common_iterates,
     common_trace,
     iterates,
+    oracle_common,
+    oracle_matrix,
     parse_spec,
     parse_system,
     step_operator,
@@ -356,6 +360,38 @@ class TestFixpointOptions:
     def test_zero_tolerance_and_cap_accepted(self):
         for tolerance in (0, 0.0, float("inf")):
             assert FixpointOptions(tolerance=tolerance).tolerance == tolerance
+
+
+#: Each count argument: its name, a call that passes it, and the least value it takes.
+COUNTS = {
+    "iterates": ("steps", lambda n: iterates(loop_exit_system(), omega_spec(), n), 0),
+    "common_iterates": ("steps", lambda n: common_iterates(
+        pure_loop_system(), loop_exit_system(), n), 0),
+    "oracle_matrix": ("depth", lambda n: oracle_matrix(loop_exit_system(), omega_spec(), n), 0),
+    "oracle_common": ("depth", lambda n: oracle_common(
+        pure_loop_system(), loop_exit_system(), n), 0),
+    "check_semiring_laws": ("samples", lambda n: check_semiring_laws(B, n), 1),
+    "check_monad_consistency": ("size_bound", lambda n: check_monad_consistency(B, n), 1),
+    "FixpointOptions": ("max_iterations", lambda n: FixpointOptions(max_iterations=n), 1),
+}
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("call, bad", [
+        (call, bad) for call in COUNTS for bad in (True, False, "2", 2.5, None)
+        if not (call == "FixpointOptions" and bad is None)  # None is its default budget
+    ])
+    def test_a_count_must_be_a_plain_int(self, call, bad):
+        name, run, _ = COUNTS[call]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {bad!r}")):
+            run(bad)
+
+    @pytest.mark.parametrize("call", COUNTS)
+    def test_an_int_out_of_range_keeps_its_message(self, call):
+        name, run, least = COUNTS[call]
+        with pytest.raises(ValueError, match=f"^{name} must be (>= {least}|between 1 and 4)$"):
+            run(least - 1)
+        run(least)
 
 
 class _Schedule:

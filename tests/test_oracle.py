@@ -5,6 +5,7 @@ import pytest
 from ltbe import (
     SemiringKind,
     StackMismatch,
+    UndefinedSum,
     ValRel,
     behaviour,
     common_iterates,
@@ -30,6 +31,8 @@ from modelgen import (
     with_unit_branching,
 )
 import random
+
+from ltbe.oracle import _arithmetic
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
 
@@ -85,6 +88,18 @@ class TestOracleMatrix:
         wrong_doc["transitions"]["z1"] = step_term("zz", "z0")
         with pytest.raises(StackMismatch):
             oracle_matrix(sys_model, parse_spec(json.dumps(wrong_doc)), 1)
+
+
+class TestArithmetic:
+    """No valid model reaches a prob sum beyond 1, so the guard is tested on the sum itself."""
+
+    def test_prob_sum_beyond_the_slack_is_undefined(self):
+        add = _arithmetic(P)[2]
+        with pytest.raises(UndefinedSum, match="escaped"):
+            add(0.75, 0.5)
+
+    def test_prob_sum_within_the_slack_is_clamped(self):
+        assert _arithmetic(P)[2](0.75, 0.25 + 1e-12) == 1.0
 
 
 class TestOracleCommon:

@@ -34,6 +34,7 @@ from ltbe import (
     parse_spec,
     parse_system,
 )
+from ltbe import system
 from ltbe.lifting import resolve_branch, resolve_term
 from ltbe.polyfunctor import Const, Coprod, Id, Power, Prod, value_key
 from modelgen import (
@@ -682,6 +683,17 @@ class TestNestingDepth:
         proc = subprocess.run([sys.executable, "-c", NESTING_SCRIPT, shape, str(NESTING[shape])],
                               capture_output=True, text=True, timeout=120)
         assert (proc.stdout, proc.stderr) == ("True\n", "")
+
+    def test_a_recursion_error_while_parsing_is_a_parse_error(self, monkeypatch):
+        """The same rule in process, with the overflow stood in for: a real one
+        here would also overflow a line tracer's own call, which switches
+        tracing off for the rest of the run."""
+        def too_deep(text):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(system, "_parse_model", too_deep)
+        with pytest.raises(ParseError, match="^input is nested too deeply$"):
+            parse_spec("{}")
 
     @pytest.mark.parametrize("shape", NESTING)
     def test_ten_times_deeper_is_a_parse_error(self, shape, tmp_path):
