@@ -8,6 +8,7 @@ ones, and a minimal cost for weighted ones.
 """
 
 import importlib
+import types
 
 from .branching import BranchVal, dirac, validate_branchval
 from .engine import (
@@ -108,51 +109,6 @@ def __getattr__(name: str):
 def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
-__all__ = [
-    "BranchVal",
-    "FixpointOptions",
-    "FixpointReport",
-    "MonadReport",
-    "LawCheck",
-    "LawReport",
-    "SemiringKind",
-    "SemiringValue",
-    "ValRel",
-    "System",
-    "SpecSystem",
-    "TypeStack",
-    "PolyLayer",
-    "BranchLayer",
-    "PolyExpr",
-    "PolyTerm",
-    "behaviour",
-    "bisimilarity",
-    "common_trace",
-    "common_iterates",
-    "iterates",
-    "step_operator",
-    "check_monad_consistency",
-    "check_semiring_laws",
-    "oracle_matrix",
-    "oracle_common",
-    "lift_poly",
-    "lift_extension",
-    "lift_double_extension",
-    "lift_egli_milner",
-    "parse_system",
-    "parse_spec",
-    "parse_expr",
-    "expr_to_text",
-    "linear_part",
-    "validate_term",
-    "validate_branchval",
-    "value_key",
-    "reindex",
-    "dirac",
-    "add",
-    "mul",
-    "leq",
-    "gap",
-    "zero",
-    "one",
-]
+
+__all__ = sorted({name for name, value in globals().items() if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)} | set(_LAZY))

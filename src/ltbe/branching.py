@@ -15,9 +15,9 @@ the model decoder, which applies them to keys and bare payloads.
 
 from __future__ import annotations
 
-from .errors import KindMismatch, ValidationError
-from .polyfunctor import name_key, value_key
-from .semiring import OPS, PROB_EPS, Record, SemiringKind, SemiringValue, one
+from .errors import KindMismatch, TransitionTypeError, ValidationError
+from .polyfunctor import Value, embed_key, value_key
+from .semiring import OPS, PROB_EPS, SemiringKind, SemiringValue, one
 
 
 def canonical(kind: SemiringKind, keys, items, payloads) -> tuple[list, list, list]:
@@ -46,13 +46,13 @@ def within_mass(kind: SemiringKind, payloads) -> bool:
 
 def branch_key(kind: SemiringKind, names, payloads) -> str:
     """The canonical key of a branching value, from its support's keys as a
-    key embeds them (:func:`~ltbe.polyfunctor.name_key` for a state id)."""
+    key embeds them (:func:`~ltbe.polyfunctor.embed_key`)."""
     if kind is SemiringKind.BOOL:
         return "{" + "|".join(names) + "}"
     return "{" + "|".join(f"{k}:{w!r}" for k, w in zip(names, payloads)) + "}"
 
 
-class BranchVal(Record):
+class BranchVal(Value):
     """A finite-support weight function representing one branching step.
 
     The support keys are kept on construction, and the canonical key is
@@ -64,7 +64,10 @@ class BranchVal(Record):
 
     def __init__(self, kind: SemiringKind,
                  entries: tuple[tuple[object, SemiringValue], ...]) -> None:
-        for _, weight in entries:
+        for entry in entries:
+            if not (type(entry) is tuple and len(entry) == 2
+                    and isinstance(weight := entry[1], SemiringValue)):
+                raise TransitionTypeError(f"{entry!r} is not an (item, weight) pair")
             if weight.kind is not kind:
                 raise KindMismatch(
                     f"{weight.kind.value} weight inside a {kind.value} branching value"
@@ -78,8 +81,7 @@ class BranchVal(Record):
 
     def key(self) -> str:
         if self._key is None:
-            names = [name_key(k) if isinstance(item, str) else k
-                     for k, (item, _) in zip(self._support_keys, self.entries)]
+            names = [embed_key(item) for item, _ in self.entries]
             key = branch_key(self.kind, names, [w.payload for _, w in self.entries])
             object.__setattr__(self, "_key", key)
         return self._key

@@ -44,6 +44,7 @@ leaves such a pair out of its fold, since a zero term changes no sum.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from contextlib import suppress
 from itertools import repeat
 
 from .branching import BranchVal
@@ -58,9 +59,6 @@ Index = Mapping[object, int]
 
 #: A compiled polynomial cell that is the unit, whatever the relation.
 TOP = "top"
-
-#: What an identity position can hold: a raw key or a value of the layer below.
-_TARGETS = (str, PolyTerm, BranchVal)
 
 
 def times(a, b):
@@ -91,9 +89,10 @@ def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
     shape, leaves = [], []
 
     def walk(e: PolyExpr, t):
-        if isinstance(e, Id) and isinstance(t, StateRef) and isinstance(t.target, _TARGETS):
-            leaves.append(index[value_key(t.target)])
-            return len(leaves) - 1
+        if isinstance(e, Id) and isinstance(t, StateRef):
+            with suppress(TransitionTypeError):  # a target that is no value is no term
+                leaves.append(index[value_key(t.target)])
+                return len(leaves) - 1
         if isinstance(e, Const) and isinstance(t, Atom) and t.label in e.labels:
             shape.append(t.label)
             return TOP

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import ParseError
+from .errors import ParseError, TransitionTypeError
 from .semiring import Record
 
 
@@ -76,7 +76,13 @@ UNIT = Const(("*",))
 
 # --- terms -------------------------------------------------------------------
 
-class PolyTerm(Record):
+class Value(Record):
+    """Base class of the values that render a canonical key: terms and branching values."""
+
+    __slots__ = ()
+
+
+class PolyTerm(Value):
     """Base class for terms of a functor expression over a carrier.
 
     Every node renders to a canonical key string via :func:`value_key`;
@@ -92,43 +98,48 @@ class StateRef(PolyTerm):
     __slots__ = ("target",)
 
     def key(self) -> str:
-        target = self.target
-        return name_key(target) if isinstance(target, str) else target.key()
+        return embed_key(self.target)
 
 
 class Atom(PolyTerm):
     __slots__ = ("label",)
 
     def key(self) -> str:
-        return "@" + name_key(self.label)
+        return "@" + embed_key(self.label)
 
 
 class Pair(PolyTerm):
     __slots__ = ("fst", "snd")
 
     def key(self) -> str:
-        return f"({self.fst.key()},{self.snd.key()})"
+        return f"({embed_key(self.fst)},{embed_key(self.snd)})"
 
 
 class Inj(PolyTerm):
     __slots__ = ("index", "arg")
 
     def key(self) -> str:
-        return f"i{self.index}({self.arg.key()})"
+        return f"i{self.index}({embed_key(self.arg)})"
 
 
 class TupleTerm(PolyTerm):
     __slots__ = ("components",)
 
     def key(self) -> str:
-        return "t(" + ";".join(c.key() for c in self.components) + ")"
+        return "t(" + ";".join(map(embed_key, self.components)) + ")"
+
+
+def embed_key(value: object) -> str:
+    """A value as a key embeds it: a raw id by :func:`name_key`, a term or a branching
+    value by its own key.  Anything else is no value: :class:`TransitionTypeError`."""
+    if not isinstance(value, (str, Value)):
+        raise TransitionTypeError(f"{value!r} is not a state id, term or branching value")
+    return name_key(value) if isinstance(value, str) else value.key()
 
 
 def value_key(value: object) -> str:
     """Canonical key of a carrier element: a raw id or a structured value."""
-    if isinstance(value, str):
-        return value
-    return value.key()  # type: ignore[attr-defined]
+    return value if isinstance(value, str) else embed_key(value)
 
 
 _PLAIN_NAME = re.compile(r'[^\s(),;|:{}@"]+')
@@ -235,30 +246,18 @@ def parse_expr(text: str) -> PolyExpr:
     return node
 
 
-def expr_to_text(expr: PolyExpr) -> str:
-    """Render an expression so that ``parse_expr`` reads it back unchanged."""
-    if isinstance(expr, Id):
-        return "Id"
-    if isinstance(expr, Const):
-        return "{" + ",".join(expr.labels) + "}"
-    if isinstance(expr, Prod):
-        left = expr_to_text(expr.left)
-        if isinstance(expr.left, Coprod):
-            left = f"({left})"
-        right = expr_to_text(expr.right)
-        if isinstance(expr.right, (Coprod, Prod)):
-            right = f"({right})"
-        return f"{left} * {right}"
+def expr_to_text(expr: PolyExpr, need: int = 0) -> str:
+    """Render an expression so that ``parse_expr`` reads it back unchanged.
+
+    A node binds at a level, ``+`` at 0, ``*`` at 1 and ``^`` at 2, and is bracketed
+    where that is below what its position ``need``s: 1 left of ``*`` and in a ``+``
+    branch, 2 right of ``*`` and under ``^``."""
     if isinstance(expr, Coprod):
-        parts = []
-        for b in expr.branches:
-            part = expr_to_text(b)
-            if isinstance(b, Coprod):
-                part = f"({part})"
-            parts.append(part)
-        return " + ".join(parts)
-    assert isinstance(expr, Power)
-    body = expr_to_text(expr.body)
-    if isinstance(expr.body, (Coprod, Prod)):
-        body = f"({body})"
-    return f"{body}^{{{','.join(expr.exponent)}}}"
+        level, text = 0, " + ".join(expr_to_text(b, 1) for b in expr.branches)
+    elif isinstance(expr, Prod):
+        level, text = 1, f"{expr_to_text(expr.left, 1)} * {expr_to_text(expr.right, 2)}"
+    elif isinstance(expr, Power):
+        level, text = 2, f"{expr_to_text(expr.body, 2)}^{{{','.join(expr.exponent)}}}"
+    else:  # an atom, never bracketed
+        return "Id" if isinstance(expr, Id) else "{" + ",".join(expr.labels) + "}"
+    return f"({text})" if level < need else text

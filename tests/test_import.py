@@ -12,6 +12,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -83,6 +84,34 @@ def test_star_import_binds_every_public_name():
     exec("from ltbe import *", namespace)
     for name in ltbe.__all__:
         assert namespace[name] is getattr(ltbe, name), name
+
+
+def test_all_holds_no_private_name_and_no_module():
+    assert not [name for name in ltbe.__all__
+                if name.startswith("_") or isinstance(getattr(ltbe, name), types.ModuleType)]
+
+
+def package_subclasses(cls: type) -> set:
+    """``cls`` and every class of the package that derives from it."""
+    found = {cls}
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("ltbe."):
+            found |= package_subclasses(sub)
+    return found
+
+
+def test_all_holds_every_error_expression_term_and_lazy_name():
+    bases = (ltbe.LtbeError, ltbe.PolyExpr, ltbe.PolyTerm)
+    classes = {cls.__name__ for base in bases for cls in package_subclasses(base)}
+    assert len(classes) == 22  # ten errors, and each base with its five node classes
+    assert classes | set(LAZY) <= set(ltbe.__all__)
+
+
+def test_star_import_binds_the_errors_and_the_term_classes():
+    namespace: dict = {}
+    exec("from ltbe import *", namespace)
+    assert namespace["TransitionTypeError"] is ltbe.TransitionTypeError
+    assert namespace["StateRef"] is ltbe.StateRef
 
 
 @pytest.mark.parametrize("name", sorted(LAZY))

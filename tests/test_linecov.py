@@ -2,6 +2,8 @@
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "linecov.py"
 _SPEC = importlib.util.spec_from_file_location("linecov", _PATH)
@@ -64,3 +66,28 @@ def test_a_module_every_statement_of_which_ran(tmp_path):
     path.write_text(MODULE)
     hits = {path: set(range(1, 22))}
     assert linecov.listing([path], hits) == ["box.py: every statement ran"]
+
+
+TRACE_STOPPED = """\
+import sys
+
+import ltbe
+
+
+def test_a_stops_the_tracer():
+    sys.settrace(None)
+
+
+def test_b_parses():
+    assert ltbe.parse_expr("Id") == ltbe.Id()
+"""
+
+
+def test_a_test_that_stops_the_tracer_fails_the_run(tmp_path):
+    (tmp_path / "test_stop.py").write_text(TRACE_STOPPED)
+    proc = subprocess.run([sys.executable, str(_PATH), "-q", "-p", "no:cacheprovider",
+                           "test_stop.py"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode != 0
+    assert "tracing stopped" in proc.stderr
+    assert "polyfunctor.py:" not in proc.stdout

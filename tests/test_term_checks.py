@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ltbe import (
     Atom,
     BranchLayer,
+    BranchVal,
     CarrierMismatch,
     Inj,
     Pair,
@@ -28,6 +29,7 @@ from ltbe import (
     lift_egli_milner,
     lift_extension,
     lift_poly,
+    one,
     parse_expr,
     validate_term,
     value_key,
@@ -38,6 +40,7 @@ B = SemiringKind.BOOL
 REL = ValRel.top(["c"], ["d"], B)
 LTS = parse_expr("{*} + {a} * Id")
 SQUARE = parse_expr("Id^{x,y}")
+ID = parse_expr("Id")
 
 #: An expression, a term of it over either carrier, and a value that is no term of it.
 ILL_TYPED = {
@@ -53,6 +56,7 @@ ILL_TYPED = {
     "target-not-a-key": (SQUARE, lambda s: TupleTerm((StateRef(s), StateRef(s))),
                          lambda s: TupleTerm((StateRef(s), StateRef(7)))),
     "not-a-term": (LTS, lambda s: Inj(0, Atom("*")), lambda s: "i0(@*)"),
+    "target-holds-no-value": (ID, lambda s: StateRef(s), lambda s: StateRef(Pair(Atom("a"), 5))),
 }
 
 
@@ -107,6 +111,29 @@ class TestBranchLifts:
     def test_a_right_value_that_is_no_branching_value(self, lift, value):
         with pytest.raises(TransitionTypeError, match="is not a branching value"):
             BRANCH_LIFTS[lift](REL, [dirac(B, "c")], [NOT_BRANCHING[value]])
+
+
+NOT_A_PAIR = r"is not an \(item, weight\) pair"
+#: Hand-built branching values that hold something that is no value.
+NOT_VALUES = {
+    "weight-not-a-semiring-value": (lambda: BranchVal(B, (("c", True),)), NOT_A_PAIR),
+    "item-not-a-value": (lambda: BranchVal(B, ((5, one(B)),)), "5 is not a state id"),
+    "entry-not-a-pair": (lambda: BranchVal(B, ("c",)), NOT_A_PAIR),
+    "nested-item-not-a-value": (lambda: BranchVal(B, ((Pair(Atom("a"), 5), one(B)),)),
+                                "5 is not a state id"),
+}
+
+
+class TestKeysOfNonValues:
+    @pytest.mark.parametrize("case", NOT_VALUES)
+    def test_a_branching_value_over_a_non_value(self, case):
+        build, message = NOT_VALUES[case]
+        with pytest.raises(TransitionTypeError, match=message):
+            build()
+
+    def test_a_term_that_holds_a_non_value_has_no_key(self):
+        with pytest.raises(TransitionTypeError, match="^5 is not a state id, term or branching"):
+            value_key(StateRef(Pair(Atom("a"), 5)))
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -14,7 +14,9 @@ as a script.  A statement counts as run when any line of its own ran,
 since the tracer may report any line of a statement that spans several; a
 compound statement owns its header, not its body.
 
-Two limits:
+A test that replaces the tracer (``sys.settrace``) stops the tracing for
+every later test; the script then says so, lists nothing, and exits
+non-zero.  Two limits:
 
 * code run in a subprocess is not traced, so the statements that only the
   CLI tests reach through a fresh interpreter are listed as never run;
@@ -104,9 +106,14 @@ def main(argv: list[str]) -> int:
     threading.settrace(trace)
     try:
         status = pytest.main(argv)
+        kept = sys.gettrace() is trace
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    if not kept:
+        print("linecov: tracing stopped during the run, since a test replaced the line tracer;"
+              " no listing is given, as it would name lines that ran", file=sys.stderr)
+        return int(status) or 1
     print("\n".join(listing(paths, hits)))
     return int(status)
 
