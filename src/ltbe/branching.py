@@ -64,6 +64,10 @@ class BranchVal(Value):
 
     def __init__(self, kind: SemiringKind,
                  entries: tuple[tuple[object, SemiringValue], ...]) -> None:
+        OPS[kind]  # a kind that is no ``SemiringKind`` raises ``KindMismatch``
+        if not hasattr(entries, "__iter__"):
+            raise TransitionTypeError(f"{entries!r} is not an iterable of entries")
+        entries = tuple(entries)  # read once: a generator gives each pass every entry
         for entry in entries:
             if not (type(entry) is tuple and len(entry) == 2
                     and isinstance(weight := entry[1], SemiringValue)):

@@ -37,12 +37,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import count
 
-from .errors import (CarrierMismatch, KindMismatch, MonotonicityViolation, StackMismatch,
-                     plain_int)
+from .errors import CarrierMismatch, KindMismatch, MonotonicityViolation, plain_int
 from .lifting import compile_double_extension, compile_poly, unit_columns
 from .relation import ONE, ZERO, Folds, ValRel, kernel, reads
 from .semiring import OPS, Record, SemiringKind, SemiringValue, prob_all_leq, prob_max_gap
-from .system import BranchLayer, PolyLayer, SpecSystem, System, linear_part
+from .system import BranchLayer, SpecSystem, System, check_pair, check_spec
 
 
 class FixpointOptions(Record):
@@ -104,44 +103,21 @@ class FixpointReport(Record):
 _DEFAULTS = FixpointOptions()  # the options of a run given none
 
 
-def _check_behaviour_inputs(sys: System, spec: SpecSystem) -> None:
-    # ``linear_part(sys.stack)``'s layers; a spec parsed with its text shares them
-    layers = tuple(layer for layer in sys.stack.layers if isinstance(layer, PolyLayer))
-    if spec.stack.layers != layers or spec.stack.kind is not sys.stack.kind:
-        linear_part(sys.stack)  # raises DegenerateStack if ``layers`` is empty
-        raise StackMismatch(
-            "the specification stack must be the linear part of the system stack"
-        )
-
-
-def _check_pair_inputs(sysA: System, sysB: System) -> None:
-    if sysA.stack != sysB.stack:
-        raise StackMismatch("the two systems must share one type stack")
-
-
 def _select(below: list, cells: list, one) -> None:
     """Fold a layer of single reads into the layer ``below`` by picking its cells.
 
-    ``ZERO`` and ``ONE`` read the constants at any depth, so a list keeps
-    them.  In a layer of folds each picks the fold that gives its constant
-    exactly: zero sums nothing, and one is ``one`` times ``ONE``.
+    Each column of ``below`` is padded with the cells that give the two
+    constants, at the last two slots as in every source list, so ``ZERO``
+    and ``ONE`` pick them like any position: a read keeps its constant, and
+    in a layer of folds zero sums nothing and one is ``one`` times ``ONE``.
     """
     picked = below[0]
     if type(picked) is not Folds:
-        below[0] = [picked[p] if p >= 0 else p for p in cells]
+        below[0] = list(map((picked + [ZERO, ONE]).__getitem__, cells))
         return
-    W, P, V = picked.weights, picked.positions, picked.where
-    weights, positions, where = [], [], []
-    for p in cells:
-        if p >= 0:
-            weights.append(W[p])
-            positions.append(P[p])
-            where.append(V[p])
-        else:
-            weights.append([] if p == ZERO else [one])
-            positions.append([] if p == ZERO else [ONE])
-            where.append(())
-    below[0] = Folds(weights, positions, where)
+    W, P, V = picked.weights + [[], [one]], picked.positions + [[], [ONE]], picked.where + [(), ()]
+    below[0] = Folds(list(map(W.__getitem__, cells)), list(map(P.__getitem__, cells)),
+                     list(map(V.__getitem__, cells)))
 
 
 def _layer(cells: list | Folds, size: int) -> tuple[list | Folds, list]:
@@ -174,19 +150,15 @@ def _walker(left: System, right: System) -> list:
     layer is live if a live cell above reads it, and a ``users`` list names
     live cells only, so no round evaluates a cell that nothing reads.
     """
-    plan, j = [], 0
-    for idx, layer in enumerate(left.stack.layers):
-        unit = isinstance(layer, BranchLayer) and right.stack.is_linear
-        plan.append((layer, left.resolved[idx], None if unit else right.resolved[j]))
-        j += not unit
     rows, cols = len(left.states), len(right.states)
-    kind = left.stack.kind
+    kind, j = left.stack.kind, len(right.stack.layers)
     one = OPS[kind].one
     program = []  # the fused layers: [cells, source size, every cell a single read]
-    for idx in reversed(range(len(plan))):
-        layer, mine, theirs = plan[idx]
-        if theirs is None:
-            theirs = unit_columns(kind, cols)
+    for idx in reversed(range(len(left.stack.layers))):
+        layer, mine = left.stack.layers[idx], left.resolved[idx]
+        unit = isinstance(layer, BranchLayer) and right.stack.is_linear
+        j -= not unit  # the right model's layers, counted down from its last
+        theirs = unit_columns(kind, cols) if unit else right.resolved[j]
         if idx == 0:
             mine = [mine[p] for p in left.top_positions]
             theirs = [theirs[p] for p in right.top_positions]
@@ -267,7 +239,7 @@ def _chain(program: list, start: ValRel, steps: int) -> list[ValRel]:
 
 def step_operator(sys: System, spec: SpecSystem, rel: ValRel) -> ValRel:
     """One refinement step of the behaviour relation between system and spec."""
-    _check_behaviour_inputs(sys, spec)
+    check_spec(sys, spec)
     if rel.kind is not sys.stack.kind:
         raise KindMismatch("relation kind does not match the system kind")
     if rel.rows != sys.states or rel.cols != spec.states:
@@ -314,13 +286,13 @@ def _run_fixpoint(program: list, kind: SemiringKind, rows: tuple, cols: tuple,
 
 def behaviour(sys: System, spec: SpecSystem, opts: FixpointOptions | None = None) -> FixpointReport:
     """Greatest-fixpoint behaviour values of every (system state, spec state) pair."""
-    _check_behaviour_inputs(sys, spec)
+    check_spec(sys, spec)
     return _run_fixpoint(_walker(sys, spec), sys.stack.kind, sys.states, spec.states, opts)
 
 
 def iterates(sys: System, spec: SpecSystem, steps: int) -> list[ValRel]:
     """The first ``steps`` refinement iterates, starting from the top relation."""
-    _check_behaviour_inputs(sys, spec)
+    check_spec(sys, spec)
     start = ValRel.top(sys.states, spec.states, sys.stack.kind)
     return _chain(_walker(sys, spec), start, steps)
 
@@ -331,12 +303,12 @@ def common_trace(sysA: System, sysB: System, opts: FixpointOptions | None = None
     Branching is abstracted on both sides, so the fixpoint entry at (c, d)
     is trace existence, joint probability, or joint minimal cost.
     """
-    _check_pair_inputs(sysA, sysB)
+    check_pair(sysA, sysB)
     return _run_fixpoint(_walker(sysA, sysB), sysA.stack.kind, sysA.states, sysB.states, opts)
 
 
 def common_iterates(sysA: System, sysB: System, steps: int) -> list[ValRel]:
-    _check_pair_inputs(sysA, sysB)
+    check_pair(sysA, sysB)
     start = ValRel.top(sysA.states, sysB.states, sysA.stack.kind)
     return _chain(_walker(sysA, sysB), start, steps)
 
@@ -353,7 +325,7 @@ def bisimilarity(sysA: System, sysB: System) -> FixpointReport:
     """
     if sysA.stack.kind is not SemiringKind.BOOL:
         raise KindMismatch("bisimilarity is only defined for bool systems")
-    _check_pair_inputs(sysA, sysB)
+    check_pair(sysA, sysB)
     classes = [[0] * len(sysA.states), [0] * len(sysB.states)]  # round 0: one class
     rel = [True] * (len(sysA.states) * len(sysB.states))
     for rounds in count(1):  # the relations descend on a finite set, so this ends

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import StackMismatch, UndefinedSum, plain_int
+from .errors import UndefinedSum, plain_int
 from .polyfunctor import Const, Coprod, Id, Prod
 from .relation import ValRel
-from .semiring import PROB_EPS, SemiringKind, SemiringValue
-from .system import BranchLayer, SpecSystem, System, linear_part
+from .semiring import PROB_EPS, SemiringKind
+from .system import BranchLayer, SpecSystem, System, check_pair, check_spec
 
 
 def _arithmetic(kind: SemiringKind):
@@ -94,22 +94,14 @@ def _expand(a: System, b: System, depth: int, joint: bool) -> ValRel:
             for c in a.states
             for z in b.states
         }
-    return ValRel(
-        kind,
-        a.states,
-        b.states,
-        [[SemiringValue(kind, table[(c, z)]) for z in b.states] for c in a.states],
-    )
+    return ValRel.from_payloads(kind, a.states, b.states, list(table.values()))  # row-major
 
 
 def oracle_matrix(sys: System, spec: SpecSystem, depth: int) -> ValRel:
     """The depth-``depth`` behaviour matrix, computed by definitional expansion."""
     if plain_int("depth", depth) < 0:
         raise ValueError("depth must be >= 0")
-    if spec.stack != linear_part(sys.stack):
-        raise StackMismatch(
-            "the specification stack must be the linear part of the system stack"
-        )
+    check_spec(sys, spec)
     return _expand(sys, spec, depth, joint=False)
 
 
@@ -117,6 +109,5 @@ def oracle_common(sysA: System, sysB: System, depth: int) -> ValRel:
     """Depth-bounded joint-behaviour matrix of two systems of the same type."""
     if plain_int("depth", depth) < 0:
         raise ValueError("depth must be >= 0")
-    if sysA.stack != sysB.stack:
-        raise StackMismatch("the two systems must share one type stack")
+    check_pair(sysA, sysB)
     return _expand(sysA, sysB, depth, joint=True)

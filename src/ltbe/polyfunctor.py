@@ -258,6 +258,8 @@ def expr_to_text(expr: PolyExpr, need: int = 0) -> str:
         level, text = 1, f"{expr_to_text(expr.left, 1)} * {expr_to_text(expr.right, 2)}"
     elif isinstance(expr, Power):
         level, text = 2, f"{expr_to_text(expr.body, 2)}^{{{','.join(expr.exponent)}}}"
-    else:  # an atom, never bracketed
+    elif isinstance(expr, (Id, Const)):  # an atom, never bracketed
         return "Id" if isinstance(expr, Id) else "{" + ",".join(expr.labels) + "}"
+    else:
+        raise TransitionTypeError(f"{expr!r} is not a functor expression")
     return f"({text})" if level < need else text

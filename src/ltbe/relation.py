@@ -142,6 +142,7 @@ class ValRel:
     __slots__ = ("kind", "rows", "cols", "row_index", "col_index", "_flat")
 
     def __init__(self, kind: SemiringKind, rows, cols, grid) -> None:
+        OPS[kind]  # a kind that is no ``SemiringKind`` raises ``KindMismatch``
         rows, cols = self._carriers(rows, cols)
         grid = tuple(tuple(r) for r in grid)
         if len(grid) != len(rows) or any(len(r) != len(cols) for r in grid):
@@ -187,20 +188,23 @@ class ValRel:
     def from_payloads(cls, kind: SemiringKind, rows, cols, flat: list) -> "ValRel":
         """Wrap a row-major list of raw payloads, the engine's working form.
 
-        The list is kept, not copied.  A prob ``-0.0`` becomes ``0.0``, as
-        boxing it would, since ``{:.9f}`` prints it as ``-0.000000000``.
+        The list is kept, but a prob list is copied with each ``-0.0`` as ``0.0``,
+        as boxing it would, since ``{:.9f}`` prints it as ``-0.000000000``.
         """
+        OPS[kind]  # a kind that is no ``SemiringKind`` raises ``KindMismatch``
         rows, cols = cls._carriers(rows, cols)
         if len(flat) != len(rows) * len(cols):
             raise CarrierMismatch("grid shape does not match the carriers")
-        return cls._wrap(kind, rows, cols, flat)
+        prob = kind is SemiringKind.PROB
+        return cls._wrap(kind, rows, cols, [p + 0.0 for p in flat] if prob else flat)
 
     @classmethod
     def _wrap(cls, kind: SemiringKind, rows: tuple, cols: tuple, flat: list) -> "ValRel":
-        """:meth:`from_payloads` over two tuples of distinct keys, such as two models' states."""
+        """:meth:`from_payloads` over two tuples of distinct keys, such as two models'
+        states, whose list holds no ``-0.0``: the engine's folds sum from ``+0.0``."""
         rel = cls.__new__(cls)
         rel.kind, rel.rows, rel.cols = kind, rows, cols
-        rel._flat = [p + 0.0 for p in flat] if kind is SemiringKind.PROB else flat
+        rel._flat = flat
         return rel
 
     def payloads(self) -> list:

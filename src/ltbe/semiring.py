@@ -103,6 +103,7 @@ class SemiringValue(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        OPS[self.kind]  # a kind that is no ``SemiringKind`` raises ``KindMismatch``
         object.__setattr__(self, "payload", checked_payload(self.kind, self.payload))
 
 
@@ -169,7 +170,14 @@ class RawOps(Record):
     __slots__ = ("zero", "one", "add", "mul", "leq", "gap")
 
 
-OPS = {
+class _ByKind(dict):
+    """A table keyed by :class:`SemiringKind`; any other key raises :class:`KindMismatch`."""
+
+    def __missing__(self, kind: object):
+        raise KindMismatch(f"{kind!r} is not a semiring kind")
+
+
+OPS = _ByKind({
     SemiringKind.BOOL: RawOps(
         False, True, operator.or_, operator.and_, operator.le, lambda a, b: float(a != b)
     ),
@@ -177,7 +185,7 @@ OPS = {
         0.0, 1.0, _prob_add, operator.mul, lambda a, b: a <= b + PROB_EPS, lambda a, b: abs(a - b)
     ),
     SemiringKind.TROPICAL: RawOps(INF, 0, min, operator.add, operator.ge, _tropical_gap),
-}
+})
 
 
 def prob_all_leq(news, olds) -> bool:

@@ -41,6 +41,7 @@ from .branching import BranchVal, branch_key, canonical, within_mass
 from .errors import (
     DegenerateStack,
     ParseError,
+    StackMismatch,
     TransitionTypeError,
     ValidationError,
 )
@@ -109,6 +110,23 @@ def linear_part(stack: TypeStack) -> TypeStack:
     if not layers:
         raise DegenerateStack("the stack has no polynomial layer, so no observable shape")
     return TypeStack(stack.kind, layers)
+
+
+def check_spec(sys: System, spec: SpecSystem) -> None:
+    """Reject a specification whose stack is not ``linear_part(sys.stack)``, by layer
+    tuples: models parsed with one stack text share layer objects, and no stack is built."""
+    layers = tuple(layer for layer in sys.stack.layers if isinstance(layer, PolyLayer))
+    if spec.stack.layers != layers or spec.stack.kind is not sys.stack.kind:
+        linear_part(sys.stack)  # raises DegenerateStack if ``layers`` is empty
+        raise StackMismatch(
+            "the specification stack must be the linear part of the system stack"
+        )
+
+
+def check_pair(a: System, b: System) -> None:
+    """Reject two systems that do not share one type stack."""
+    if a.stack != b.stack:
+        raise StackMismatch("the two systems must share one type stack")
 
 
 # --- transition value codec ----------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from itertools import chain
@@ -213,6 +214,21 @@ class TestResultRelation:
             want = ValRel.from_payloads(kind, rows, cols, result.payloads())
             assert result == want and result.to_csv() == want.to_csv()
             assert (result.row_index, result.col_index) == (want.row_index, want.col_index)
+
+
+def test_no_entry_is_a_negative_zero():
+    """The engine makes no prob ``-0.0``: every weight is above zero, every fold
+    sums from ``+0.0`` and a product of non-negative floats is never ``-0.0``.
+    So only ``from_payloads``, where payloads enter from outside, normalises it."""
+    rng = random.Random("negative-zero")
+    results = []
+    for kind, shape, sys_model, spec in corpus(seed=25, per_cell=3):
+        results += [behaviour(sys_model, spec).result, *iterates(sys_model, spec, 4)]
+        a, b = gen_system_pair(rng, kind, shape)
+        results += [common_trace(a, b).result, *common_iterates(a, b, 4)]
+    entries = [p for rel in results for p in rel.payloads()]
+    assert not [p for p in entries if p == 0 and math.copysign(1.0, p) < 0]
+    assert sum(type(p) is float and p == 0 for p in entries) > 100  # prob zeros, all ``+0.0``
 
 
 class TestTropicalDivergence:

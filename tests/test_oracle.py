@@ -1,4 +1,7 @@
+import ast
+import itertools
 import json
+import pathlib
 
 import pytest
 
@@ -32,9 +35,11 @@ from modelgen import (
 )
 import random
 
+from ltbe import oracle
 from ltbe.oracle import _arithmetic
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 class TestOracleMatrix:
@@ -193,3 +198,52 @@ class TestUnitBranching:
             assert joint.result.payloads() == alone.result.payloads()
             assert (joint.iterations, joint.stop_reason, joint.final_gap) == (
                 alone.iterations, alone.stop_reason, alone.final_gap)
+
+
+def _outcome(query, *args):
+    """``"answer"``, or the class and message of the error ``query`` raised."""
+    try:
+        query(*args)
+    except Exception as exc:  # any error: the two routes must fail alike
+        return type(exc), str(exc)
+    return "answer"
+
+
+class TestOneRuleForTwoModels:
+    """The engine and the oracle accept and reject the same pairs of models,
+    with the same error, since both call ``system.check_spec``/``check_pair``."""
+
+    TEXTS = {path.name: path.read_text() for path in sorted(DATA.glob("*.json"))}
+
+    def test_behaviour_and_oracle_matrix(self):
+        systems = {name: parse_system(text) for name, text in self.TEXTS.items()}
+        specs = {name: parse_spec(text) for name, text in self.TEXTS.items()
+                 if not any(layer == "T" for layer in json.loads(text)["stack"])}
+        outcomes = set()
+        for (a, sys_model), (b, spec) in itertools.product(systems.items(), specs.items()):
+            got = _outcome(behaviour, sys_model, spec)
+            assert got == _outcome(oracle_matrix, sys_model, spec, 2), (a, b)
+            outcomes.add(got if got == "answer" else got[0])
+        assert outcomes == {"answer", StackMismatch}
+
+    def test_common_trace_and_oracle_common(self):
+        systems = {name: parse_system(text) for name, text in self.TEXTS.items()}
+        outcomes = set()
+        for (a, sys_a), (b, sys_b) in itertools.product(systems.items(), repeat=2):
+            got = _outcome(common_trace, sys_a, sys_b)
+            assert got == _outcome(oracle_common, sys_a, sys_b, 2), (a, b)
+            outcomes.add(got if got == "answer" else got[0])
+        assert outcomes == {"answer", StackMismatch}
+
+
+def test_the_oracle_imports_nothing_from_the_engine_or_the_lifting():
+    """The cross-check rests on the oracle sharing no code with the routes it checks."""
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # ``from . import engine`` names its module
+            modules += [node.module or alias.name for alias in node.names]
+    assert "system" in modules
+    assert not {part for name in modules for part in name.split(".")} & {"engine", "lifting"}

@@ -3,7 +3,10 @@
 A term that is not one of the expression, or a branching position that
 holds no branching value, ends in ``TransitionTypeError``; a well-typed
 value whose key is not in the relation's carrier ends in
-``CarrierMismatch``.  ``validate_term`` answers by the same walk.
+``CarrierMismatch``.  ``validate_term`` answers by the same walk.  A
+value that is no functor expression, or branching entries that are not
+iterable, end in ``TransitionTypeError`` too, and a kind that is no
+``SemiringKind`` ends in ``KindMismatch`` in every kinded constructor.
 """
 
 import random
@@ -18,13 +21,17 @@ from ltbe import (
     BranchVal,
     CarrierMismatch,
     Inj,
+    KindMismatch,
     Pair,
     SemiringKind,
+    SemiringValue,
     StateRef,
     TransitionTypeError,
     TupleTerm,
     ValRel,
+    check_semiring_laws,
     dirac,
+    expr_to_text,
     lift_double_extension,
     lift_egli_milner,
     lift_extension,
@@ -33,6 +40,7 @@ from ltbe import (
     parse_expr,
     validate_term,
     value_key,
+    zero,
 )
 from modelgen import SHAPES, gen_model_pair
 
@@ -91,6 +99,21 @@ class TestLiftPoly:
         assert not validate_term(expr, bad("c"), ["c"])
 
 
+class TestNotAnExpression:
+    """A value that is no functor expression where one belongs is a ``TransitionTypeError``."""
+
+    def test_expr_to_text(self):
+        with pytest.raises(TransitionTypeError, match="^'Id' is not a functor expression$"):
+            expr_to_text("Id")
+
+    def test_lift_poly(self):
+        with pytest.raises(TransitionTypeError, match="^'Id' is not a functor expression$"):
+            lift_poly("Id", REL, [StateRef("c")], [StateRef("d")])
+
+    def test_validate_term_answers_false(self):
+        assert validate_term("Id", StateRef("c"), ["c"]) is False
+
+
 NOT_BRANCHING = {"text": "notabranch", "term": Inj(0, Atom("*")), "none": None}
 BRANCH_LIFTS = {
     "extension": lambda rel, left, right: lift_extension(rel, left),
@@ -134,6 +157,40 @@ class TestKeysOfNonValues:
     def test_a_term_that_holds_a_non_value_has_no_key(self):
         with pytest.raises(TransitionTypeError, match="^5 is not a state id, term or branching"):
             value_key(StateRef(Pair(Atom("a"), 5)))
+
+
+class TestBranchValEntries:
+    """``BranchVal`` reads its entries once, so any iterable of them will do."""
+
+    def test_a_generator_gives_the_same_value_as_a_list(self):
+        from_generator = BranchVal(B, ((s, one(B)) for s in ["c", "d"]))
+        from_list = BranchVal(B, [(s, one(B)) for s in ["c", "d"]])
+        assert from_generator == from_list
+        assert from_generator.key() == from_list.key() == "{c|d}"
+
+    @pytest.mark.parametrize("entries", [None, 5], ids=repr)
+    def test_entries_that_are_not_iterable(self, entries):
+        with pytest.raises(TransitionTypeError, match="is not an iterable of entries"):
+            BranchVal(B, entries)
+
+
+#: Every constructor of a kinded value given the string ``"bool"`` for its kind.
+NOT_A_KIND = {
+    "branch-value": lambda: BranchVal("bool", (("c", one(B)),)),
+    "zero": lambda: zero("bool"),
+    "dirac": lambda: dirac("bool", "c"),
+    "top": lambda: ValRel.top(["a"], ["b"], "bool"),
+    "laws": lambda: check_semiring_laws("bool"),
+    "semiring-value": lambda: SemiringValue("bool", True),
+    "from-payloads": lambda: ValRel.from_payloads("bool", ["a"], ["b"], [True]),
+    "valrel": lambda: ValRel("bool", ["a"], ["b"], [[one(B)]]),
+}
+
+
+@pytest.mark.parametrize("case", NOT_A_KIND)
+def test_a_kind_that_is_no_semiring_kind(case):
+    with pytest.raises(KindMismatch, match="^'bool' is not a semiring kind$"):
+        NOT_A_KIND[case]()
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
