@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import engine
 from .errors import LtbeError
-from .semiring import SemiringKind, from_text
+from .semiring import SemiringKind, from_text, json_value
 from .system import parse_spec, parse_system
 
 
@@ -103,7 +102,7 @@ def _matrix_text(rel, fmt: str, footer: list) -> str:
     """
     if fmt == "json":
         doc = {"matrix": rel.to_json_records()}
-        doc.update((name, "inf" if v == math.inf else v) for name, v in footer)
+        doc.update((name, json_value(v)) for name, v in footer)
         return json.dumps(doc, indent=2) + "\n"
     rows = "".join(f"{name},{str(v).lower() if type(v) is bool else repr(v)}\n"
                    for name, v in footer)

@@ -61,17 +61,12 @@ Index = Mapping[object, int]
 TOP = "top"
 
 
-def times(a, b):
-    """The compiled product of two cells, flat on the left, so ``(a, b, c)``
-    multiplies as ``(a * b) * c``; a unit factor folds away exactly."""
-    return b if a is TOP else a if b is TOP else (*a, b) if type(a) is tuple else (a, b)
-
-
-def product(trees: list):
-    """``reduce(times, trees, TOP)`` over trees none of which is ``TOP``, in one pass."""
-    if len(trees) < 2:
-        return trees[0] if trees else TOP
-    return (*trees[0], *trees[1:]) if type(trees[0]) is tuple else tuple(trees)
+def times(*cells):
+    """The compiled product of ``cells``, flat on the left, so ``(a, b, c)``
+    multiplies as ``(a * b) * c``; a unit factor folds away exactly.  A power
+    passes all its components at once, so a wide one is built in linear time."""
+    a, *more = [c for c in cells if c is not TOP] or [TOP]
+    return (*a, *more) if type(a) is tuple else (a, *more) if more else a
 
 
 def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
@@ -104,7 +99,7 @@ def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
             return walk(e.branches[t.index], t.arg)
         if (isinstance(e, Power) and isinstance(t, TupleTerm)
                 and isinstance(t.components, tuple) and len(t.components) == len(e.exponent)):
-            return product([tree for c in t.components if (tree := walk(e.body, c)) is not TOP])
+            return times(*[walk(e.body, c) for c in t.components])
         raise TransitionTypeError(f"{t!r} is not a term of {expr_to_text(e)}")
 
     try:

@@ -31,7 +31,7 @@ from functools import cache, reduce
 from itertools import chain
 
 from .errors import CarrierMismatch, KindMismatch, UndefinedSum
-from .semiring import INF, OPS, SemiringKind, SemiringValue
+from .semiring import INF, OPS, SemiringKind, SemiringValue, checked_payload, json_value
 
 #: The positions of the constants zero and one, the last two of every source list.
 ZERO, ONE = -2, -1
@@ -185,23 +185,24 @@ class ValRel:
         return cls(kind, rows, cols, [[fn(r, c) for c in cols] for r in rows])
 
     @classmethod
-    def from_payloads(cls, kind: SemiringKind, rows, cols, flat: list) -> "ValRel":
-        """Wrap a row-major list of raw payloads, the engine's working form.
+    def from_payloads(cls, kind: SemiringKind, rows, cols, flat: Iterable) -> "ValRel":
+        """Wrap row-major raw payloads, the engine's working form, read once into a new list.
 
-        The list is kept, but a prob list is copied with each ``-0.0`` as ``0.0``,
-        as boxing it would, since ``{:.9f}`` prints it as ``-0.000000000``.
+        Each is checked as boxing checks it (:func:`~ltbe.semiring.checked_payload`): one that
+        is no payload of ``kind`` raises :class:`ValidationError`, and a prob ``-0.0``, which
+        ``{:.9f}`` prints as ``-0.000000000``, becomes ``0.0``.
         """
         OPS[kind]  # a kind that is no ``SemiringKind`` raises ``KindMismatch``
         rows, cols = cls._carriers(rows, cols)
+        flat = [checked_payload(kind, p) for p in flat]
         if len(flat) != len(rows) * len(cols):
             raise CarrierMismatch("grid shape does not match the carriers")
-        prob = kind is SemiringKind.PROB
-        return cls._wrap(kind, rows, cols, [p + 0.0 for p in flat] if prob else flat)
+        return cls._wrap(kind, rows, cols, flat)
 
     @classmethod
     def _wrap(cls, kind: SemiringKind, rows: tuple, cols: tuple, flat: list) -> "ValRel":
-        """:meth:`from_payloads` over two tuples of distinct keys, such as two models'
-        states, whose list holds no ``-0.0``: the engine's folds sum from ``+0.0``."""
+        """:meth:`from_payloads` unchecked, over two tuples of distinct keys, such as two
+        models' states, and a list of payloads with no ``-0.0``, such as the engine's."""
         rel = cls.__new__(cls)
         rel.kind, rel.rows, rel.cols = kind, rows, cols
         rel._flat = flat
@@ -271,10 +272,9 @@ class ValRel:
         return "".join([line + "\n" if line else '""\n' for line in lines])  # as ``csv.writer``
 
     def to_json_records(self) -> list[dict]:
-        tropical = self.kind is SemiringKind.TROPICAL
         payloads = iter(self._flat)
         return [
-            {"row": r, "col": c, "value": "inf" if tropical and p == INF else p}
+            {"row": r, "col": c, "value": json_value(p)}
             for r in self.rows
             for c, p in zip(self.cols, payloads)
         ]
@@ -284,7 +284,7 @@ def reindex(f: Mapping[object, object], g: Mapping[object, object], rel: ValRel)
     """Precompose a relation with a pair of carrier maps.
 
     The result is indexed by the keys of ``f`` and ``g``; every image must
-    lie inside the carriers of ``rel``.
+    lie inside the carriers of ``rel``, whose payloads it copies unchecked.
     """
     for x, fx in f.items():
         if fx not in rel.row_index:
@@ -296,4 +296,4 @@ def reindex(f: Mapping[object, object], g: Mapping[object, object], rel: ValRel)
     rows = [rel.row_index[fx] * n for fx in f.values()]
     cols = [rel.col_index[gy] for gy in g.values()]
     payloads = [flat[i + j] for i in rows for j in cols]
-    return ValRel.from_payloads(rel.kind, tuple(f), tuple(g), payloads)
+    return ValRel._wrap(rel.kind, tuple(f), tuple(g), payloads)

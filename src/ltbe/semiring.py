@@ -281,11 +281,14 @@ def from_text(kind: SemiringKind, text: str) -> SemiringValue:
         raise ValidationError(f"bad {kind.value} value {text!r}") from exc
 
 
+def json_value(p: bool | int | float) -> bool | int | float | str:
+    """A payload, or a number of a run's report, as JSON: infinity as the string "inf"."""
+    return "inf" if p == INF else p
+
+
 def to_json_value(v: SemiringValue) -> bool | int | float | str:
     """JSON payload: native bool/number, tropical infinity as the string "inf"."""
-    if v.kind is SemiringKind.TROPICAL and v.payload == INF:
-        return "inf"
-    return v.payload
+    return json_value(v.payload)
 
 
 def json_payload(kind: SemiringKind, raw: object) -> bool | int | float:

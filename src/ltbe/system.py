@@ -45,7 +45,7 @@ from .errors import (
     TransitionTypeError,
     ValidationError,
 )
-from .lifting import TOP, product, times
+from .lifting import TOP, times
 from .polyfunctor import (
     Atom,
     Const,
@@ -61,8 +61,7 @@ from .polyfunctor import (
     name_key,
     parse_expr,
 )
-from .semiring import (Record, SemiringKind, SemiringValue, json_payload,
-                       to_json_value)
+from .semiring import OPS, Record, SemiringKind, SemiringValue, json_payload, json_value
 
 
 class PolyLayer(Record):
@@ -88,6 +87,9 @@ class TypeStack(Record):
     __slots__ = ("kind", "layers")
 
     def __init__(self, kind: SemiringKind, layers: tuple[Layer, ...]) -> None:
+        OPS[kind]  # a kind that is no ``SemiringKind`` raises ``KindMismatch``
+        if not isinstance(layers, tuple) or not all(isinstance(x, Layer) for x in layers):
+            raise ValidationError(f"a type stack needs a tuple of layers, got {layers!r}")
         if not layers:
             raise ValidationError("a type stack needs at least one layer")
         object.__setattr__(self, "kind", kind)
@@ -195,9 +197,8 @@ def _term_decoder(expr: PolyExpr):
             for a in exponent:
                 key, tree = body(comps[a], f"{path}.{a}", below, shape, leaves)
                 keys.append(key)
-                if tree is not TOP:
-                    trees.append(tree)
-            return "t(" + ";".join(keys) + ")", product(trees)
+                trees.append(tree)
+            return "t(" + ";".join(keys) + ")", times(*trees)
     return decode
 
 
@@ -302,8 +303,14 @@ class System:
     """A finite coalgebraic model: states plus one transition value each."""
 
     def __init__(self, stack: TypeStack, states, transitions: dict) -> None:
-        """Decode ``transitions``, each state's value as read from a model file,
-        into ``resolved`` and ``top_positions``."""
+        """Check the three arguments' types, then decode ``transitions``, each state's
+        value as read from a model file, into ``resolved`` and ``top_positions``."""
+        if not isinstance(stack, TypeStack):
+            raise ValidationError(f"a model's stack must be a TypeStack, got {stack!r}")
+        if not isinstance(states, (list, tuple)) or not all(isinstance(s, str) for s in states):
+            raise ParseError("'states' must be a list of state ids")
+        if not isinstance(transitions, dict):
+            raise ParseError("'transitions' must be an object")
         states = tuple(states)
         rows: list[dict] = [{} for _ in stack.layers]
         decode, tops = _row_decoder(stack, states, rows), []
@@ -374,7 +381,7 @@ class System:
     def to_json(self) -> dict:
         kind = self.stack.kind
         top = self._unfold([{"state": s} for s in self.states], _JSON, lambda entries: [
-            {"term": item, "weight": to_json_value(SemiringValue(kind, w))}
+            {"term": item, "weight": json_value(w)}
             if kind is not SemiringKind.BOOL else item for item, w in entries])[0]
         return {
             "kind": kind.value,
@@ -437,12 +444,7 @@ def _parse_model(text: str) -> tuple[TypeStack, list[str], dict]:
             layers.append(_poly_layer(entry))
         else:
             raise ParseError(f"bad stack entry {entry!r}")
-    stack = TypeStack(kind, tuple(layers))
-    if not isinstance(doc["states"], list) or not all(isinstance(s, str) for s in doc["states"]):
-        raise ParseError("'states' must be a list of state ids")
-    if not isinstance(doc["transitions"], dict):
-        raise ParseError("'transitions' must be an object")
-    return stack, doc["states"], doc["transitions"]
+    return TypeStack(kind, tuple(layers)), doc["states"], doc["transitions"]
 
 
 def parse_system(text: str) -> System:

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -27,7 +28,7 @@ from ltbe import (
     lift_poly,
     parse_expr,
 )
-from ltbe.lifting import compile_double_extension, unit_columns
+from ltbe.lifting import TOP, compile_double_extension, times, unit_columns
 from ltbe.relation import ZERO, Folds
 from ltbe.semiring import OPS
 from ltbe.system import BranchLayer
@@ -442,3 +443,14 @@ class TestBottomFreeDoubleExtension:
     def test_behaviour_against_unit_columns(self, kind, monkeypatch):
         rng = random.Random(f"bottom-free:{kind.value}:behaviour")
         self._check(behaviour, gen_model_pair, rng, kind, monkeypatch)
+
+
+def test_times_of_many_cells_is_the_binary_fold():
+    """A power's tree, built by one call, is the product its factors make two at a time."""
+    rng = random.Random(5)
+    pick = [TOP, 0, 1, 2, (3, 4), (5, (6, 7)), ZERO]
+    for _ in range(500):
+        cells = [rng.choice(pick) for _ in range(rng.randint(0, 6))]
+        assert times(*cells) == reduce(times, cells, TOP), cells
+    wide = times(*range(5000))  # one tuple, built in one pass
+    assert wide == tuple(range(5000))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pathlib
 import random
 from functools import reduce
 
@@ -15,14 +16,30 @@ from ltbe import (
     SemiringKind,
     SemiringValue,
     UndefinedSum,
+    ValidationError,
     ValRel,
+    parse_spec,
+    parse_system,
     reindex,
+    step_operator,
 )
 from ltbe.relation import Folds, fold_kernel
 from ltbe.semiring import OPS, to_text
 from modelgen import lowered, random_valrel
 
 B, P, T = SemiringKind.BOOL, SemiringKind.PROB, SemiringKind.TROPICAL
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+
+#: A payload that is no payload of its kind, and the start of the error that names it.
+BAD_PAYLOADS = {
+    "prob-above-one": (P, 2.0, "prob payload 2.0 outside"),
+    "prob-nan": (P, float("nan"), "prob payload nan is not a finite real"),
+    "prob-string": (P, "x", "prob payload must be a real, got 'x'"),
+    "tropical-negative": (T, -3, "tropical payload -3 is not"),
+    "tropical-fraction": (T, 2.5, "tropical payload 2.5 is not"),
+    "bool-int": (B, 1, "bool payload must be a bool, got 1"),
+    "bool-string": (B, "x", "bool payload must be a bool, got 'x'"),
+}
 
 
 class TestTop:
@@ -68,6 +85,37 @@ class TestConstruction:
     def test_payload_count_must_match_the_carriers(self):
         with pytest.raises(CarrierMismatch, match="grid shape"):
             ValRel.from_payloads(B, ["c"], ["z"], [True, True])
+
+    @pytest.mark.parametrize("case", BAD_PAYLOADS)
+    def test_each_payload_is_checked(self, case):
+        kind, payload, message = BAD_PAYLOADS[case]
+        with pytest.raises(ValidationError, match=message):
+            ValRel.from_payloads(kind, ["c"], ["d"], [payload])
+        with pytest.raises(ValidationError, match=message):  # before the shape
+            ValRel.from_payloads(kind, ["c"], ["d"], [OPS[kind].one, payload])
+
+    @pytest.mark.parametrize("kind, payloads", [
+        (B, [True, False]), (P, [0.25, -0.0]), (T, [3, INF]),
+    ], ids=["bool", "prob", "tropical"])
+    def test_a_generator_gives_the_relation_of_a_list(self, kind, payloads):
+        from_list = ValRel.from_payloads(kind, ["c"], ["d", "e"], payloads)
+        assert ValRel.from_payloads(kind, ["c"], ["d", "e"], iter(payloads)) == from_list
+        assert ValRel.from_payloads(kind, ["c"], ["d", "e"], (p for p in payloads)) == from_list
+
+    def test_a_whole_tropical_float_is_stored_as_an_int(self):
+        rel = ValRel.from_payloads(T, ["c"], ["d"], [3.0])
+        assert rel.payloads() == [3] and type(rel.payloads()[0]) is int
+        assert rel.to_csv() == ",d\nc,3\n"
+
+    @pytest.mark.parametrize("payload", ["x", 7.0, 2.0, float("nan")], ids=repr)
+    def test_a_bad_payload_never_reaches_the_step_operator(self, payload):
+        """Each of these once went through ``from_payloads`` and ended in the engine."""
+        sys_model = parse_system((DATA / "coin.json").read_text(encoding="utf-8"))
+        spec = parse_spec((DATA / "spec_a_omega_prob.json").read_text(encoding="utf-8"))
+        good = ValRel.from_payloads(P, sys_model.states, spec.states, [1.0])
+        assert step_operator(sys_model, spec, good).to_csv() == ",zw\nc,0.500000000\n"
+        with pytest.raises(ValidationError):
+            ValRel.from_payloads(P, sys_model.states, spec.states, [payload])
 
 
 class TestReindex:

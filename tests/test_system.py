@@ -13,6 +13,7 @@ from ltbe import (
     BranchVal,
     DegenerateStack,
     Inj,
+    KindMismatch,
     Pair,
     ParseError,
     PolyLayer,
@@ -20,6 +21,7 @@ from ltbe import (
     SemiringValue,
     SpecSystem,
     StateRef,
+    System,
     TransitionTypeError,
     TupleTerm,
     TypeStack,
@@ -257,6 +259,34 @@ class TestParseSystem:
             parse_system(json.dumps(doc))
 
 
+F_LAYER = PolyLayer(parse_expr("{*} + {a} * Id"))
+LTS_STACK = TypeStack(SemiringKind.BOOL, (BranchLayer(), F_LAYER))
+
+#: A stack built from a bad kind or bad layers: the call, its error and its message.
+BAD_STACKS = {
+    "kind-string": (lambda: TypeStack("bool", (BranchLayer(), F_LAYER)), KindMismatch,
+                    "^'bool' is not a semiring kind$"),
+    "layer-string": (lambda: TypeStack(SemiringKind.BOOL, ("T",)), ValidationError,
+                     r"needs a tuple of layers, got \('T',\)"),
+    "bare-expression": (lambda: TypeStack(SemiringKind.BOOL, (parse_expr("Id"),)),
+                        ValidationError, r"needs a tuple of layers, got \(Id\(\),\)"),
+    "list-of-layers": (lambda: TypeStack(SemiringKind.BOOL, [BranchLayer(), F_LAYER]),
+                       ValidationError, r"needs a tuple of layers, got \[BranchLayer\(\), "),
+}
+
+#: A model's arguments of a wrong type: the arguments, the error and its message.
+BAD_MODELS = {
+    "stack-string": (("x", ["c"], {"c": [stop_term()]}), ValidationError,
+                     "^a model's stack must be a TypeStack, got 'x'$"),
+    "transitions-list": ((LTS_STACK, ["c"], [[stop_term()]]), ParseError,
+                         "^'transitions' must be an object$"),
+    "state-int": ((LTS_STACK, [1], {1: [stop_term()]}), ParseError,
+                  "^'states' must be a list of state ids$"),
+    "states-string": ((LTS_STACK, "c", {"c": [stop_term()]}), ParseError,
+                      "^'states' must be a list of state ids$"),
+}
+
+
 class TestLinearPart:
     def test_gtf(self):
         stack = TypeStack(
@@ -291,6 +321,19 @@ class TestLinearPart:
     def test_a_stack_needs_a_layer(self):
         with pytest.raises(ValidationError, match="at least one layer"):
             TypeStack(SemiringKind.BOOL, ())
+
+    @pytest.mark.parametrize("case", BAD_STACKS)
+    def test_a_stack_takes_a_kind_and_a_tuple_of_layers(self, case):
+        error, message = BAD_STACKS[case][1:]
+        with pytest.raises(error, match=message):
+            BAD_STACKS[case][0]()
+
+    @pytest.mark.parametrize("case", BAD_MODELS)
+    def test_a_model_checks_its_arguments_before_it_decodes(self, case):
+        args, error, message = BAD_MODELS[case]
+        for model in (System, SpecSystem):
+            with pytest.raises(error, match=message):
+                model(*args)
 
     def test_a_layer_needs_its_expression(self):
         with pytest.raises(TypeError, match="PolyLayer takes the fields expr"):
@@ -484,7 +527,27 @@ def pair_models():
     ]
 
 
-MODEL_FAMILIES = [demo_models, corpus_models, stack_models, pair_models]
+# powers whose body is a product, and a product with a power in it: a power's tree
+# folds component trees that are themselves products
+POWER_STACKS = (
+    ["T", "(Id * Id)^{a,b}"],
+    ["{n,y} * Id^{a,b,c}", "T"],
+    ["(Id * ({*} + Id))^{a,b}", "T", "{*} + {a} * Id"],
+)
+
+
+def power_models():
+    rng = random.Random(13)
+    return [
+        model
+        for kind in SemiringKind
+        for texts in POWER_STACKS
+        for _ in range(3)
+        for model in gen_models_on(rng, kind, texts, 4, 3)
+    ]
+
+
+MODEL_FAMILIES = [demo_models, corpus_models, stack_models, pair_models, power_models]
 
 
 class TestCollectedValues:
@@ -633,6 +696,13 @@ class TestValuesBoxedOnFirstRead:
             doc = json.loads(json.dumps(model.to_json()))
             assert {s: box_json(model.stack, doc["transitions"][s])
                     for s in model.states} == model.transitions
+
+    @pytest.mark.parametrize("name", ["coin", "routes", "lts_loop_exit"])
+    def test_to_json_boxes_nothing(self, boxed, name):
+        model = parse_system((DATA / f"{name}.json").read_text(encoding="utf-8"))
+        doc = model.to_json()
+        assert boxed == []
+        assert doc == json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
 
     def test_oracle_reads_the_boxed_values(self, boxed):
         sys_model = parse_system((DATA / "coin.json").read_text(encoding="utf-8"))
