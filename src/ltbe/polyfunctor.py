@@ -189,19 +189,15 @@ def _tokenize(text: str) -> list[str]:
 
 def parse_expr(text: str) -> PolyExpr:
     """Parse the textual functor grammar; see the module docstring."""
-    tokens = _tokenize(text)
-    pos = 0
+    tokens = _tokenize(text)[::-1]  # the next token last, where ``take`` pops it
 
     def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
+        return tokens[-1] if tokens else None
 
     def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
+        if not tokens:
             raise ParseError(f"unexpected end of expression in {text!r}")
-        tok = tokens[pos]
-        pos += 1
-        return tok
+        return tokens.pop()
 
     def parse_coprod() -> PolyExpr:
         branches = [parse_prod()]
@@ -241,8 +237,8 @@ def parse_expr(text: str) -> PolyExpr:
         raise ParseError(f"unexpected token {tok!r} in {text!r}")
 
     node = parse_coprod()
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens {tokens[pos:]!r} in {text!r}")
+    if tokens:
+        raise ParseError(f"trailing tokens {tokens[::-1]!r} in {text!r}")
     return node
 
 

@@ -65,13 +65,10 @@ from .semiring import OPS, Record, SemiringKind, SemiringValue, json_payload, js
 
 
 class PolyLayer(Record):
-    __slots__ = ("expr", "_decode")
+    __slots__ = ("expr",)
 
-    def decoder(self):
-        """The expression's term decoder (:func:`_term_decoder`), built on first use."""
-        if getattr(self, "_decode", None) is None:
-            object.__setattr__(self, "_decode", _term_decoder(self.expr))
-        return self._decode
+    def __post_init__(self) -> None:
+        expr_to_text(self.expr)  # anything but a functor expression raises TransitionTypeError
 
 
 class BranchLayer(Record):
@@ -139,22 +136,22 @@ def _expected(node: str, raw, path: str) -> TransitionTypeError:
     return TransitionTypeError(f"{path}: expected {node} node, got {raw!r}")
 
 
-def _term_decoder(expr: PolyExpr):
+def _term_decoder(expr: PolyExpr, below):
     """The decoder of the terms of ``expr``, one closure per node of it.
 
-    ``decode(raw, path, below, shape, leaves)`` checks that ``raw`` is a
-    term of ``expr`` and returns its canonical key and its product tree
-    (see ``lifting.resolve_term``), appending its injection indices and
-    labels to ``shape``.  ``below(raw, path, leaves)`` decodes an ``Id``
-    leaf: it appends the leaf's key to ``leaves`` and returns the key as a
-    term embeds it.
+    ``decode(raw, path, shape, leaves)`` checks that ``raw`` is a term of
+    ``expr`` and returns its canonical key and its product tree (see
+    ``lifting.resolve_term``), appending its injection indices and labels
+    to ``shape``.  ``below(raw, path, leaves)`` decodes an ``Id`` leaf: it
+    appends the leaf's key to ``leaves`` and returns the key as a term
+    embeds it.
     """
     if isinstance(expr, Id):
-        return lambda raw, path, below, shape, leaves: (below(raw, path, leaves), len(leaves) - 1)
+        return lambda raw, path, shape, leaves: (below(raw, path, leaves), len(leaves) - 1)
     if isinstance(expr, Const):
         labels, atoms = expr.labels, {label: "@" + name_key(label) for label in expr.labels}
 
-        def decode(raw, path, below, shape, leaves):
+        def decode(raw, path, shape, leaves):
             if not isinstance(raw, dict) or raw.keys() != {"atom"}:
                 raise _expected("an atom", raw, path)
             if raw["atom"] not in labels:
@@ -162,31 +159,31 @@ def _term_decoder(expr: PolyExpr):
             shape.append(raw["atom"])
             return atoms[raw["atom"]], TOP
     elif isinstance(expr, Prod):
-        left, right = _term_decoder(expr.left), _term_decoder(expr.right)
+        left, right = _term_decoder(expr.left, below), _term_decoder(expr.right, below)
 
-        def decode(raw, path, below, shape, leaves):
+        def decode(raw, path, shape, leaves):
             if (not isinstance(raw, dict) or raw.keys() != {"pair"}
                     or not isinstance(pair := raw["pair"], list) or len(pair) != 2):
                 raise _expected("a pair", raw, path)
-            fst, t = left(pair[0], path + ".pair[0]", below, shape, leaves)
-            snd, u = right(pair[1], path + ".pair[1]", below, shape, leaves)
+            fst, t = left(pair[0], path + ".pair[0]", shape, leaves)
+            snd, u = right(pair[1], path + ".pair[1]", shape, leaves)
             return f"({fst},{snd})", times(t, u)
     elif isinstance(expr, Coprod):
-        branches = [_term_decoder(b) for b in expr.branches]
+        branches = [_term_decoder(b, below) for b in expr.branches]
 
-        def decode(raw, path, below, shape, leaves):
+        def decode(raw, path, shape, leaves):
             if not isinstance(raw, dict) or raw.keys() != {"inj", "of"}:
                 raise _expected("an injection", raw, path)
             index = raw["inj"]
             if not isinstance(index, int) or not 0 <= index < len(branches):
                 raise TransitionTypeError(f"{path}: injection index {index!r} out of range")
             shape.append(index)
-            key, tree = branches[index](raw["of"], f"{path}.inj{index}", below, shape, leaves)
+            key, tree = branches[index](raw["of"], f"{path}.inj{index}", shape, leaves)
             return f"i{index}({key})", tree
     else:  # a Power
-        body, exponent, names = _term_decoder(expr.body), expr.exponent, set(expr.exponent)
+        body, exponent, names = _term_decoder(expr.body, below), expr.exponent, set(expr.exponent)
 
-        def decode(raw, path, below, shape, leaves):
+        def decode(raw, path, shape, leaves):
             if (not isinstance(raw, dict) or raw.keys() != {"tuple"}
                     or not isinstance(comps := raw["tuple"], dict)):
                 raise _expected("a tuple", raw, path)
@@ -195,7 +192,7 @@ def _term_decoder(expr: PolyExpr):
                                           f"do not match exponent {exponent!r}")
             keys, trees = [], []
             for a in exponent:
-                key, tree = body(comps[a], f"{path}.{a}", below, shape, leaves)
+                key, tree = body(comps[a], f"{path}.{a}", shape, leaves)
                 keys.append(key)
                 trees.append(tree)
             return "t(" + ";".join(keys) + ")", times(*trees)
@@ -225,10 +222,10 @@ def _row_decoder(stack: TypeStack, states, rows: list[dict]):
         keys.append(target)
         return names[target]
 
-    def poly(term, below, found):
+    def poly(term, found):
         def decode(raw, path, keys):
             shape, leaves = [], []
-            key, tree = term(raw, path, below, shape, leaves)
+            key, tree = term(raw, path, shape, leaves)
             if key not in found:
                 found[key] = tuple(shape), tree, leaves
             keys.append(key)
@@ -265,7 +262,7 @@ def _row_decoder(stack: TypeStack, states, rows: list[dict]):
     decode = state
     for layer, found in zip(reversed(stack.layers), reversed(rows)):
         decode = (branch(decode, found) if isinstance(layer, BranchLayer)
-                  else poly(layer.decoder(), decode, found))
+                  else poly(_term_decoder(layer.expr, decode), found))
     return decode
 
 

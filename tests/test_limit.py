@@ -276,3 +276,28 @@ def test_pinned_run_reaches_the_limit(name):
     report = behaviour(a, b)
     assert report.stop_reason == "converged"
     _check(a.stack.kind, report, limit(a.to_json(), b.to_json()))
+
+
+def _f3_two_layers():
+    """ROADMAP item 14's case: ``s`` observes ``y`` and branches twice, on
+    ``a`` and ``b``, back to itself at weight 1 - 1e-10, against the spec
+    ``z ↦ (y, (z, z))``.  The limit is 0, since ``x = w²x²`` has no fixpoint
+    in (0, 1], yet the first step gap is 2e-10.  ``limitref`` covers linear
+    stacks only, so the reference is the deep oracle and the hand-derived 0."""
+    back = [{"term": {"state": "s"}, "weight": 1 - 1e-10}]
+    z = {"state": "z"}
+    doc = {"kind": "prob", "stack": ["{n,y} * Id^{a,b}", "T"], "states": ["s"],
+           "transitions": {"s": {"pair": [{"atom": "y"}, {"tuple": {"a": back, "b": back}}]}}}
+    spec = {"kind": "prob", "stack": ["{n,y} * Id^{a,b}"], "states": ["z"],
+            "transitions": {"z": {"pair": [{"atom": "y"}, {"tuple": {"a": z, "b": z}}]}}}
+    return parse_system(json.dumps(doc)), parse_spec(json.dumps(spec))
+
+
+def test_two_layer_near_one_reference():
+    assert oracle_matrix(*_f3_two_layers(), 100).payloads() == [0.0]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_GAP)
+def test_two_layer_near_one_run_reaches_the_limit():
+    report = behaviour(*_f3_two_layers())
+    assert report.stop_reason != "converged" or abs(report.result.payloads()[0]) <= 1e-8

@@ -272,6 +272,15 @@ BAD_STACKS = {
                         ValidationError, r"needs a tuple of layers, got \(Id\(\),\)"),
     "list-of-layers": (lambda: TypeStack(SemiringKind.BOOL, [BranchLayer(), F_LAYER]),
                        ValidationError, r"needs a tuple of layers, got \[BranchLayer\(\), "),
+    "layer-of-text": (lambda: System(TypeStack(SemiringKind.BOOL, (PolyLayer("Id"),)), ["c"],
+                                     {"c": {"state": "c"}}),
+                      TransitionTypeError, "^'Id' is not a functor expression$"),
+    "layer-of-list": (lambda: hash(PolyLayer([1])), TransitionTypeError,
+                      r"^\[1\] is not a functor expression$"),
+    "layer-of-bad-factor": (lambda: System(TypeStack(SemiringKind.BOOL,
+                                                     (PolyLayer(Prod(Id(), "x")),)),
+                                           ["c"], {"c": {"pair": [{"state": "c"}, "x"]}}),
+                            TransitionTypeError, "^'x' is not a functor expression$"),
 }
 
 #: A model's arguments of a wrong type: the arguments, the error and its message.

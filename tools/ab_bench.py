@@ -97,6 +97,14 @@ def stale_bytecode(root: Path) -> list[Path]:
     return sorted((root / "src" / "ltbe" / "__pycache__").glob("*.pyc"))
 
 
+def refuse_stale_bytecode(parser: argparse.ArgumentParser, *roots: Path) -> None:
+    """Stop with a usage error if a checkout of ``roots`` holds compiled package files."""
+    for root in roots:
+        if stale := stale_bytecode(root):
+            parser.error(f"{stale[0].parent} holds {len(stale)} compiled files, which would be "
+                         "read in place of the sources and skew setup_s; delete them first")
+
+
 def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``root``: the JSON object its last stdout line holds."""
     out = subprocess.run(
@@ -115,10 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True)
     args = parser.parse_args(argv)
-    for root in (args.parent, args.change):
-        if stale := stale_bytecode(root):
-            parser.error(f"{stale[0].parent} holds {len(stale)} compiled files, which would be "
-                         "read in place of the sources and skew setup_s; delete them first")
+    refuse_stale_bytecode(parser, args.parent, args.change)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     for workload in args.workload:
