@@ -43,7 +43,7 @@ leaves such a pair out of its fold, since a zero term changes no sum.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from contextlib import suppress
 from itertools import repeat
 
@@ -51,11 +51,8 @@ from .branching import BranchVal
 from .errors import CarrierMismatch, KindMismatch, TransitionTypeError
 from .polyfunctor import (Atom, Const, Coprod, Id, Inj, Pair, PolyExpr, PolyTerm, Power, Prod,
                           StateRef, TupleTerm, expr_to_text, value_key)
-from .relation import ONE, ZERO, Folds, ValRel, kernel
+from .relation import ONE, ZERO, Folds, Index, ValRel, kernel
 from .semiring import OPS, SemiringKind
-
-#: The position of each key of a carrier.
-Index = Mapping[object, int]
 
 #: A compiled polynomial cell that is the unit, whatever the relation.
 TOP = "top"
@@ -78,8 +75,8 @@ def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
     factor being a leaf or a product nested on the right; leaf ``i`` stands
     for the position ``leaves[i]`` of that identity's target in ``index``.
     A node that does not fit its expression raises
-    :class:`TransitionTypeError`, and a target not in ``index``
-    :class:`CarrierMismatch`.
+    :class:`TransitionTypeError`; ``index`` is an :class:`~ltbe.relation.Index`,
+    so a target not in it raises :class:`CarrierMismatch`.
     """
     shape, leaves = [], []
 
@@ -102,10 +99,7 @@ def resolve_term(expr: PolyExpr, term: PolyTerm, index: Index) -> tuple:
             return times(*[walk(e.body, c) for c in t.components])
         raise TransitionTypeError(f"{t!r} is not a term of {expr_to_text(e)}")
 
-    try:
-        tree = walk(expr, term)
-    except KeyError as exc:
-        raise CarrierMismatch(f"key {exc.args[0]!r} is not in the carrier") from None
+    tree = walk(expr, term)
     return tuple(shape), tree, leaves
 
 
@@ -113,7 +107,7 @@ def validate_term(expr: PolyExpr, term: PolyTerm, states) -> bool:
     """True iff ``term`` is a term of ``expr`` over the carrier keys ``states``:
     iff :func:`resolve_term` resolves it against them."""
     try:
-        resolve_term(expr, term, dict.fromkeys(states, 0))
+        resolve_term(expr, term, Index.fromkeys(states, 0))
     except (TransitionTypeError, CarrierMismatch):
         return False
     return True
@@ -124,12 +118,10 @@ def resolve_branch(value: BranchVal, index: Index) -> tuple:
 
     The positions in ``index`` of its support and the raw payloads of its
     weights are in canonical support order, which fixes every fold order;
-    the key names the value where a fold of it is undefined.
+    the key names the value where a fold of it is undefined.  ``index`` is an
+    :class:`~ltbe.relation.Index`, so a key not in it raises :class:`CarrierMismatch`.
     """
-    try:
-        positions = list(map(index.__getitem__, value.support_keys()))
-    except KeyError as exc:
-        raise CarrierMismatch(f"key {exc.args[0]!r} is not in the carrier") from None
+    positions = list(map(index.__getitem__, value.support_keys()))
     return positions, [w.payload for _, w in value.entries], value.key()
 
 

@@ -24,6 +24,8 @@ import re
 from .errors import ParseError, TransitionTypeError
 from .semiring import Record
 
+_ATOM_RE = re.compile(r"[^\s{},]+")  # an atom of the grammar: a label or an exponent name
+
 
 # --- expressions -------------------------------------------------------------
 
@@ -41,6 +43,9 @@ class Const(PolyExpr):
     __slots__ = ("labels",)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.labels, tuple) or not all(
+                isinstance(a, str) and _ATOM_RE.fullmatch(a) for a in self.labels):
+            raise ValueError(f"constant labels must be a tuple of atoms, got {self.labels!r}")
         if not self.labels:
             raise ValueError("constant label set must be nonempty")
         if len(set(self.labels)) != len(self.labels):
@@ -55,6 +60,8 @@ class Coprod(PolyExpr):
     __slots__ = ("branches",)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.branches, tuple):
+            raise ValueError(f"coproduct branches must be a tuple, got {self.branches!r}")
         # one branch would be an invisible wrapper the grammar cannot express
         if len(self.branches) < 2:
             raise ValueError("coproduct must have at least two branches")
@@ -64,6 +71,9 @@ class Power(PolyExpr):
     __slots__ = ("exponent", "body")
 
     def __post_init__(self) -> None:
+        if not isinstance(self.exponent, tuple) or not all(
+                isinstance(a, str) and _ATOM_RE.fullmatch(a) for a in self.exponent):
+            raise ValueError(f"power exponent must be a tuple of atoms, got {self.exponent!r}")
         if not self.exponent:
             raise ValueError("power exponent must be nonempty")
         if len(set(self.exponent)) != len(self.exponent):
@@ -157,7 +167,6 @@ def name_key(name: str) -> str:
 # --- textual grammar -----------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(Id\b|\{[^{}]*\}|[*+^()])")
-_ATOM_RE = re.compile(r"[^\s{},]+")
 
 
 def _parse_atom_list(braced: str) -> tuple[str, ...]:
@@ -236,7 +245,10 @@ def parse_expr(text: str) -> PolyExpr:
             return node
         raise ParseError(f"unexpected token {tok!r} in {text!r}")
 
-    node = parse_coprod()
+    try:  # each bracket recurses, so over-deep input ends as a model file's does
+        node = parse_coprod()
+    except RecursionError:
+        raise ParseError("input is nested too deeply") from None
     if tokens:
         raise ParseError(f"trailing tokens {tokens[::-1]!r} in {text!r}")
     return node

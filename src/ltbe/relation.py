@@ -129,6 +129,13 @@ def reads(cell) -> Iterable[int]:
     return chain.from_iterable(map(reads, cell))
 
 
+class Index(dict):
+    """The position of each key of a carrier; a missing key raises :class:`CarrierMismatch`."""
+
+    def __missing__(self, key):
+        raise CarrierMismatch(f"key {key!r} is not in the carrier")
+
+
 def _field(key) -> str:
     """A key as a CSV field: quoted, quotes doubled, if it holds a comma, a quote or a newline."""
     text = str(key)
@@ -163,11 +170,12 @@ class ValRel:
             raise CarrierMismatch("duplicate keys in the column carrier")
         return rows, cols
 
-    def __getattr__(self, name: str) -> dict:
+    def __getattr__(self, name: str) -> Index:
         """Build ``row_index`` or ``col_index``, the slot read but not yet set."""
         if name not in ("row_index", "col_index"):
             raise AttributeError(f"'ValRel' object has no attribute {name!r}")
-        index = {k: i for i, k in enumerate(self.rows if name == "row_index" else self.cols)}
+        keys = self.rows if name == "row_index" else self.cols
+        index = Index(zip(keys, range(len(keys))))
         setattr(self, name, index)
         return index
 
@@ -213,10 +221,7 @@ class ValRel:
         return list(self._flat)
 
     def get(self, row: object, col: object) -> SemiringValue:
-        try:
-            return self.at(self.row_index[row], self.col_index[col])
-        except KeyError as exc:
-            raise CarrierMismatch(f"key {exc.args[0]!r} is not in the carrier") from None
+        return self.at(self.row_index[row], self.col_index[col])
 
     def at(self, i: int, j: int) -> SemiringValue:
         return SemiringValue(self.kind, self._flat[i * len(self.cols) + j])

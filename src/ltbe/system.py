@@ -175,7 +175,7 @@ def _term_decoder(expr: PolyExpr, below):
             if not isinstance(raw, dict) or raw.keys() != {"inj", "of"}:
                 raise _expected("an injection", raw, path)
             index = raw["inj"]
-            if not isinstance(index, int) or not 0 <= index < len(branches):
+            if type(index) is not int or not 0 <= index < len(branches):
                 raise TransitionTypeError(f"{path}: injection index {index!r} out of range")
             shape.append(index)
             key, tree = branches[index](raw["of"], f"{path}.inj{index}", shape, leaves)
@@ -299,6 +299,8 @@ def _unfold_term(expr: PolyExpr, shape, leaves, make):
 class System:
     """A finite coalgebraic model: states plus one transition value each."""
 
+    _linear = False  # whether the stack must have no branching layer, as a specification's
+
     def __init__(self, stack: TypeStack, states, transitions: dict) -> None:
         """Check the three arguments' types, then decode ``transitions``, each state's
         value as read from a model file, into ``resolved`` and ``top_positions``."""
@@ -314,7 +316,8 @@ class System:
         for state, raw in transitions.items():
             decode(raw, f"transitions[{state!r}]", tops)
         # a malformed transition is reported first, then the stack, then the carrier
-        self._check_stack(stack)
+        if self._linear and not stack.is_linear:
+            raise ValidationError("a specification stack must not contain branching layers")
         known, decoded = set(states), dict(zip(transitions, tops))
         if len(known) != len(states):
             raise ValidationError("duplicate state ids")
@@ -338,10 +341,6 @@ class System:
         #: The position in ``values_at(0)`` of each state's transition, in state order.
         self.top_positions = [index[0][decoded[s]] for s in states]
 
-    @staticmethod
-    def _check_stack(stack: TypeStack) -> None:
-        """Reject a stack this kind of model cannot have; a system may have any."""
-
     def _unfold(self, bottom: list, make, branch) -> list[list]:
         """Every layer's values, outermost first, rebuilt from ``resolved`` over
         ``bottom``, one value per state: a term with the nodes of ``make`` (see
@@ -361,8 +360,11 @@ class System:
     @cached_property
     def _values(self) -> list[tuple]:
         kind = self.stack.kind
-        return [tuple(vals) for vals in self._unfold(list(self.states), _BOXED, lambda entries: (
-            BranchVal(kind, tuple((item, SemiringValue(kind, w)) for item, w in entries))))]
+        try:  # a branching value renders its terms' keys, two frames per level of nesting
+            return [tuple(v) for v in self._unfold(list(self.states), _BOXED, lambda entries: (
+                BranchVal(kind, tuple((item, SemiringValue(kind, w)) for item, w in entries))))]
+        except RecursionError:  # deeper than the decoder, which takes one: as a parse ends
+            raise ParseError("input is nested too deeply") from None
 
     def values_at(self, layer_index: int) -> tuple[object, ...]:
         """The values occurring at one layer, in canonical key order: the
@@ -394,10 +396,7 @@ class System:
 class SpecSystem(System):
     """A branching-free model describing linear-time behaviours."""
 
-    @staticmethod
-    def _check_stack(stack: TypeStack) -> None:
-        if not stack.is_linear:
-            raise ValidationError("a specification stack must not contain branching layers")
+    _linear = True
 
 
 def _parse_common(model: type[System], text: str) -> System:
@@ -410,11 +409,11 @@ def _parse_common(model: type[System], text: str) -> System:
 
 
 @lru_cache(maxsize=256)
-def _poly_layer(text: str) -> PolyLayer:
-    """The layer of an expression text.  Models parsed with one stack text
-    share its layer objects, so comparing their stacks (on every query)
-    finds each layer identical without walking its expression."""
-    return PolyLayer(parse_expr(text))
+def _layer(text: str) -> Layer:
+    """The layer of a stack entry, ``"T"`` or an expression text.  Models parsed
+    with one stack text share its layer objects, so comparing their stacks (on
+    every query) finds each layer identical without walking its expression."""
+    return BranchLayer() if text == "T" else PolyLayer(parse_expr(text))
 
 
 def _parse_model(text: str) -> tuple[TypeStack, list[str], dict]:
@@ -435,12 +434,9 @@ def _parse_model(text: str) -> tuple[TypeStack, list[str], dict]:
         raise ParseError("'stack' must be a nonempty list")
     layers = []
     for entry in doc["stack"]:
-        if entry == "T":
-            layers.append(BranchLayer())
-        elif isinstance(entry, str):
-            layers.append(_poly_layer(entry))
-        else:
+        if not isinstance(entry, str):
             raise ParseError(f"bad stack entry {entry!r}")
+        layers.append(_layer(entry))
     return TypeStack(kind, tuple(layers)), doc["states"], doc["transitions"]
 
 

@@ -4,7 +4,9 @@ Each example takes a demo query (the pinned golden queries, plus an
 ``oracle`` run for every ``behaviour`` and ``common`` one), replaces or
 deletes one node of the JSON tree of one of its two files, and checks that
 ``parse_system`` and ``parse_spec`` return or raise :class:`LtbeError`, and
-that ``main()`` on the query returns 0, 1, 2 or 3 without raising.  The
+that ``main()`` on the query returns 0, 1, 2 or 3 without raising.  A
+second property takes the same mutations and checks that a text that parses
+writes a model that reads back the same and whose terms all validate.  The
 search is derandomized, so every run tries the same examples.
 """
 
@@ -18,7 +20,7 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltbe import LtbeError, parse_spec, parse_system
+from ltbe import LtbeError, PolyLayer, parse_spec, parse_system, validate_term, value_key
 from ltbe.cli import main
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -103,3 +105,27 @@ def test_mutated_model_is_rejected_or_runs(mutation):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(mutations())
+@example((("behaviour", "--system", "lts_loop_exit", "--spec", "spec_a_omega"), 2,
+          ("transitions", "c", 1, "inj"), True))
+def test_a_mutated_model_that_parses_round_trips(mutation):
+    """A mutated text that parses, as a system or as a specification, reads
+    back from its own ``to_text()`` into the same rows, and every value of
+    each polynomial layer is a term of its expression over the keys of the
+    values one layer down, as ``validate_term`` resolves it."""
+    query, side, path, new = mutation
+    text = _mutated_text(MODELS[query[side]], path, new)
+    for parse in (parse_system, parse_spec):
+        try:
+            model = parse(text)
+        except LtbeError:
+            continue
+        again = parse(model.to_text())
+        assert (again.resolved, again.top_positions) == (model.resolved, model.top_positions)
+        for i, layer in enumerate(model.stack.layers):
+            if isinstance(layer, PolyLayer):
+                below = [value_key(v) for v in model.values_at(i + 1)]
+                assert all(validate_term(layer.expr, t, below) for t in model.values_at(i))

@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from ltbe import (
     validate_term,
     value_key,
 )
+from ltbe import polyfunctor
 
 LTS = Coprod((UNIT, Prod(Const(("a",)), Id())))
 
@@ -70,6 +73,23 @@ class TestParse:
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_expr(text)
 
+    def test_an_expression_nested_past_the_recursion_limit_is_a_parse_error(self):
+        code = ("import ltbe\ntry:\n    ltbe.parse_expr('(' * 3000 + 'Id' + ')' * 3000)\n"
+                "except ltbe.ParseError as exc:\n    print(exc)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.stdout, proc.stderr) == ("input is nested too deeply\n", "")
+
+    def test_a_recursion_error_while_parsing_is_a_parse_error(self, monkeypatch):
+        """The same rule in process, with the overflow stood in for: a real one
+        would switch a line tracer off for the rest of the run."""
+        def too_deep():
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(polyfunctor, "Id", too_deep)
+        with pytest.raises(ParseError, match="^input is nested too deeply$"):
+            parse_expr("(Id)")
+
     def test_trailing_whitespace_is_ignored(self):
         assert parse_expr("Id  ") == Id()
 
@@ -81,6 +101,15 @@ class TestParse:
             (lambda: Coprod((Id(),)), "at least two branches"),
             (lambda: Power((), Id()), "nonempty"),
             (lambda: Power(("a", "a"), Id()), "duplicate exponent atoms"),
+            (lambda: Const("ab"), "constant labels must be a tuple of atoms, got 'ab'"),
+            (lambda: Const(["a"]), "constant labels must be a tuple of atoms"),
+            (lambda: Const((1,)), "constant labels must be a tuple of atoms"),
+            (lambda: Const(("a b",)), "constant labels must be a tuple of atoms"),
+            (lambda: Coprod([UNIT, Id()]), "coproduct branches must be a tuple"),
+            (lambda: Power(["a", "b"], Id()), "power exponent must be a tuple of atoms"),
+            (lambda: Power(("{a}",), Id()), "power exponent must be a tuple of atoms"),
+            (lambda: Coprod((UNIT, Prod(Const(("a,b",)), Id()))),
+             re.escape("constant labels must be a tuple of atoms, got ('a,b',)")),
         ],
     )
     def test_constructors_reject_what_the_grammar_cannot_write(self, build, message):

@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -23,7 +24,7 @@ from ltbe import (
     reindex,
     step_operator,
 )
-from ltbe.relation import Folds, fold_kernel
+from ltbe.relation import Folds, Index, fold_kernel
 from ltbe.semiring import OPS, to_text
 from modelgen import lowered, random_valrel
 
@@ -77,6 +78,19 @@ class TestConstruction:
         rel = ValRel.top(["c"], ["z"], B)
         with pytest.raises(CarrierMismatch):
             rel.get("q", "z")
+
+    @pytest.mark.parametrize("row,col,key", [("q", "z", "'q'"), ("c", ("z",), "('z',)")])
+    def test_a_missing_key_is_named_by_the_index(self, row, col, key):
+        rel = ValRel.top(["c"], ["z"], B)
+        assert isinstance(rel.row_index, Index) and isinstance(rel.col_index, Index)
+        with pytest.raises(CarrierMismatch, match=rf"^key {re.escape(key)} is not in the carrier$"):
+            rel.get(row, col)
+
+    def test_an_index_raises_only_for_a_missing_key(self):
+        index = Index(c=0)
+        assert (index["c"], index.get("q"), "q" in index) == (0, None, False)
+        with pytest.raises(CarrierMismatch, match="^key 'q' is not in the carrier$"):
+            index["q"]
 
     def test_duplicate_column_keys_rejected(self):
         with pytest.raises(CarrierMismatch, match="column carrier"):

@@ -117,9 +117,18 @@ class TestParseSystem:
         with pytest.raises(TransitionTypeError):
             parse_system(text)
 
-    def test_injection_out_of_range(self):
-        text = doc_text(transitions={"c": [{"inj": 7, "of": {"atom": "*"}}]})
+    @pytest.mark.parametrize("index", [7, True, False])
+    def test_injection_out_of_range(self, index):
+        text = doc_text(transitions={"c": [{"inj": index, "of": {"atom": "*"}}]})
         with pytest.raises(TransitionTypeError):
+            parse_system(text)
+
+    def test_a_bool_injection_index_is_no_index(self):
+        """``true`` is no ``1``: a model file holds one index rule, the resolver's."""
+        text = doc_text(states=["c", "d"], transitions={
+            "c": [{"inj": True, "of": step_term("a", "c")["of"]}], "d": [step_term("a", "c")]})
+        with pytest.raises(TransitionTypeError,
+                           match=r"^transitions\['c'\]\[0\]: injection index True out of range$"):
             parse_system(text)
 
     def test_wrong_label_rejected(self):
@@ -357,6 +366,13 @@ class TestLinearPart:
                                      transitions={"c": stop_term()}))
         assert spaced.stack.layers[0] is not spec.stack.layers[0]
         assert spaced.stack == spec.stack
+
+    def test_models_with_a_branching_layer_share_one(self):
+        # ``_layer`` reads every stack entry, ``"T"`` too, and builds its layer once
+        a, b = parse_system(doc_text()), parse_system(doc_text(stack=["T", "Id"],
+                                                               transitions={"c": [{"state": "c"}]}))
+        assert a.stack.layers[0] is b.stack.layers[0] is system._layer("T")
+        assert system._layer("T") == BranchLayer()
 
     def test_degenerate_stack_parses_and_fails_in_a_query(self):
         model = parse_system(doc_text(stack=["T"], transitions={"c": [{"state": "c"}]}))
@@ -753,6 +769,18 @@ else:
     print(parses(shape, n))
 """
 
+BOXING_SCRIPT = """
+import json, pathlib, sys
+k, out = int(sys.argv[1]), pathlib.Path(sys.argv[2])
+expr, term = "{*} + Id" + "^{a}" * k, {"state": "c"}
+for _ in range(k):
+    term = {"tuple": {"a": term}}
+term = {"inj": 1, "of": term}
+for name, stack, value in (("system", ["T", expr], [term]), ("spec", [expr], term)):
+    (out / f"{name}.json").write_text(json.dumps(
+        {"kind": "bool", "stack": stack, "states": ["c"], "transitions": {"c": value}}))
+"""
+
 
 class TestNestingDepth:
     """The decoder recurses once per term node and once per branching layer."""
@@ -773,6 +801,30 @@ class TestNestingDepth:
         monkeypatch.setattr(system, "_parse_model", too_deep)
         with pytest.raises(ParseError, match="^input is nested too deeply$"):
             parse_spec("{}")
+
+    @pytest.mark.parametrize("flags", [["--system", "system.json", "--spec", "spec.json",
+                                        "--depth", "2"],
+                                       ["--a", "system.json", "--b", "system.json", "--depth", "1"]])
+    def test_boxing_a_value_nested_past_the_recursion_limit_is_a_parse_error(self, flags, tmp_path):
+        """Boxing renders a term's key in two frames per level, where the decoder
+        takes one, so a model that parses can be too deep to box for the oracle."""
+        subprocess.run([sys.executable, "-c", BOXING_SCRIPT, "400", str(tmp_path)],
+                       check=True, timeout=120)
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        proc = subprocess.run([sys.executable, "-m", "ltbe", "oracle", *flags],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "ltbe: ParseError: input is nested too deeply\n"
+
+    def test_a_recursion_error_while_boxing_is_a_parse_error(self, monkeypatch):
+        """The boxing rule in process, with the overflow stood in for."""
+        def too_deep(self, bottom, make, branch):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        model = parse_system(doc_text())
+        monkeypatch.setattr(System, "_unfold", too_deep)
+        with pytest.raises(ParseError, match="^input is nested too deeply$"):
+            model.values_at(0)
 
     @pytest.mark.parametrize("shape", NESTING)
     def test_ten_times_deeper_is_a_parse_error(self, shape, tmp_path):
