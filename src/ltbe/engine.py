@@ -120,18 +120,6 @@ def _select(below: list, cells: list, one) -> None:
                      list(map(V.__getitem__, cells)))
 
 
-def _layer(cells: list | Folds, size: int) -> tuple[list | Folds, list]:
-    """A layer of the program: its cells, and the cells that read each of the
-    ``size`` source positions.  Nothing changes the constants at ``ZERO`` and
-    ``ONE``, so no cell is listed as their reader."""
-    users = [[] for _ in range(size)]
-    for k, ps in enumerate(cells.positions if type(cells) is Folds else map(reads, cells)):
-        for p in ps:
-            if p >= 0:
-                users[p].append(k)
-    return cells, users
-
-
 def _walker(left: System, right: System) -> list:
     """The one-step operator of a run between the states of two models, as a program.
 
@@ -144,11 +132,12 @@ def _walker(left: System, right: System) -> list:
     polynomial layer and a branching layer lifts against the unit on each
     of its values below.  The outermost layer is lifted over each state's
     own value, at the two models' top positions, so its cells are the
-    relation's.  The program is the list of fused layers (see
-    :func:`_layer`); the first reads and the last writes the relation, a
-    row-major payload list over the two state sets.  A cell below the last
-    layer is live if a live cell above reads it, and a ``users`` list names
-    live cells only, so no round evaluates a cell that nothing reads.
+    relation's.  The program is the list of fused layers; the first reads
+    and the last writes the relation, a row-major payload list over the two
+    state sets.  One pass from the top makes each layer ``(cells, users,
+    live)``: ``users[p]`` lists the live cells that read position ``p``, and
+    ``live`` the layer's live cells, all of the last layer's and below it
+    those that a live cell above reads, each ascending.
     """
     rows, cols = len(left.states), len(right.states)
     kind, j = left.stack.kind, len(right.stack.layers)
@@ -177,25 +166,31 @@ def _walker(left: System, right: System) -> list:
         else:
             program.append([cells, rows * cols, pure])
         rows, cols = len(mine), len(theirs)
-    program = [_layer(cells, size) for cells, size, _ in program]
-    for (_, users), (_, above) in zip(program[-2::-1], program[:0:-1]):  # top down
-        for ks in users:  # keep the live cells: those that a live cell above reads
-            ks[:] = [k for k in ks if above[k]]
-    return program
+    out = []
+    live = range(len(program[-1][0]))  # every cell of the last layer is the relation's
+    for cells, size, _ in reversed(program):  # top down
+        users = [[] for _ in range(size)]
+        for k in live:
+            for p in cells.positions[k] if type(cells) is Folds else reads(cells[k]):
+                if p >= 0:
+                    users[p].append(k)
+        out.append((cells, users, live))
+        live = [p for p, ks in enumerate(users) if ks]
+    return out[::-1]
 
 
 def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[list, list]]:
     """Iterate ``program`` from the payload list ``flat``, semi-naively.
 
-    A round evaluates, layer by layer and in cell order, the cells that read
-    a position changed (``!=``) in the round, or for the first layer in the
-    round before; the first round evaluates every live cell, and a dead cell
-    keeps the zero constant, which no cell reads.  The last layer's
+    The first round evaluates every layer's live cells in ascending order; a
+    dead cell keeps the zero constant, which no cell reads.  A later round
+    evaluates, as a set, the cells that read a position changed (``!=``) in
+    the round, or for the first layer in the round before: a layer's cells
+    are independent, and descended inputs raise nothing.  The last layer's
     changes are applied after it has run, since the relation is both its
-    input and its output.  Every source list ends with the two constants,
-    so ``ZERO`` and ``ONE`` read them at any layer.  Each round yields the
-    relation, updated in place and followed by the two constants, and its
-    ``(position, old, new)`` changes.
+    input and its output.  Each round yields the relation, updated in place
+    and followed by the two constants that end every source list (for
+    ``ZERO`` and ``ONE``), and its ``(position, old, new)`` changes.
     """
     run = kernel(kind)
     consts = [OPS[kind].zero, OPS[kind].one]
@@ -205,13 +200,8 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
     changed = None  # every position, in the first round
     while True:
         src = cur
-        for depth, (cells, users) in enumerate(program):
-            if changed is not None:
-                todo = sorted({k for p in changed for k in users[p]})
-            elif depth < last:  # the first round: the live cells
-                todo = [k for k, ks in enumerate(program[depth + 1][1]) if ks]
-            else:
-                todo = range(len(cells))
+        for depth, (cells, users, live) in enumerate(program):
+            todo = live if changed is None else {k for p in changed for k in users[p]}
             new = run(cells, todo, src)
             old = cur if depth == last else outs[depth]
             if old is None:

@@ -101,50 +101,56 @@ class PolyTerm(Value):
 
     __slots__ = ()
 
+    def key(self) -> str:
+        return embed_key(self)
+
 
 class StateRef(PolyTerm):
     """Identity position; the target is a carrier key or a nested value."""
 
     __slots__ = ("target",)
 
-    def key(self) -> str:
-        return embed_key(self.target)
-
 
 class Atom(PolyTerm):
     __slots__ = ("label",)
-
-    def key(self) -> str:
-        return "@" + embed_key(self.label)
 
 
 class Pair(PolyTerm):
     __slots__ = ("fst", "snd")
 
-    def key(self) -> str:
-        return f"({embed_key(self.fst)},{embed_key(self.snd)})"
-
 
 class Inj(PolyTerm):
     __slots__ = ("index", "arg")
-
-    def key(self) -> str:
-        return f"i{self.index}({embed_key(self.arg)})"
 
 
 class TupleTerm(PolyTerm):
     __slots__ = ("components",)
 
-    def key(self) -> str:
-        return "t(" + ";".join(map(embed_key, self.components)) + ")"
-
 
 def embed_key(value: object) -> str:
-    """A value as a key embeds it: a raw id by :func:`name_key`, a term or a branching
-    value by its own key.  Anything else is no value: :class:`TransitionTypeError`."""
-    if not isinstance(value, (str, Value)):
-        raise TransitionTypeError(f"{value!r} is not a state id, term or branching value")
-    return name_key(value) if isinstance(value, str) else value.key()
+    """A value as a key embeds it: a raw id by :func:`name_key`, a state
+    reference by its target, the other terms in their formats, and a
+    branching value by its own key.  Anything else is no value:
+    :class:`TransitionTypeError`.  A term nests one call deep per level, as
+    the decoder that reads it does."""
+    if isinstance(value, str):
+        return name_key(value)
+    if isinstance(value, StateRef):
+        return embed_key(value.target)
+    if isinstance(value, Atom):
+        return "@" + embed_key(value.label)
+    if isinstance(value, Pair):
+        return f"({embed_key(value.fst)},{embed_key(value.snd)})"
+    if isinstance(value, Inj):
+        return f"i{value.index}({embed_key(value.arg)})"
+    if isinstance(value, TupleTerm):
+        keys = []
+        for c in value.components:  # ``map`` would add a frame a level: a call from C
+            keys.append(embed_key(c))
+        return "t(" + ";".join(keys) + ")"
+    if isinstance(value, Value) and not isinstance(value, PolyTerm):
+        return value.key()
+    raise TransitionTypeError(f"{value!r} is not a state id, term or branching value")
 
 
 def value_key(value: object) -> str:

@@ -26,7 +26,7 @@ cell that has the semiring fold's bits.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from functools import cache, reduce
 from itertools import chain
 
@@ -54,7 +54,7 @@ class Folds:
         return len(self.positions)
 
 
-def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], list]:
+def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Collection[int], list], list]:
     """The function that evaluates the cells ``todo`` of a layer of folds of
     ``kind`` over a source list, in one comprehension.
 
@@ -71,22 +71,21 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], li
     add, mul = OPS[kind].add, OPS[kind].mul
 
     if kind is SemiringKind.BOOL:
-        def run(folds: Folds, todo: Sequence[int], src: list) -> list:
+        def run(folds: Folds, todo: Collection[int], src: list) -> list:
             get, P = src.__getitem__, folds.positions
             return [any(map(get, P[k])) for k in todo]
     elif kind is SemiringKind.TROPICAL:
-        def run(folds: Folds, todo: Sequence[int], src: list) -> list:
+        def run(folds: Folds, todo: Collection[int], src: list) -> list:
             get, W, P = src.__getitem__, folds.weights, folds.positions
             return [min(map(mul, W[k], map(get, P[k]))) if P[k] else INF for k in todo]
     else:
-        def run(folds: Folds, todo: Sequence[int], src: list) -> list:
+        def run(folds: Folds, todo: Collection[int], src: list) -> list:
             get, W, P = src.__getitem__, folds.weights, folds.positions
             out = [reduce(operator.add, map(mul, W[k], map(get, P[k])), 0.0) if P[k] else 0.0
                    for k in todo]
             if max(out, default=0.0) > 1.0:
-                for i, total in enumerate(out):
-                    if total > 1.0:
-                        k = todo[i]
+                for i, k in enumerate(todo):
+                    if out[i] > 1.0:
                         try:
                             out[i] = reduce(add, map(mul, W[k], map(get, P[k])), 0.0)
                         except UndefinedSum:
@@ -100,9 +99,10 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Sequence[int], list], li
 
 
 @cache
-def kernel(kind: SemiringKind) -> Callable[[list | Folds, Sequence[int], list], list]:
+def kernel(kind: SemiringKind) -> Callable[[list | Folds, Collection[int], list], list]:
     """The function (one per kind) that evaluates the cells ``todo`` of a layer
-    of ``kind``, of either form, over a source list.  A read is picked inline;
+    of ``kind``, of either form, over a source list, giving their values in
+    the order ``todo`` iterates, which may be a set.  A read is picked inline;
     a product multiplies its factors left to right, each nested product first."""
     fold, mul = fold_kernel(kind), OPS[kind].mul
 
@@ -113,7 +113,7 @@ def kernel(kind: SemiringKind) -> Callable[[list | Folds, Sequence[int], list], 
             acc = mul(acc, src[f] if type(f) is int else product(f, src))
         return acc
 
-    def run(cells: list | Folds, todo: Sequence[int], src: list) -> list:
+    def run(cells: list | Folds, todo: Collection[int], src: list) -> list:
         if type(cells) is Folds:
             return fold(cells, todo, src)
         return [src[c] if type(c) is int else product(c, src)

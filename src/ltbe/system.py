@@ -289,7 +289,10 @@ def _unfold_term(expr: PolyExpr, shape, leaves, make):
         if isinstance(e, Coprod):
             index = next(shape)
             return inj(index, walk(e.branches[index]))
-        return power(e.exponent, [walk(e.body) for _ in e.exponent])
+        parts = []
+        for _ in e.exponent:  # a comprehension would add a frame a level (before 3.12)
+            parts.append(walk(e.body))
+        return power(e.exponent, parts)
 
     return walk(expr)
 
@@ -360,11 +363,8 @@ class System:
     @cached_property
     def _values(self) -> list[tuple]:
         kind = self.stack.kind
-        try:  # a branching value renders its terms' keys, two frames per level of nesting
-            return [tuple(v) for v in self._unfold(list(self.states), _BOXED, lambda entries: (
-                BranchVal(kind, tuple((item, SemiringValue(kind, w)) for item, w in entries))))]
-        except RecursionError:  # deeper than the decoder, which takes one: as a parse ends
-            raise ParseError("input is nested too deeply") from None
+        return [tuple(v) for v in self._unfold(list(self.states), _BOXED, lambda entries: (
+            BranchVal(kind, tuple((item, SemiringValue(kind, w)) for item, w in entries))))]
 
     def values_at(self, layer_index: int) -> tuple[object, ...]:
         """The values occurring at one layer, in canonical key order: the

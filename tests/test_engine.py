@@ -32,7 +32,7 @@ from ltbe import (
     zero,
 )
 from ltbe import engine
-from ltbe.engine import _layer, _run_fixpoint
+from ltbe.engine import _run_fixpoint
 from ltbe.relation import ONE, ZERO, Folds, reads
 from modelgen import (
     LTS_F,
@@ -184,6 +184,24 @@ class TestBehaviour:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="steps must be >= 0"):
             iterates(loop_exit_system("prob"), omega_spec("prob"), -3)
+
+    def test_a_later_round_sums_past_one_within_the_slack(self):
+        """``c``'s two ``a``-steps weigh 1 + 5e-10, so its cell sums past 1.0
+        and is clamped in every round; after the first it is re-evaluated
+        from a set of cells, as ``d`` descends by about 1e-12 a round."""
+        def step(target, weight):
+            return {"term": {"pair": [{"atom": "a"}, {"state": target}]}, "weight": weight}
+
+        sys_model = parse_system(json.dumps({
+            "kind": "prob", "stack": ["T", "{a} * Id"], "states": ["c", "d"],
+            "transitions": {"c": [step("c", 0.6), step("d", 0.4000000005)],
+                            "d": [step("d", 1 - 1e-12)]}}))
+        spec = parse_spec(json.dumps({
+            "kind": "prob", "stack": ["{a} * Id"], "states": ["s"],
+            "transitions": {"s": {"pair": [{"atom": "a"}, {"state": "s"}]}}}))
+        chain = iterates(sys_model, spec, 4)
+        assert exact(chain) == exact(full_chain(sys_model, spec, None, 4))
+        assert [rel.get("c", "s").payload for rel in chain] == [1.0] * 5
 
     def test_descending_chain_invariant(self):
         rng = random.Random(78)
@@ -423,7 +441,7 @@ class _Schedule:
 
 def _self_scaling(*weights):
     """A one-cell prob program whose cell is its own value times the next weight."""
-    return [_layer(Folds([_Schedule(*weights)], [(0,)], [()]), 1)]
+    return [(Folds([_Schedule(*weights)], [(0,)], [()]), [[0]], range(1))]
 
 
 class TestMonotonicityGuard:
@@ -433,8 +451,8 @@ class TestMonotonicityGuard:
         bottom = ValRel.tabulate(kind, ["x", "y"], ["z"], lambda r, c: zero(kind))
         top_slot = -1  # the source ends with the constants zero and one
         with pytest.raises(MonotonicityViolation, match="iterate 1 is not below"):
-            _run_fixpoint([_layer([top_slot, top_slot], 2)], kind, bottom.rows, bottom.cols,
-                          FixpointOptions(), bottom.payloads())
+            _run_fixpoint([([top_slot, top_slot], [[], []], range(2))], kind, bottom.rows,
+                          bottom.cols, FixpointOptions(), bottom.payloads())
 
     def test_climb_after_descent_is_rejected(self):
         start = [1.0]  # then 0.5, 0.25 and 0.75
@@ -570,7 +588,7 @@ def _position_faults(program):
         for factor in cell:
             walk(factor, size)
 
-    for cells, users in program:
+    for cells, users, _ in program:
         for cell in chain.from_iterable(cells.positions) if type(cells) is Folds else cells:
             walk(cell, len(users))
     return faults
@@ -597,7 +615,7 @@ class TestPositionSpace:
         for a, b in pairs:
             program = engine._walker(a, b)
             assert _position_faults(program) == []
-            for cells, _ in program:
+            for cells, _, _ in program:
                 flat = chain.from_iterable(cells.positions) if type(cells) is Folds else cells
                 for cell in flat:
                     constants += cell in (ZERO, ONE)
@@ -606,8 +624,10 @@ class TestPositionSpace:
 
 
 class TestLiveCells:
-    """A ``users`` list names exactly the cells that read its position and
-    that a live cell above reads; every cell of the last layer is live."""
+    """Every cell of the last layer is live, and below it exactly the
+    positions that a live cell above reads, in ascending order; a ``users``
+    list names, in ascending order, exactly the live cells that read its
+    position."""
 
     @pytest.mark.parametrize("kind", list(SemiringKind))
     def test_users_name_the_live_readers(self, kind):
@@ -618,17 +638,16 @@ class TestLiveCells:
                 sys_model, spec = gen_models_on(rng, kind, texts, rng.randint(2, 5),
                                                 rng.randint(1, 3))
                 program = engine._walker(sys_model, spec)
-                live = None  # every cell of the last layer
-                for cells, users in reversed(program):
-                    dead += 0 if live is None else len(cells) - len(live)
-                    ps = cells.positions if type(cells) is Folds else map(reads, cells)
-                    want = [[] for _ in users]
-                    for k, read in enumerate(ps):
-                        for p in set(read) if live is None or k in live else ():
-                            if p >= 0:
-                                want[p].append(k)
+                want_live = list(range(len(program[-1][0])))
+                for cells, users, live in reversed(program):
+                    assert list(live) == want_live
+                    dead += len(cells) - len(live)
+                    ps = cells.positions if type(cells) is Folds else list(map(reads, cells))
+                    ps = [{p for p in read if p >= 0} for read in ps]
+                    want = [[k for k in live if p in ps[k]] for p in range(len(users))]
                     assert [sorted(set(ks)) for ks in users] == want
-                    live = {p for p, ks in enumerate(want) if ks}
+                    assert all(ks == sorted(ks) for ks in users)
+                    want_live = sorted(set().union(*(ps[k] for k in live)))
         assert dead > 0
 
 
@@ -644,7 +663,7 @@ class TestReadLayerOverProducts:
         for _ in range(8):
             sys_model, spec = gen_models_on(rng, kind, texts, rng.randint(2, 5), rng.randint(2, 4))
             program = engine._walker(sys_model, spec)
-            picked += [type(cells) for cells, _ in program] == [Folds, list]
+            picked += [type(cells) for cells, _, _ in program] == [Folds, list]
             want = full_chain(sys_model, spec, None, 6)
             assert exact(iterates(sys_model, spec, 6)) == exact(want)
         assert picked >= 4

@@ -411,7 +411,7 @@ def _bits(op, a, b):
 
 def _zero_reads(program):
     """The reads of the zero slot, ``ZERO``, in a program's folds."""
-    return sum(p == ZERO for cells, users in program if type(cells) is Folds
+    return sum(p == ZERO for cells, _, _ in program if type(cells) is Folds
                for ps in cells.positions for p in ps)
 
 
