@@ -152,7 +152,10 @@ def _tropical_gap(a: int | float, b: int | float) -> float:
         return 0.0
     if a == INF or b == INF:
         return INF
-    return float(abs(a - b))
+    try:
+        return float(abs(a - b))
+    except OverflowError:
+        return INF
 
 
 class RawOps(Record):
@@ -164,7 +167,8 @@ class RawOps(Record):
     reversed).  ``gap`` is the convergence distance: the discrete 0/1 metric
     for bool, the absolute difference for prob, and for tropical the
     absolute difference with any finite-to-infinite jump reported as
-    ``math.inf``, so truncated iteration never declares convergence across it.
+    ``math.inf``, so truncated iteration never declares convergence across it,
+    and so is a difference beyond the float range, as IEEE rounding gives it.
     """
 
     __slots__ = ("zero", "one", "add", "mul", "leq", "gap")
@@ -293,9 +297,10 @@ def to_json_value(v: SemiringValue) -> bool | int | float | str:
 
 def json_payload(kind: SemiringKind, raw: object) -> bool | int | float:
     """The payload of a weight as a model file writes it: a JSON number, or
-    for tropical the string "inf"."""
+    for tropical the string "inf" (a number that JSON reads as infinite,
+    ``1e400`` or ``Infinity``, is no tropical weight)."""
     if kind is SemiringKind.TROPICAL and raw == "inf":
         return INF
-    if not isinstance(raw, (bool, int, float)):
+    if not isinstance(raw, (bool, int, float)) or kind is SemiringKind.TROPICAL and raw == INF:
         raise ValidationError(f"bad {kind.value} value {raw!r}")
     return checked_payload(kind, raw)

@@ -8,7 +8,8 @@ stack.  A specification is the branching-free case and describes the
 linear-time behaviours to test against.
 
 A model's constructor decodes its transitions in one walk straight into
-rows, one per distinct value of each layer, found by its canonical key.
+rows, one per distinct value of each layer, found by its canonical key;
+the walk recurses once per layer and once per term node.
 Once each layer's keys are sorted, the keys in the rows become positions
 in the layer below (``System.resolved``, the rows ``lifting.resolve_term``
 and ``resolve_branch`` make of boxed values) and each state's key the
@@ -136,104 +137,38 @@ def _expected(node: str, raw, path: str) -> TransitionTypeError:
     return TransitionTypeError(f"{path}: expected {node} node, got {raw!r}")
 
 
-def _term_decoder(expr: PolyExpr, below):
-    """The decoder of the terms of ``expr``, one closure per node of it.
-
-    ``decode(raw, path, shape, leaves)`` checks that ``raw`` is a term of
-    ``expr`` and returns its canonical key and its product tree (see
-    ``lifting.resolve_term``), appending its injection indices and labels
-    to ``shape``.  ``below(raw, path, leaves)`` decodes an ``Id`` leaf: it
-    appends the leaf's key to ``leaves`` and returns the key as a term
-    embeds it.
-    """
-    if isinstance(expr, Id):
-        return lambda raw, path, shape, leaves: (below(raw, path, leaves), len(leaves) - 1)
-    if isinstance(expr, Const):
-        labels, atoms = expr.labels, {label: "@" + name_key(label) for label in expr.labels}
-
-        def decode(raw, path, shape, leaves):
-            if not isinstance(raw, dict) or raw.keys() != {"atom"}:
-                raise _expected("an atom", raw, path)
-            if raw["atom"] not in labels:
-                raise TransitionTypeError(f"{path}: label {raw['atom']!r} not in {labels!r}")
-            shape.append(raw["atom"])
-            return atoms[raw["atom"]], TOP
-    elif isinstance(expr, Prod):
-        left, right = _term_decoder(expr.left, below), _term_decoder(expr.right, below)
-
-        def decode(raw, path, shape, leaves):
-            if (not isinstance(raw, dict) or raw.keys() != {"pair"}
-                    or not isinstance(pair := raw["pair"], list) or len(pair) != 2):
-                raise _expected("a pair", raw, path)
-            fst, t = left(pair[0], path + ".pair[0]", shape, leaves)
-            snd, u = right(pair[1], path + ".pair[1]", shape, leaves)
-            return f"({fst},{snd})", times(t, u)
-    elif isinstance(expr, Coprod):
-        branches = [_term_decoder(b, below) for b in expr.branches]
-
-        def decode(raw, path, shape, leaves):
-            if not isinstance(raw, dict) or raw.keys() != {"inj", "of"}:
-                raise _expected("an injection", raw, path)
-            index = raw["inj"]
-            if type(index) is not int or not 0 <= index < len(branches):
-                raise TransitionTypeError(f"{path}: injection index {index!r} out of range")
-            shape.append(index)
-            key, tree = branches[index](raw["of"], f"{path}.inj{index}", shape, leaves)
-            return f"i{index}({key})", tree
-    else:  # a Power
-        body, exponent, names = _term_decoder(expr.body, below), expr.exponent, set(expr.exponent)
-
-        def decode(raw, path, shape, leaves):
-            if (not isinstance(raw, dict) or raw.keys() != {"tuple"}
-                    or not isinstance(comps := raw["tuple"], dict)):
-                raise _expected("a tuple", raw, path)
-            if comps.keys() != names:
-                raise TransitionTypeError(f"{path}: tuple components {sorted(comps)!r} "
-                                          f"do not match exponent {exponent!r}")
-            keys, trees = [], []
-            for a in exponent:
-                key, tree = body(comps[a], f"{path}.{a}", shape, leaves)
-                keys.append(key)
-                trees.append(tree)
-            return "t(" + ";".join(keys) + ")", times(*trees)
-    return decode
-
-
 def _row_decoder(stack: TypeStack, states, rows: list[dict]):
-    """The decoder of the values of ``stack``'s top layer over the state ids ``states``.
+    """The decoder of the values of ``stack``'s layers over the state ids ``states``.
 
-    ``decode(raw, path, keys)`` checks ``raw``, appends its key to ``keys``
+    ``decode(idx, raw, path, keys)`` checks that ``raw`` is a value of layer
+    ``idx`` (a state reference past the last), appends its key to ``keys``
     and returns it as a term embeds it: a state id is its own key, embedded
-    as its :func:`~ltbe.polyfunctor.name_key`.  On the way it records each
-    value of layer ``i`` under its key in ``rows[i]``, once: a term as
-    ``(shape, tree, leaf keys)``, a branching value as ``(support keys,
-    weights, key)``.
+    as its :func:`~ltbe.polyfunctor.name_key`.  It records each value of
+    layer ``i`` under its key in ``rows[i]``, once: a term as ``(shape, tree,
+    leaf keys)``, a branching value as ``(support keys, weights, key)``.
+    ``term(expr, below, raw, path, shape, leaves)`` returns a term's key and
+    product tree (see ``lifting.resolve_term``), appending its injection
+    indices and labels to ``shape``; it decodes an ``Id`` leaf at layer
+    ``below`` into ``leaves``.  The walk recurses once per layer and once per term node.
     """
-    kind, names = stack.kind, {s: name_key(s) for s in states}
+    kind, layers, names = stack.kind, stack.layers, {s: name_key(s) for s in states}
     weighted = kind is not SemiringKind.BOOL
 
-    def state(raw, path, keys):
-        if not (isinstance(raw, dict) and raw.keys() == {"state"}):
-            raise TransitionTypeError(f"{path}: expected a state reference, got {raw!r}")
-        if not isinstance(target := raw["state"], str):
-            raise TransitionTypeError(f"{path}: expected a state id, got {target!r}")
-        if target not in names:
-            raise ValidationError(f"{path}: unknown state id {target!r}")
-        keys.append(target)
-        return names[target]
-
-    def poly(term, found):
-        def decode(raw, path, keys):
+    def decode(idx, raw, path, keys):
+        if idx == len(layers):
+            if not (isinstance(raw, dict) and raw.keys() == {"state"}):
+                raise TransitionTypeError(f"{path}: expected a state reference, got {raw!r}")
+            if not isinstance(target := raw["state"], str):
+                raise TransitionTypeError(f"{path}: expected a state id, got {target!r}")
+            if target not in names:
+                raise ValidationError(f"{path}: unknown state id {target!r}")
+            keys.append(target)
+            return names[target]
+        if isinstance(layer := layers[idx], PolyLayer):
             shape, leaves = [], []
-            key, tree = term(raw, path, shape, leaves)
-            if key not in found:
-                found[key] = tuple(shape), tree, leaves
-            keys.append(key)
-            return key
-        return decode
-
-    def branch(below, found):
-        def decode(raw, path, keys):
+            key, tree = term(layer.expr, idx + 1, raw, path, shape, leaves)
+            row = tuple(shape), tree, leaves
+        else:
             if not isinstance(raw, list):
                 raise TransitionTypeError(f"{path}: expected a branching list, got {raw!r}")
             support, inner, weights = [], [], [] if weighted else [True] * len(raw)
@@ -245,7 +180,7 @@ def _row_decoder(stack: TypeStack, states, rows: list[dict]):
                             f"{at}: expected {{'term': ..., 'weight': ...}}, got {elem!r}")
                     weights.append(json_payload(kind, elem["weight"]))
                     elem = elem["term"]
-                inner.append(below(elem, at, support))
+                inner.append(decode(idx + 1, elem, at, support))
             try:
                 support, inner, weights = canonical(kind, support, inner, weights)
             except ValidationError as exc:
@@ -253,16 +188,51 @@ def _row_decoder(stack: TypeStack, states, rows: list[dict]):
             if not within_mass(kind, weights):
                 raise ValidationError(f"{path}: branching weights sum to more than 1")
             key = branch_key(kind, inner, weights)
-            if key not in found:
-                found[key] = support, weights, key
-            keys.append(key)
-            return key
-        return decode
+            row = support, weights, key
+        rows[idx].setdefault(key, row)
+        keys.append(key)
+        return key
 
-    decode = state
-    for layer, found in zip(reversed(stack.layers), reversed(rows)):
-        decode = (branch(decode, found) if isinstance(layer, BranchLayer)
-                  else poly(_term_decoder(layer.expr, decode), found))
+    def term(expr, below, raw, path, shape, leaves):
+        if isinstance(expr, Id):
+            return decode(below, raw, path, leaves), len(leaves) - 1
+        if isinstance(expr, Const):
+            if not isinstance(raw, dict) or raw.keys() != {"atom"}:
+                raise _expected("an atom", raw, path)
+            if (label := raw["atom"]) not in expr.labels:
+                raise TransitionTypeError(f"{path}: label {label!r} not in {expr.labels!r}")
+            shape.append(label)
+            return "@" + name_key(label), TOP
+        if isinstance(expr, Prod):
+            if (not isinstance(raw, dict) or raw.keys() != {"pair"}
+                    or not isinstance(pair := raw["pair"], list) or len(pair) != 2):
+                raise _expected("a pair", raw, path)
+            fst, t = term(expr.left, below, pair[0], path + ".pair[0]", shape, leaves)
+            snd, u = term(expr.right, below, pair[1], path + ".pair[1]", shape, leaves)
+            return f"({fst},{snd})", times(t, u)
+        if isinstance(expr, Coprod):
+            if not isinstance(raw, dict) or raw.keys() != {"inj", "of"}:
+                raise _expected("an injection", raw, path)
+            index = raw["inj"]
+            if type(index) is not int or not 0 <= index < len(expr.branches):
+                raise TransitionTypeError(f"{path}: injection index {index!r} out of range")
+            shape.append(index)
+            key, tree = term(expr.branches[index], below, raw["of"], f"{path}.inj{index}",
+                             shape, leaves)
+            return f"i{index}({key})", tree
+        if (not isinstance(raw, dict) or raw.keys() != {"tuple"}  # a Power
+                or not isinstance(comps := raw["tuple"], dict)):
+            raise _expected("a tuple", raw, path)
+        if comps.keys() != set(expr.exponent):
+            raise TransitionTypeError(f"{path}: tuple components {sorted(comps)!r} "
+                                      f"do not match exponent {expr.exponent!r}")
+        keys, trees = [], []
+        for a in expr.exponent:
+            key, tree = term(expr.body, below, comps[a], f"{path}.{a}", shape, leaves)
+            keys.append(key)
+            trees.append(tree)
+        return "t(" + ";".join(keys) + ")", times(*trees)
+
     return decode
 
 
@@ -317,7 +287,7 @@ class System:
         rows: list[dict] = [{} for _ in stack.layers]
         decode, tops = _row_decoder(stack, states, rows), []
         for state, raw in transitions.items():
-            decode(raw, f"transitions[{state!r}]", tops)
+            decode(0, raw, f"transitions[{state!r}]", tops)
         # a malformed transition is reported first, then the stack, then the carrier
         if self._linear and not stack.is_linear:
             raise ValidationError("a specification stack must not contain branching layers")

@@ -164,6 +164,24 @@ class TestBehaviourCommand:
             ",s,t\nc,2000000,inf\nd,inf,0\n\niterations,2\nconverged,true\nfinal_gap,0.0\n"
         )
 
+    @pytest.mark.parametrize("flags,code,tail", [
+        (["--max-iter", "1"], 3, ""), (["--threshold", "5"], 4, "threshold_decided,true\n"),
+    ], ids=["budget", "threshold"])
+    def test_costs_further_apart_than_the_float_range(self, tmp_path, capsys, flags, code, tail):
+        # the gap between two finite costs that overflows a float is inf, not an OverflowError
+        huge = 10**400  # json writes all 401 digits
+        costly = {"kind": "tropical", "stack": ["T", LTS_F], "states": ["c", "d"], "transitions": {
+            "c": [{"term": step_term("a", "d"), "weight": huge}],
+            "d": [{"term": stop_term(), "weight": huge}],
+        }}
+        (tmp_path / "costly.json").write_text(json.dumps(costly))
+        argv = ["behaviour", "--system", str(tmp_path / "costly.json"),
+                "--spec", str(DATA / "spec_a_stop_trop.json"), *flags]
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert out == (f",z1,z0\nc,{huge},inf\nd,inf,{huge}\n\n"
+                       f"iterations,1\nconverged,false\nfinal_gap,inf\n{tail}")
+
     def test_missing_file_exits_2(self, capsys):
         code = main(
             ["behaviour", "--system", "no/such/file.json", "--spec", str(DATA / "spec_a_omega.json")]

@@ -213,6 +213,10 @@ class TestGap:
     def test_tropical_finite_difference(self):
         assert gap(t(7), t(4)) == 3.0
 
+    def test_tropical_difference_beyond_the_float_range(self):
+        # as IEEE rounding gives it, not an OverflowError from float()
+        assert gap(t(0), t(10**400)) == INF
+
     def test_bool_discrete(self):
         assert gap(b(True), b(False)) == 1.0
 

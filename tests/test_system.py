@@ -216,6 +216,22 @@ class TestParseSystem:
                 )
                 for kind, w in [("prob", "0.5"), ("tropical", "Inf")]
             ),
+            # JSON reads 1e400 and the token Infinity as a float infinity, which is
+            # no tropical weight: the infinite weight is the string "inf"
+            *(
+                pytest.param(
+                    parse,
+                    {"kind": "tropical",
+                     "transitions": {"c": [{"term": stop_term(), "weight": INF}]}},
+                    ValidationError,
+                    "bad tropical value inf",
+                    id=f"{token}-tropical-weight",
+                )
+                for token, parse in [
+                    ("Infinity", parse_system),  # as json.dumps writes INF
+                    ("1e400", lambda text: parse_system(text.replace("Infinity", "1e400"))),
+                ]
+            ),
             *(
                 pytest.param(
                     parse_system,
