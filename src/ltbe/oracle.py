@@ -31,12 +31,14 @@ def _arithmetic(kind: SemiringKind):
     """``(zero, one, add, mul)`` of ``kind`` on raw payloads.
 
     A prob sum beyond ``1 + PROB_EPS`` raises :class:`UndefinedSum`; within
-    that slack it is clamped to 1.
+    that slack it is clamped to 1.  A tropical product with an infinite
+    factor is infinite, also beside an int beyond the float range, where
+    ``a + b`` would raise ``OverflowError``.
     """
     if kind is SemiringKind.BOOL:
         return False, True, lambda a, b: a or b, lambda a, b: a and b
     if kind is SemiringKind.TROPICAL:
-        return math.inf, 0, min, lambda a, b: a + b
+        return math.inf, 0, min, lambda a, b: math.inf if math.inf in (a, b) else a + b
 
     def add(a, b):
         s = a + b

@@ -19,8 +19,9 @@ lifting through a branching layer is a layer of folds, kept as columns
 (:class:`Folds`): per cell, its weights, its positions and the keys of
 the branching values that name it.  :func:`kernel` evaluates any set of
 the cells of either form; a layer of folds runs in one comprehension
-(:func:`fold_kernel`), with one C-level ``any``, ``min`` or float sum per
-cell that has the semiring fold's bits.
+(:func:`fold_kernel`), where a fold's length picks an expression with the
+semiring fold's bits: written out for one or two terms, one C-level
+``any``, ``min`` or float sum for more.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from functools import cache, reduce
 from itertools import chain
 
 from .errors import CarrierMismatch, KindMismatch, UndefinedSum
-from .semiring import INF, OPS, SemiringKind, SemiringValue, checked_payload, json_value
+from .semiring import (INF, OPS, SemiringKind, SemiringValue, checked_payload, json_value,
+                       tropical_mul)
 
 #: The positions of the constants zero and one, the last two of every source list.
 ZERO, ONE = -2, -1
@@ -58,31 +60,44 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Collection[int], list], 
     """The function that evaluates the cells ``todo`` of a layer of folds of
     ``kind`` over a source list, in one comprehension.
 
-    Each fold is one C-level expression with the bits of the left-to-right
-    ``reduce(add, map(mul, ...), zero)``.  Bool: is some position ``True``;
-    a ``BranchVal`` drops zero weights, so every bool weight is ``True``.
-    Tropical: the least ``weight + value``, ``INF`` if none; ``min`` keeps
-    the first of equal terms, as the fold from ``INF`` does.  Prob: the
-    plain float sum, ``0.0`` if none.  Both test for an empty fold first, as
-    passing ``min`` a ``default`` costs more than a short fold.  The prob
-    terms are non-negative, so if a sum is at most 1.0 no partial sum passed
-    1.0, where ``add`` clamps or raises; a larger sum is folded again with ``add``.
+    Each fold has the bits of the left-to-right ``reduce(add, map(mul, ...),
+    zero)``, by an expression its length ``n`` picks: the kind's zero for
+    none, written out for one or two terms, and for more one C-level
+    ``any``, ``min`` or float sum.  Bool: is some position ``True``; a
+    ``BranchVal`` drops zero weights, so every bool weight is ``True``.
+    Tropical: the least ``weight + value``; ``min``, like ``b if b < a else
+    a``, keeps the first of equal terms, as the fold from ``INF`` does.  A
+    cost beyond the float range plus ``INF`` raises ``OverflowError``, and
+    the layer is evaluated again with :func:`~ltbe.semiring.tropical_mul`.
+    Prob: the plain float sum; ``0.0 + a`` is ``a`` for every term, as no
+    term is ``-0.0``.  The prob terms are non-negative, so if a sum is at
+    most 1.0 no partial sum passed 1.0, where ``add`` clamps or raises; a
+    larger sum is folded again with ``add``.
     """
     add, mul = OPS[kind].add, OPS[kind].mul
 
     if kind is SemiringKind.BOOL:
         def run(folds: Folds, todo: Collection[int], src: list) -> list:
             get, P = src.__getitem__, folds.positions
-            return [any(map(get, P[k])) for k in todo]
+            return [src[p[0]] if n == 1 else src[p[0]] or src[p[1]] if n == 2
+                    else any(map(get, p)) if n else False
+                    for k in todo for p in [P[k]] for n in [len(p)]]
     elif kind is SemiringKind.TROPICAL:
         def run(folds: Folds, todo: Collection[int], src: list) -> list:
             get, W, P = src.__getitem__, folds.weights, folds.positions
-            return [min(map(mul, W[k], map(get, P[k]))) if P[k] else INF for k in todo]
+            try:
+                return [w[0] + src[p[0]] if n == 1
+                        else (b if (b := w[1] + src[p[1]]) < (a := w[0] + src[p[0]]) else a)
+                        if n == 2 else min(map(mul, w, map(get, p))) if n else INF
+                        for k in todo for p in [P[k]] for n in [len(p)] for w in [W[k]]]
+            except OverflowError:  # a cost beyond the float range plus ``INF``
+                return [min(map(tropical_mul, W[k], map(get, P[k])), default=INF) for k in todo]
     else:
         def run(folds: Folds, todo: Collection[int], src: list) -> list:
             get, W, P = src.__getitem__, folds.weights, folds.positions
-            out = [reduce(operator.add, map(mul, W[k], map(get, P[k])), 0.0) if P[k] else 0.0
-                   for k in todo]
+            out = [w[0] * src[p[0]] if n == 1 else w[0] * src[p[0]] + w[1] * src[p[1]] if n == 2
+                   else reduce(operator.add, map(mul, w, map(get, p)), 0.0) if n else 0.0
+                   for k in todo for p in [P[k]] for n in [len(p)] for w in [W[k]]]
             if max(out, default=0.0) > 1.0:
                 for i, k in enumerate(todo):
                     if out[i] > 1.0:
@@ -110,7 +125,10 @@ def kernel(kind: SemiringKind) -> Callable[[list | Folds, Collection[int], list]
         factors = iter(cell)
         acc = src[next(factors)]  # a product's first factor is a read
         for f in factors:
-            acc = mul(acc, src[f] if type(f) is int else product(f, src))
+            try:
+                acc = mul(acc, src[f] if type(f) is int else product(f, src))
+            except OverflowError:  # a tropical cost beyond the float range plus ``INF``
+                acc = INF
         return acc
 
     def run(cells: list | Folds, todo: Collection[int], src: list) -> list:

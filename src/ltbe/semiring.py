@@ -147,6 +147,13 @@ def _prob_add(a: float, b: float) -> float:
     return s
 
 
+def tropical_mul(a: int | float, b: int | float) -> int | float:
+    """The tropical ``mul``, ``a + b``, as ``INF`` where either cost is ``INF``:
+    ``operator.add`` raises ``OverflowError`` on ``INF`` and an int beyond the
+    float range, the one float a tropical payload can be."""
+    return INF if a == INF or b == INF else a + b
+
+
 def _tropical_gap(a: int | float, b: int | float) -> float:
     if a == b:
         return 0.0
@@ -234,7 +241,8 @@ def add(a: SemiringValue, b: SemiringValue) -> SemiringValue | None:
 def mul(a: SemiringValue, b: SemiringValue) -> SemiringValue:
     """Semiring multiplication (total): and / * / cost addition."""
     kind = _same_kind(a, b)
-    return SemiringValue(kind, OPS[kind].mul(a.payload, b.payload))
+    raw = tropical_mul if kind is SemiringKind.TROPICAL else OPS[kind].mul
+    return SemiringValue(kind, raw(a.payload, b.payload))
 
 
 def leq(a: SemiringValue, b: SemiringValue) -> bool:

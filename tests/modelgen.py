@@ -122,6 +122,37 @@ def tropical_stopper(cost, state="c"):
     return parse_system(json.dumps(doc))
 
 
+#: A tropical cost no float can hold; JSON writes all its 401 digits.
+HUGE = 10**400
+
+
+def far_step_doc():
+    """A tropical LTS whose ``c`` steps on ``a``, at the cost ``HUGE``, to the
+    deadlocked ``d``: its next cost is ``HUGE`` plus ``d``'s ``inf``."""
+    return {"kind": "tropical", "stack": ["T", LTS_F], "states": ["c", "d"], "transitions": {
+        "c": [{"term": step_term("a", "d"), "weight": HUGE}], "d": [],
+    }}
+
+
+def doubling_docs():
+    """A tropical ``Id^{a,b}`` system and its one-state specification.
+
+    ``c`` costs ``(1 + c) + (0 + c)``, so from 0 its cost is ``2**n - 1``
+    after ``n`` rounds, ``d`` is ``inf`` and ``e`` costs ``c + d``: from round
+    1025 on, ``e``'s product adds an int beyond the float range to ``inf``.
+    """
+    def arm(state, weight):
+        return [{"term": {"state": state}, "weight": weight}]
+
+    system = {"kind": "tropical", "stack": ["Id^{a,b}", "T"], "states": ["c", "d", "e"],
+              "transitions": {"c": {"tuple": {"a": arm("c", 1), "b": arm("c", 0)}},
+                              "d": {"tuple": {"a": [], "b": []}},
+                              "e": {"tuple": {"a": arm("c", 0), "b": arm("d", 0)}}}}
+    spec = {"kind": "tropical", "stack": ["Id^{a,b}"], "states": ["z"],
+            "transitions": {"z": {"tuple": {"a": {"state": "z"}, "b": {"state": "z"}}}}}
+    return system, spec
+
+
 # --- random values and relations ----------------------------------------------
 
 def random_value(rng, kind):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from ltbe.cli import main
-from modelgen import LTS_F, omega_spec, step_term, stop_term
+from modelgen import LTS_F, doubling_docs, far_step_doc, omega_spec, step_term, stop_term
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -181,6 +181,27 @@ class TestBehaviourCommand:
         out = capsys.readouterr().out
         assert out == (f",z1,z0\nc,{huge},inf\nd,inf,{huge}\n\n"
                        f"iterations,1\nconverged,false\nfinal_gap,inf\n{tail}")
+
+    def test_step_beyond_the_float_range_to_a_deadlock_costs_inf(self, tmp_path, capsys):
+        # HUGE + inf, in a fold, is inf, not an OverflowError
+        (tmp_path / "far.json").write_text(json.dumps(far_step_doc()))
+        argv = ["behaviour", "--system", str(tmp_path / "far.json"),
+                "--spec", str(DATA / "spec_a_stop_trop.json")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            ",z1,z0\nc,inf,inf\nd,inf,inf\n\niterations,3\nconverged,true\nfinal_gap,0.0\n")
+
+    def test_cost_beyond_the_float_range_times_inf_is_inf(self, tmp_path, capsys):
+        # in a product, a cost beyond the float range plus inf is inf, not an OverflowError
+        system, spec = doubling_docs()
+        (tmp_path / "system.json").write_text(json.dumps(system))
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["behaviour", "--system", str(tmp_path / "system.json"),
+                "--spec", str(tmp_path / "spec.json"), "--max-iter", "1030"]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == (
+            f",z\nc,{2**1030 - 1}\nd,inf\ne,inf\n\n"
+            "iterations,1030\nconverged,false\nfinal_gap,inf\n")
 
     def test_missing_file_exits_2(self, capsys):
         code = main(

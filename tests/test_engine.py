@@ -438,6 +438,9 @@ class _Schedule:
     def __iter__(self):
         yield next(self._weights)
 
+    def __getitem__(self, i):
+        return next(self._weights)
+
 
 def _self_scaling(*weights):
     """A one-cell prob program whose cell is its own value times the next weight."""

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from ltbe import (
+    INF,
     SemiringKind,
     StackMismatch,
     UndefinedSum,
@@ -24,6 +25,8 @@ from modelgen import (
     SHAPES,
     chain_spec,
     corpus,
+    doubling_docs,
+    far_step_doc,
     gen_model_pair,
     gen_system_pair,
     loop_exit_system,
@@ -93,6 +96,22 @@ class TestOracleMatrix:
         wrong_doc["transitions"]["z1"] = step_term("zz", "z0")
         with pytest.raises(StackMismatch):
             oracle_matrix(sys_model, parse_spec(json.dumps(wrong_doc)), 1)
+
+
+class TestCostsBeyondTheFloatRange:
+    """A tropical cost that no float holds, plus ``inf``, is ``inf``, as in the engine."""
+
+    def test_fold(self):
+        sys_model = parse_system(json.dumps(far_step_doc()))
+        spec = parse_spec((DATA / "spec_a_stop_trop.json").read_text())
+        got = oracle_matrix(sys_model, spec, 3)
+        assert got == behaviour(sys_model, spec).result
+        assert {v.payload for _, _, v in got.entries()} == {INF}
+
+    def test_product(self):
+        system, spec = (json.dumps(doc) for doc in doubling_docs())
+        got = oracle_matrix(parse_system(system), parse_spec(spec), 1030)
+        assert [v.payload for _, _, v in got.entries()] == [2**1030 - 1, INF, INF]
 
 
 class TestArithmetic:

@@ -350,6 +350,40 @@ class TestFold:
             assert not undefined
 
     @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_random_folds_over_a_set_worklist(self, kind):
+        """The same folds as one layer, evaluated over a set, the worklist of a later round."""
+        rng = random.Random(f"fold:{kind.value}")
+        src, layer, wants = [], Folds([], [], []), {}
+        for _ in range(2000):
+            weights, values = _random_fold(rng, kind)
+            positions = list(range(len(src), len(src) + len(values)))
+            src += values
+            try:
+                wants[len(layer)] = _reference(kind, weights, values)
+            except UndefinedSum:
+                continue
+            layer.weights.append(weights)
+            layer.positions.append(positions)
+            layer.where.append(())
+        todo = set(wants)
+        got = fold_kernel(kind)(layer, todo, src)
+        assert [(type(g), repr(g)) for g in got] == [(type(wants[k]), repr(wants[k])) for k in todo]
+        assert {len(p) for p in layer.positions} == set(range(7))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tropical_cost_beyond_the_float_range_plus_inf(self, n):
+        # 10**400 + inf raises OverflowError in Python; as a cost it is inf
+        huge = 10**400
+        for weights, values in [([huge] * n, [INF] * n), ([huge] + [0] * (n - 1), [INF] * n)]:
+            got = _fold(T, weights, values)
+            assert got == INF and type(got) is float
+        # a layer that overflows in one cell keeps the bits of every other cell
+        layer = Folds([[huge] * n, [3], [2, 1], [2, 1, 0]], [[0] * n, [2], [1, 2], [1, 2, 0]],
+                      [()] * 4)
+        got = fold_kernel(T)(layer, range(4), [INF, 5, 4])
+        assert [(type(g), g) for g in got] == [(float, INF), (int, 7), (int, 5), (int, 5)]
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
     def test_empty_fold_is_zero(self, kind):
         got = _fold(kind, [], [])
         assert (type(got), repr(got)) == (type(OPS[kind].zero), repr(OPS[kind].zero))

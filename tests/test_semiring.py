@@ -168,6 +168,11 @@ class TestMul:
     def test_tropical_infinity_absorbs(self):
         assert mul(t(INF), t(5)) == t(INF)
 
+    def test_tropical_infinity_absorbs_a_cost_beyond_the_float_range(self):
+        # operator.add raises OverflowError on 10**400 + inf
+        assert mul(t(10**400), t(INF)) == mul(t(INF), t(10**400)) == t(INF)
+        assert mul(t(10**400), t(1)) == t(10**400 + 1)
+
     def test_prob_multiplies(self):
         assert mul(p(0.5), p(0.5)) == p(0.25)
 
