@@ -179,18 +179,20 @@ def _walker(left: System, right: System) -> list:
     return out[::-1]
 
 
-def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[list, list]]:
+def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[list, list, list]]:
     """Iterate ``program`` from the payload list ``flat``, semi-naively.
 
     The first round evaluates every layer's live cells in ascending order; a
     dead cell keeps the zero constant, which no cell reads.  A later round
     evaluates, as a set, the cells that read a position changed (``!=``) in
     the round, or for the first layer in the round before: a layer's cells
-    are independent, and descended inputs raise nothing.  The last layer's
-    changes are applied after it has run, since the relation is both its
-    input and its output.  Each round yields the relation, updated in place
-    and followed by the two constants that end every source list (for
-    ``ZERO`` and ``ONE``), and its ``(position, old, new)`` changes.
+    are independent, and descended inputs raise nothing.  One pass over a
+    layer's new values records each changed cell, its old and its new value,
+    and writes the new value in place; the kernel has already evaluated the
+    whole layer, so the relation can be both the last layer's input and its
+    output.  Each round yields the relation, updated in place and followed
+    by the two constants that end every source list (for ``ZERO`` and
+    ``ONE``), and the old and new values of its changed cells, in one order.
     """
     run = kernel(kind)
     consts = [OPS[kind].zero, OPS[kind].one]
@@ -209,12 +211,15 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
                 for k, v in zip(todo, new):
                     src[k] = v
                 continue
-            changes = [(k, old[k], v) for k, v in zip(todo, new) if v != old[k]]
-            changed = [k for k, _, _ in changes]
-            for k, _, v in changes:
-                old[k] = v
+            changed, olds, news = [], [], []
+            for k, v in zip(todo, new):
+                if v != (o := old[k]):
+                    changed.append(k)
+                    olds.append(o)
+                    news.append(v)
+                    old[k] = v
             src = old
-        yield cur, changes
+        yield cur, olds, news
 
 
 def _chain(program: list, start: ValRel, steps: int) -> list[ValRel]:
@@ -222,7 +227,7 @@ def _chain(program: list, start: ValRel, steps: int) -> list[ValRel]:
         raise ValueError("steps must be >= 0")
     out = [start]
     n = len(start.rows) * len(start.cols)
-    for _, (cur, _) in zip(range(steps), _rounds(program, start.kind, start.payloads())):
+    for _, (cur, _, _) in zip(range(steps), _rounds(program, start.kind, start.payloads())):
         out.append(ValRel._wrap(start.kind, start.rows, start.cols, cur[:n]))
     return out
 
@@ -241,10 +246,10 @@ def _run_fixpoint(program: list, kind: SemiringKind, rows: tuple, cols: tuple,
                   opts: FixpointOptions | None, start: list | None = None) -> FixpointReport:
     """Iterate ``program`` from ``start`` (one everywhere by default) and box the last iterate.
 
-    The checks read the changed cells only, since an unchanged cell has gap
-    0 and is below itself.  A bool or tropical run converges on an empty
-    change list, the exact repeat it needs, so its gap is computed for the
-    report alone.
+    The checks read each round's old and new values of the changed cells
+    only, since an unchanged cell has gap 0 and is below itself.  A bool or
+    tropical run converges on a round that changes no cell, the exact
+    repeat it needs, so its gap is computed for the report alone.
     """
     ops = OPS[kind]
     opts = opts or _DEFAULTS
@@ -261,13 +266,12 @@ def _run_fixpoint(program: list, kind: SemiringKind, rows: tuple, cols: tuple,
 
     # an all-false bool iterate repeats on the next round, so it converges instead
     bound = threshold.payload if threshold is not None and kind is not SemiringKind.BOOL else None
-    for i, (cur, changes) in zip(range(1, limit + 1), _rounds(program, kind, start or [ops.one] * n)):
-        _, olds, news = zip(*changes) if changes else ((), (), ())
+    for i, (cur, olds, news) in zip(range(1, limit + 1), _rounds(program, kind, start or [ops.one] * n)):
         if not (prob_all_leq(news, olds) if prob else all(map(ops.leq, news, olds))):
             raise MonotonicityViolation(
                 f"iterate {i} is not below its predecessor; the operator is not descending"
             )
-        if prob_max_gap(news, olds) <= opts.tolerance if prob else not changes:
+        if prob_max_gap(news, olds) <= opts.tolerance if prob else not news:
             return report(cur, i, "converged")
         if bound is not None and all(ops.leq(v, bound) and not ops.leq(bound, v) for v in cur[:n]):
             return report(cur, i, "threshold")

@@ -4,7 +4,9 @@ The full pass pushes the relation through every layer with the public
 liftings, from the innermost layer outwards, and reads it back with
 ``reindex``, evaluating every cell of every layer at every step.  The
 engine fuses layers and re-evaluates only the cells whose inputs changed,
-so its iterates must equal the full pass's, payload for payload.
+so its iterates must equal the full pass's, payload for payload, and a
+run's report must equal the one its stop rules give over the full pass's
+whole matrices.
 """
 
 import json
@@ -14,16 +16,21 @@ import pytest
 
 from ltbe import (
     BranchLayer,
+    FixpointOptions,
     PolyLayer,
     SemiringKind,
     ValRel,
+    behaviour,
     bisimilarity,
     common_iterates,
+    common_trace,
     iterates,
     lift_double_extension,
     lift_egli_milner,
     lift_extension,
+    leq,
     lift_poly,
+    one,
     parse_system,
     reindex,
     step_operator,
@@ -117,25 +124,100 @@ def test_step_operator_matches_full_pass_off_the_chain(case):
     )
 
 
+def common_pairs(kind, shape):
+    rng = random.Random(f"common:{kind.value}:{shape}")
+    return [gen_system_pair(rng, kind, shape) for _ in range(4)]
+
+
+def several_ids_pair(case):
+    rng = random.Random(f"common-ids:{case}")
+    kind = list(SemiringKind)[case % 3]
+    texts = MULTI_ID_STACKS[case // 3]
+    a, _ = gen_models_on(rng, kind, texts, rng.randint(2, 4), 1)
+    b, _ = gen_models_on(rng, kind, texts, rng.randint(2, 4), 1)
+    return a, b
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("kind", list(SemiringKind))
 def test_common_iterates_match_full_pass(kind, shape):
-    rng = random.Random(f"common:{kind.value}:{shape}")
-    for _ in range(4):
-        a, b = gen_system_pair(rng, kind, shape)
+    for a, b in common_pairs(kind, shape):
         want = full_chain(a, b, lift_double_extension, STEPS)
         assert exact(common_iterates(a, b, STEPS)) == exact(want)
 
 
 @pytest.mark.parametrize("case", range(len(MULTI_ID_STACKS) * 3))
 def test_common_iterates_match_full_pass_on_several_ids(case):
-    rng = random.Random(f"common-ids:{case}")
-    kind = list(SemiringKind)[case % 3]
-    texts = MULTI_ID_STACKS[case // 3]
-    a, _ = gen_models_on(rng, kind, texts, rng.randint(2, 4), 1)
-    b, _ = gen_models_on(rng, kind, texts, rng.randint(2, 4), 1)
+    a, b = several_ids_pair(case)
     want = full_chain(a, b, lift_double_extension, STEPS)
     assert exact(common_iterates(a, b, STEPS)) == exact(want)
+
+
+#: The longest run of the report checks: short, so a tropical entry climbing to ``inf`` stays cheap.
+BUDGET = 12
+
+
+def report_options(kind):
+    """The runs each report case makes: at the budget, at a budget of 2 that
+    most runs reach, and for a weighted kind with the threshold ``one``."""
+    runs = [FixpointOptions(max_iterations=BUDGET), FixpointOptions(max_iterations=2)]
+    if kind is not SemiringKind.BOOL:
+        runs.append(FixpointOptions(max_iterations=BUDGET, threshold=one(kind)))
+    return runs
+
+
+def reference_report(chain, opts):
+    """``(result, iterations, final_gap, stop_reason)`` of a run whose iterates
+    are ``chain``, each round checked and stopped over whole matrices: the
+    iterate must be below its predecessor; a prob run converges on a gap
+    within the tolerance, a bool or tropical one on an exact repeat; a run
+    with a threshold (a weighted one) stops once every entry is strictly
+    below it; otherwise the budget stops it."""
+    kind, bound = chain[0].kind, opts.threshold
+    for i in range(1, opts.max_iterations + 1):
+        cur, prev = chain[i], chain[i - 1]
+        assert cur.pointwise_leq(prev)
+        gap = cur.max_gap(prev)
+        if gap <= opts.tolerance if kind is SemiringKind.PROB else cur == prev:
+            return cur, i, gap, "converged"
+        if bound is not None and all(leq(v, bound) and not leq(bound, v)
+                                     for _, _, v in cur.entries()):
+            return cur, i, gap, "threshold"
+    return cur, i, gap, "budget"
+
+
+def stop_reasons(run, pairs, lift_branch):
+    """Check the report of every run of every pair against the reference over
+    its full chain, and give the stop reasons the runs reached."""
+    reasons = set()
+    for n, (left, right) in enumerate(pairs):
+        chain = full_chain(left, right, lift_branch, BUDGET)
+        for opts in report_options(left.stack.kind):
+            result, iterations, gap, reason = reference_report(chain, opts)
+            report = run(left, right, opts)
+            got = (report.iterations, report.stop_reason, repr(report.final_gap))
+            assert got == (iterations, reason, repr(gap)), f"pair {n}"
+            assert exact([report.result]) == exact([result]), f"pair {n}"
+            reasons.add(reason)
+    return reasons
+
+
+def every_reason(kind):
+    return {"converged", "budget"} | ({"threshold"} if kind is not SemiringKind.BOOL else set())
+
+
+@pytest.mark.parametrize("kind", list(SemiringKind))
+def test_behaviour_report_matches_full_pass(kind):
+    pairs = [(sys_model, spec) for k, _, sys_model, spec in BEHAVIOUR_CASES if k is kind]
+    assert stop_reasons(behaviour, pairs, None) == every_reason(kind)
+
+
+@pytest.mark.parametrize("kind", list(SemiringKind))
+def test_common_report_matches_full_pass(kind):
+    pairs = [p for shape in SHAPES for p in common_pairs(kind, shape)]
+    pairs += [several_ids_pair(case) for case in range(len(MULTI_ID_STACKS) * 3)
+              if list(SemiringKind)[case % 3] is kind]
+    assert stop_reasons(common_trace, pairs, lift_double_extension) == every_reason(kind)
 
 
 def _bool_model(stack, transitions):

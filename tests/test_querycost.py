@@ -62,3 +62,26 @@ def test_setup_mode_prints_import_parse_and_the_slowest_texts():
     assert lines[1].split()[0] == "parse_ms" and lines[1].endswith("model texts)")
     assert lines[2] == "slowest to parse (ms):"
     assert len(lines) == 8 and all(line.startswith("  pairs.") for line in lines[3:])
+
+
+def test_phase_call_is_the_benchmark_call_in_four_phases():
+    system, spec = loop_exit_system("prob"), chain_spec(1, "prob")
+    for q in (SimpleNamespace(op="behaviour", a=system.to_text(), b=spec.to_text()),
+              SimpleNamespace(op="common", a=system.to_text(), b=system.to_text())):
+        times, text = querycost.phase_call(ltbe, q)()
+        assert text == querycost.query_call(ltbe, q)()
+        assert len(times) == len(querycost.PHASES) and all(t > 0.0 for t in times)
+    ms = querycost.phase_ms(querycost.phase_call(ltbe, q), 3)
+    assert len(ms) == len(querycost.PHASES) and all(t > 0.0 for t in ms)
+
+
+def test_phases_mode_prints_each_phase_and_leaves_out_bisim():
+    proc = subprocess.run([sys.executable, str(_PATH), "--workload", "pairs", "--phases",
+                           "--reps", "1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert lines[0] == ["phase", "cold_ms"]
+    assert [line[0] for line in lines[1:]] == [*querycost.PHASES, "total"]
+    assert all(float(line[1]) > 0.0 for line in lines[1:])
+    assert abs(sum(float(line[1]) for line in lines[1:5]) - float(lines[5][1])) < 0.01
+    assert lines[5][2:] == ["(18", "queries,", "7", "left", "out)"]  # the seven bisim queries

@@ -2,6 +2,7 @@
 
     python3 tools/querycost.py --workload tree [--root CHECKOUT] [--seed 1] [--reps 15]
     python3 tools/querycost.py --workload lts --setup [--root CHECKOUT] [--seed 1] [--reps 15]
+    python3 tools/querycost.py --workload lts --phases [--root CHECKOUT] [--seed 1] [--reps 15]
 
 For each query of the workload at the seed (``bench/workloads.py``), the
 script parses the two models once and then times the call the benchmark
@@ -26,6 +27,16 @@ with their median times, each named by the first query that reads it.
 The import compiles the sources unless ``src/ltbe/__pycache__`` holds
 their bytecode, which the benchmark's fresh checkouts do not; the script
 warns of such a checkout.
+
+With ``--phases`` it splits the cold call of each ``behaviour`` and
+``common`` query into the four phases that ``behaviour``/``common_trace``
+and ``to_csv`` run in turn: the stack check (``check_spec`` or
+``check_pair``), compiling the program (``engine._walker``), the fixpoint
+(``engine._run_fixpoint``) and rendering (``to_csv``).  ``--reps`` times,
+right after ``gc.collect()``, it runs the four back to back, timing each;
+it prints each phase's median milliseconds summed over the queries, and
+their total.  ``bisim`` queries run none of these phases and are left out,
+as is a query that raises.
 
 The package is imported from ``CHECKOUT/src`` (by default the checkout
 that holds this script); the queries come from this checkout's
@@ -90,6 +101,66 @@ def query_call(ltbe, q):
     return call
 
 
+def phase_call(ltbe, q):
+    """The benchmark's timed call of the ``behaviour`` or ``common`` query ``q``,
+    over models parsed once, as its four phases; it returns each phase's
+    seconds and the CSV text."""
+    engine = importlib.import_module("ltbe.engine")
+    a = ltbe.parse_system(q.a)
+    if q.op == "behaviour":
+        b, check = ltbe.parse_spec(q.b), engine.check_spec
+    else:
+        b, check = ltbe.parse_system(q.b), engine.check_pair
+
+    def call():
+        t0 = perf_counter()
+        check(a, b)
+        t1 = perf_counter()
+        program = engine._walker(a, b)
+        t2 = perf_counter()
+        report = engine._run_fixpoint(program, a.stack.kind, a.states, b.states, None)
+        t3 = perf_counter()
+        text = report.result.to_csv()
+        return (t1 - t0, t2 - t1, t3 - t2, perf_counter() - t3), text
+
+    return call
+
+
+def phase_ms(call, reps: int) -> list[float]:
+    """The median milliseconds of each phase of ``call()``, over ``reps``
+    calls, each right after ``gc.collect()``."""
+    times = []
+    for _ in range(reps):
+        gc.collect()
+        times.append(call()[0])
+    return [statistics.median(phase) * 1e3 for phase in zip(*times)]
+
+
+PHASES = ("check", "walker", "fixpoint", "to_csv")
+
+
+def print_phases(ltbe, workload: str, seed: int, reps: int) -> None:
+    import workloads
+
+    totals, timed, left_out = [0.0] * len(PHASES), 0, 0
+    for q in workloads.build(workload, seed):
+        if q.op == "bisim":
+            left_out += 1
+            continue
+        call = phase_call(ltbe, q)
+        try:
+            call()
+        except Exception:
+            left_out += 1
+            continue
+        totals = [t + ms for t, ms in zip(totals, phase_ms(call, reps))]
+        timed += 1
+    print(f"{'phase':<9} {'cold_ms':>9}")
+    for name, ms in zip(PHASES, totals):
+        print(f"{name:<9} {ms:9.3f}")
+    print(f"{'total':<9} {sum(totals):9.3f}  ({timed} queries, {left_out} left out)")
+
+
 def fresh_import():
     """Import ltbe as if for the first time in this process, as ``bench/run.py`` does."""
     for name in [m for m in sys.modules if m == "ltbe" or m.startswith("ltbe.")]:
@@ -147,8 +218,11 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=HERE)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=15)
-    parser.add_argument("--setup", action="store_true",
-                        help="time the fresh import and the parse of the model texts instead")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--setup", action="store_true",
+                      help="time the fresh import and the parse of the model texts instead")
+    mode.add_argument("--phases", action="store_true",
+                      help="split the cold queries into check, compile, fixpoint and render")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
@@ -166,6 +240,9 @@ def main(argv=None) -> int:
     import ltbe
     import workloads
 
+    if args.phases:
+        print_phases(ltbe, args.workload, args.seed, args.reps)
+        return 0
     totals = [0.0, 0.0, 0]
     print(f"{'query':<40} {'warm_us':>9} {'cold_us':>9} {'codes':>6}")
     for q in workloads.build(args.workload, args.seed):
