@@ -103,19 +103,20 @@ class FixpointReport(Record):
 _DEFAULTS = FixpointOptions()  # the options of a run given none
 
 
-def _select(below: list, cells: list, one) -> None:
+def _select(below: list, cells: list, ones: tuple) -> None:
     """Fold a layer of single reads into the layer ``below`` by picking its cells.
 
     Each column of ``below`` is padded with the cells that give the two
     constants, at the last two slots as in every source list, so ``ZERO``
     and ``ONE`` pick them like any position: a read keeps its constant, and
-    in a layer of folds zero sums nothing and one is ``one`` times ``ONE``.
+    in a layer of folds zero sums nothing and one is ``ONE`` at the weights
+    ``ones``: the kind's one, or none for bool, whose folds carry no weights.
     """
     picked = below[0]
     if type(picked) is not Folds:
         below[0] = list(map((picked + [ZERO, ONE]).__getitem__, cells))
         return
-    W, P, V = picked.weights + [[], [one]], picked.positions + [[], [ONE]], picked.where + [(), ()]
+    W, P, V = picked.weights + [(), ones], picked.positions + [[], [ONE]], picked.where + [(), ()]
     below[0] = Folds(list(map(W.__getitem__, cells)), list(map(P.__getitem__, cells)),
                      list(map(V.__getitem__, cells)))
 
@@ -141,7 +142,7 @@ def _walker(left: System, right: System) -> list:
     """
     rows, cols = len(left.states), len(right.states)
     kind, j = left.stack.kind, len(right.stack.layers)
-    one = OPS[kind].one
+    ones = () if kind is SemiringKind.BOOL else (OPS[kind].one,)
     program = []  # the fused layers: [cells, source size, every cell a single read]
     for idx in reversed(range(len(left.stack.layers))):
         layer, mine = left.stack.layers[idx], left.resolved[idx]
@@ -158,24 +159,25 @@ def _walker(left: System, right: System) -> list:
             pure = False
         else:
             cells = compile_poly(rows, cols, mine, theirs, source=source)
-            pure = all(type(c) is int for c in cells)
+            pure = tuple not in map(type, cells)
         if below is not None:  # compiled to read through the layer below
             program[-1] = [cells, below[1], pure]
         elif program and pure:
-            _select(program[-1], cells, one)
+            _select(program[-1], cells, ones)
         else:
             program.append([cells, rows * cols, pure])
         rows, cols = len(mine), len(theirs)
-    out = []
-    live = range(len(program[-1][0]))  # every cell of the last layer is the relation's
+    out, live = [], range(len(program[-1][0]))  # every cell of the last layer is the relation's
     for cells, size, _ in reversed(program):  # top down
-        users = [[] for _ in range(size)]
+        if out:  # the cells that a live cell above reads
+            live = [p for p, ks in enumerate(out[-1][1]) if ks]
+        users = [[] for _ in range(size + 2)]  # and the two constants' slots, dropped below
+        read = cells.positions.__getitem__ if type(cells) is Folds else lambda k: reads(cells[k])
         for k in live:
-            for p in cells.positions[k] if type(cells) is Folds else reads(cells[k]):
-                if p >= 0:
-                    users[p].append(k)
+            for p in read(k):
+                users[p].append(k)
+        del users[size:]
         out.append((cells, users, live))
-        live = [p for p, ks in enumerate(users) if ks]
     return out[::-1]
 
 

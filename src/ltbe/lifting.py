@@ -33,12 +33,15 @@ carrier sizes, and turn every cell of the lifted matrix into cells of
 ``ONE``, or a product: a flat tuple of factors in the order it multiplies
 them.  A branching layer compiles straight into the columns of a layer of
 folds (``Folds``): per cell its weights, its positions and the keys of its
-branching values.  The public ``lift_*`` functions resolve their arguments
-against the relation's carriers, compile, evaluate every cell in order and
-box the result; the engine passes ``source`` to compile a layer that reads
-through a layer of single reads below it.  A read through that layer can
-land on ``ZERO``, where two terms' shapes differ; the double extension
-leaves such a pair out of its fold, since a zero term changes no sum.
+branching values; a bool fold carries no weights, as its kernel reads
+positions only.  Against a specification's unit columns, a cell is
+compiled from the left support alone, each point at its own weight.  The
+public ``lift_*`` functions resolve their arguments against the relation's
+carriers, compile, evaluate every cell in order and box the result; the
+engine passes ``source`` to compile a layer that reads through a layer of
+single reads below it.  A read through that layer can land on ``ZERO``,
+where two terms' shapes differ; the double extension leaves such a pair
+out of its fold, since a zero term changes no sum.
 """
 
 from __future__ import annotations
@@ -156,21 +159,59 @@ def compile_double_extension(kind: SemiringKind, rows: int, cols: int, left_valu
     The cell of ``(t, u)`` folds the pairs of the two supports, left-major,
     leaving out every pair that reads ``ZERO``: its term is zero, which
     leaves any partial sum of every kind as it was (``False``, ``w + inf``,
-    and ``+0.0`` on a non-negative sum).
+    and ``+0.0`` on a non-negative sum).  Against :func:`unit_columns`, a
+    specification's, the cell of ``(t, y)`` folds ``t``'s support alone, each
+    point at its own weight: times the unit's one, a weight is itself bit for
+    bit (``w & True``, ``w * 1.0``, ``w + 0``).  A bool fold carries no
+    weights, since its kernel reads positions only.
     """
     at, mul = range(rows * cols) if source is None else source, OPS[kind].mul
+    weighted = kind is not SemiringKind.BOOL
     weights, positions, where = [], [], []
+    if right_values and right_values[0][2] is None:  # unit columns: the left support alone
+        for xs, xws, t in left_values:
+            name = (t, None)
+            if weighted:
+                xs = [(x * cols, xw) for x, xw in zip(xs, xws)]
+            else:
+                xs = [x * cols for x in xs]
+            for (y,), _, _ in right_values:
+                if weighted:
+                    ws, ps = [], []
+                    for x, xw in xs:
+                        p = at[x + y]
+                        if p != ZERO:
+                            ws.append(xw)
+                            ps.append(p)
+                else:
+                    ws, ps = (), []
+                    for x in xs:
+                        p = at[x + y]
+                        if p != ZERO:
+                            ps.append(p)
+                weights.append(ws)
+                positions.append(ps)
+                where.append(name)
+        return Folds(weights, positions, where)
     rights = [(list(zip(ys, yws)), u) for ys, yws, u in right_values]
     for xs, xws, t in left_values:
         xs = [(x * cols, xw) for x, xw in zip(xs, xws)]
         for ys, u in rights:
-            ws, ps = [], []
-            for x, xw in xs:
-                for y, yw in ys:
-                    p = at[x + y]
-                    if p != ZERO:
-                        ws.append(mul(xw, yw))
-                        ps.append(p)
+            if weighted:
+                ws, ps = [], []
+                for x, xw in xs:
+                    for y, yw in ys:
+                        p = at[x + y]
+                        if p != ZERO:
+                            ws.append(mul(xw, yw))
+                            ps.append(p)
+            else:
+                ws, ps = (), []
+                for x, _ in xs:
+                    for y, _ in ys:
+                        p = at[x + y]
+                        if p != ZERO:
+                            ps.append(p)
             weights.append(ws)
             positions.append(ps)
             where.append((t, u))

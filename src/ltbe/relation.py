@@ -43,7 +43,9 @@ class Folds:
     """A layer of folds as three columns: cell ``k`` sums
     ``weights[k][i] * src[positions[k][i]]`` from zero, left to right, and
     ``where[k]`` holds the keys of the branching values that name the cell if
-    a prob sum is undefined (``None`` for a unit column, which names none)."""
+    a prob sum is undefined (``None`` for a unit column, which names none).
+    A bool fold carries no weights: every bool weight is ``True``, and its
+    kernel reads positions only."""
 
     __slots__ = ("weights", "positions", "where")
 
@@ -64,7 +66,8 @@ def fold_kernel(kind: SemiringKind) -> Callable[[Folds, Collection[int], list], 
     zero)``, by an expression its length ``n`` picks: the kind's zero for
     none, written out for one or two terms, and for more one C-level
     ``any``, ``min`` or float sum.  Bool: is some position ``True``; a
-    ``BranchVal`` drops zero weights, so every bool weight is ``True``.
+    ``BranchVal`` drops zero weights, so every bool weight is ``True``, and
+    a bool fold carries no weights.
     Tropical: the least ``weight + value``; ``min``, like ``b if b < a else
     a``, keeps the first of equal terms, as the fold from ``INF`` does.  A
     cost beyond the float range plus ``INF`` raises ``OverflowError``, and

@@ -20,6 +20,24 @@ to the pair of their states, weighted by the product of the two weights.
 - tropical: the least cost of a path to a stop or into a cycle of zero
   cost: Tarjan on the zero-cost edges, then a multi-source Dijkstra on the
   reversed edges.
+
+``unfolded_limit(a, b)`` takes the same two documents over any stack, bool
+or tropical, and unfolds each pair of values through it, as the oracle
+expands them, into an AND/OR system whose nodes are pairs of values keyed
+by their JSON texts.  Two terms of one shape are the product (an AND) of
+the pairs at their leaves, and of different shapes zero; matching atoms
+are one.  A branching value against another is the sum (an OR) over the
+pairs of the two supports, each at the product of its weights; against a
+value that does not branch, a specification's, it is the sum over its own
+support at its own weights.  Two states are the pair of their transitions.
+
+- bool: the greatest set of nodes in which an AND has every child and an
+  OR some child, by counter-based removal.
+- tropical: a product is the sum of its children's costs and a sum the
+  least ``weight + cost``, infinite where one term is.  The greatest set
+  of nodes at cost 0 (an OR needs a child over an edge of weight 0) costs
+  0; from it, Knuth's generalization of Dijkstra's algorithm (IPL 1977)
+  settles the rest, and a node that never settles costs ``inf``.
 """
 
 import heapq
@@ -184,3 +202,146 @@ def limit(a, b):
     """The greatest-fixpoint value of every pair of a state of ``a`` and of ``b``."""
     solve = {"bool": _bool, "prob": _prob, "tropical": _tropical}[a["kind"]]
     return solve(*_product(a, b))
+
+
+# --- every stack, bool and tropical -----------------------------------------
+
+
+def _times(kind, w, v):
+    """The product of two weights; a tropical sum with an infinite term is
+    infinite, also beside an int beyond the float range."""
+    if kind == "bool":
+        return w and v
+    return math.inf if math.inf in (w, v) else w + v
+
+
+def _branches(kind, value):
+    """A branching value's ``(weight, term)`` pairs; a bool value's terms weigh true."""
+    if kind == "bool":
+        return [(True, t) for t in value]
+    return [(math.inf if e["weight"] == "inf" else e["weight"], e["term"]) for e in value]
+
+
+def _tag(term):
+    return "inj" if "inj" in term else next(iter(term))
+
+
+def _unfold(a, b):
+    """The rules of the AND/OR system of ``a`` against ``b``, and the node of
+    each pair of their states.  A rule is ``("and", children)`` or ``("or",
+    [(weight, child), ...])``; zero is an empty OR and one an empty AND."""
+    kind, ta, tb = a["kind"], a["transitions"], b["transitions"]
+    if kind != b["kind"] or kind not in ("bool", "tropical"):
+        raise ValueError(f"not two bool or tropical models: {kind}, {b['kind']}")
+    unit = True if kind == "bool" else 0
+    index, rules, todo = {}, [], []
+
+    def node(u, v):
+        key = json.dumps(u, sort_keys=True), json.dumps(v, sort_keys=True)
+        if key not in index:
+            index[key] = len(rules)
+            rules.append(None)
+            todo.append((index[key], u, v))
+        return index[key]
+
+    def match(u, v, out):
+        """Whether the terms ``u`` and ``v`` have one shape; the pairs at their
+        leaves go to ``out``."""
+        if type(u) is list or type(v) is list:
+            out.append(node(u, v))
+            return True
+        tag = _tag(u)
+        if tag != _tag(v):
+            raise ValueError(f"terms of two types: {u}, {v}")
+        if tag == "state":
+            out.append(node(ta[u["state"]], tb[v["state"]]))
+            return True
+        if tag == "atom":
+            return u["atom"] == v["atom"]
+        if tag == "inj":
+            return u["inj"] == v["inj"] and match(u["of"], v["of"], out)
+        if tag == "pair":
+            return all(match(x, y, out) for x, y in zip(u["pair"], v["pair"]))
+        return all(match(u["tuple"][k], v["tuple"][k], out) for k in u["tuple"])
+
+    tops = {(x, y): node(ta[x], tb[y]) for x in a["states"] for y in b["states"]}
+    while todo:
+        n, u, v = todo.pop()
+        if type(u) is list:
+            right = _branches(kind, v) if type(v) is list else [(unit, v)]
+            rules[n] = ("or", [(_times(kind, w, z), node(x, y))
+                               for w, x in _branches(kind, u) for z, y in right])
+        elif type(v) is list:
+            raise ValueError(f"only the first model branches where the second does not: {v}")
+        else:
+            out = []
+            rules[n] = ("and", out) if match(u, v, out) else ("or", [])
+    return rules, tops
+
+
+def _one_set(rules, counts):
+    """Whether each node is in the greatest set in which an AND has every child
+    and an OR a child over an edge whose weight ``counts``, by counter-based removal."""
+    parents = [[] for _ in rules]
+    left = [1] * len(rules)  # an AND goes with its first child, an OR with its last
+    for n, (op, kids) in enumerate(rules):
+        if op == "or":
+            kids = [kid for w, kid in kids if counts(w)]
+            left[n] = len(kids)
+        for kid in kids:
+            parents[kid].append(n)
+    live = [count > 0 for count in left]
+    drop = [n for n, count in enumerate(left) if count == 0]
+    while drop:
+        for p in parents[drop.pop()]:
+            left[p] -= 1
+            if left[p] == 0:
+                live[p] = False
+                drop.append(p)
+    return live
+
+
+def _knuth(rules, seeds):
+    """The least cost of each node, from the nodes ``seeds`` at cost 0: an AND
+    settles, at the sum of its children's costs, once each of them has."""
+    parents = [[] for _ in rules]
+    pending = [0] * len(rules)
+    for n, (op, kids) in enumerate(rules):
+        if op == "and":
+            pending[n] = len(kids)
+            for kid in kids:
+                parents[kid].append((None, n))
+        else:
+            for w, kid in kids:
+                if w != math.inf:
+                    parents[kid].append((w, n))
+    cost, done = [math.inf] * len(rules), [False] * len(rules)
+    heap = [(0, n) for n in seeds]
+    while heap:
+        d, n = heapq.heappop(heap)
+        if done[n]:
+            continue
+        done[n], cost[n] = True, d
+        for w, p in parents[n]:
+            if done[p]:
+                continue
+            if w is not None:
+                heapq.heappush(heap, (d + w, p))
+            else:
+                pending[p] -= 1
+                if pending[p] == 0:
+                    heapq.heappush(heap, (sum(cost[kid] for kid in rules[p][1]), p))
+    return cost
+
+
+def unfolded_limit(a, b):
+    """The greatest-fixpoint value of every pair of a state of ``a`` and of
+    ``b``, two bool or tropical models over any one stack, or a system and a
+    specification of its linear part."""
+    rules, tops = _unfold(a, b)
+    if a["kind"] == "bool":
+        live = _one_set(rules, bool)
+        return {e: live[n] for e, n in tops.items()}
+    live = _one_set(rules, lambda w: w == 0)
+    cost = _knuth(rules, [n for n, at_zero in enumerate(live) if at_zero])
+    return {e: cost[n] for e, n in tops.items()}

@@ -318,6 +318,11 @@ def gen_system_pair(rng, kind, shape, n_a=None, n_b=None):
     texts = _stack_texts(rng, shape)
     n_a = n_a or rng.randint(2, 5)
     n_b = n_b or rng.randint(2, 5)
+    return gen_systems_on(rng, kind, texts, n_a, n_b)
+
+
+def gen_systems_on(rng, kind, texts, n_a, n_b):
+    """Two random systems over the stack ``texts``, of ``n_a`` and ``n_b`` states."""
     a_states = [f"a{i}" for i in range(n_a)]
     b_states = [f"b{i}" for i in range(n_b)]
     return (

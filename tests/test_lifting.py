@@ -360,14 +360,14 @@ class TestMonotonicity:
 
 
 class TestBoolWeights:
-    """The bool fold reads no weight, since every bool weight is ``True``."""
+    """The bool fold reads positions only, so a compiled bool fold carries no weights."""
 
-    def test_compiled_bool_folds_carry_only_true_weights(self):
+    def test_compiled_bool_folds_carry_no_weights(self):
         def below(m, idx):  # the size of the carrier under layer ``idx``
             return len(m.resolved[idx + 1]) if idx + 1 < len(m.resolved) else len(m.states)
 
         rng = random.Random(17)
-        weights = []
+        cells = []
         for shape in SHAPES:
             for _ in range(20):
                 a, b = gen_system_pair(rng, B, shape)
@@ -376,9 +376,12 @@ class TestBoolWeights:
                         rows, cols = below(a, idx), below(b, idx)
                         for right in (unit_columns(B, cols), b.resolved[idx]):
                             folds = compile_double_extension(B, rows, cols, a.resolved[idx], right)
-                            weights += [w for ws in folds.weights for w in ws]
-        assert len(weights) > 1000
-        assert all(w is True for w in weights)
+                            cells += folds.weights
+                # the engine's program, a layer of single reads folded into its folds too
+                cells += [ws for layer, _, _ in engine._walker(a, b) if type(layer) is Folds
+                          for ws in layer.weights]
+        assert len(cells) >= 1000
+        assert all(ws == () for ws in cells)
 
     def test_explicit_false_weight_dropped(self):
         bv = BranchVal(B, (("x", SemiringValue(B, False)), ("y", SemiringValue(B, True))))
@@ -407,6 +410,65 @@ def _bits(op, a, b):
         return type(exc), str(exc)
     payloads = [(type(p), repr(p)) for p in report.result.payloads()]
     return payloads, report.iterations, report.stop_reason
+
+
+def _pairing(kind, rows, cols, left_values, right_values, source=None):
+    """The double extension as a loop over the pairs of the two supports, each
+    term's weight the product of the pair's weights, the unit's single point of
+    weight one included, leaving out every pair that reads ``ZERO``."""
+    at, mul = range(rows * cols) if source is None else source, OPS[kind].mul
+    weights, positions, where = [], [], []
+    rights = [(list(zip(ys, yws)), u) for ys, yws, u in right_values]
+    for xs, xws, t in left_values:
+        xs = [(x * cols, xw) for x, xw in zip(xs, xws)]
+        for ys, u in rights:
+            ws, ps = [], []
+            for x, xw in xs:
+                for y, yw in ys:
+                    p = at[x + y]
+                    if p != ZERO:
+                        ws.append(mul(xw, yw))
+                        ps.append(p)
+            weights.append(ws)
+            positions.append(ps)
+            where.append((t, u))
+    return Folds(weights, positions, where)
+
+
+class TestSpecificationPath:
+    """Against a specification's unit columns, a cell folds the left support
+    alone, each point at its own weight, as the pairing loop folds each point
+    with the unit's one."""
+
+    @pytest.mark.parametrize("kind", list(SemiringKind))
+    def test_the_folds_and_the_run_of_the_pairing_loop(self, kind, monkeypatch):
+        cells, dropped = [], 0
+
+        def both(*args, **kw):
+            got, want = compile_double_extension(*args, **kw), _pairing(*args, **kw)
+            assert all(u is None for _, _, u in args[4])  # a specification's unit columns
+            assert got.positions == want.positions and got.where == want.where
+            if kind is not B:
+                assert ([[(type(w), repr(w)) for w in ws] for ws in got.weights]
+                        == [[(type(w), repr(w)) for w in ws] for ws in want.weights])
+            nonlocal dropped
+            cells.extend(got.positions)
+            every = _with_zero_reads(*args, **kw).positions
+            dropped += sum(map(len, every)) - sum(map(len, got.positions))
+            return got
+
+        rng = random.Random(f"specification-path:{kind.value}")
+        for shape in SHAPES:
+            for _ in range(30):
+                a, b = gen_model_pair(rng, kind, shape)
+                want = _bits(behaviour, a, b)
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "compile_double_extension", both)
+                    engine._walker(a, b)
+                    patch.setattr(engine, "compile_double_extension", _pairing)
+                    assert _bits(behaviour, a, b) == want
+        # the cells, their reads, and the reads of ``ZERO`` left out through a layer below
+        assert len(cells) > 500 and sum(map(len, cells)) > 400 and dropped > 200
 
 
 def _zero_reads(program):

@@ -1,11 +1,13 @@
-"""The engine against exact values at the limit on linear stacks (``limitref``).
+"""The engine against exact values at the limit (``limitref``).
 
 The oracle is exact only to a bounded depth, so it agrees with a run that
-stopped too early; ``limitref.limit`` is exact at the limit.  A run that
-ends ``converged`` must give the limit, exactly for bool and tropical and
-within 1e-8 for prob, and a run that ends on ``budget`` must lie above it
-in the order the iterates descend in.  The known failures are pinned below
-as strict xfails, each on a named case that the property test skips.
+stopped too early; ``limitref.limit`` is exact at the limit on linear
+stacks, and ``limitref.unfolded_limit`` on every bool and tropical stack.
+A run that ends ``converged`` must give the limit, exactly for bool and
+tropical and within 1e-8 for prob, and a run that ends on ``budget`` must
+lie above it in the order the iterates descend in.  The known failures are
+pinned below as strict xfails, each on a named case that the property
+tests skip.
 """
 
 import json
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from limitref import limit
+from limitref import limit, unfolded_limit
 from ltbe import (
     SemiringKind,
     behaviour,
@@ -32,6 +34,7 @@ from modelgen import (
     gen_model_pair,
     gen_models_on,
     gen_system_pair,
+    gen_systems_on,
     omega_spec,
     step_term,
     stop_term,
@@ -301,3 +304,52 @@ def test_two_layer_near_one_reference():
 def test_two_layer_near_one_run_reaches_the_limit():
     report = behaviour(*_f3_two_layers())
     assert report.stop_reason != "converged" or abs(report.result.payloads()[0]) <= 1e-8
+
+
+# --- the unfolded reference, on every bool and tropical stack -------------
+
+# stacks with several ``Id`` in a summand, where ``limit`` reads no model
+MULTI_ID = (
+    ["{n,y} * Id^{a,b}", "T"],
+    ["Id^{a,b,c}", "T"],
+    ["({*} + Id)^{go,halt}", "T", "{*} + {a} * Id"],
+    ["{*} + {a} * Id * Id", "T"],
+)
+
+
+@pytest.mark.parametrize("op", list(RUN))
+@pytest.mark.parametrize("kind", [B, T], ids=lambda k: k.value)
+def test_unfolded_reference_is_the_linear_reference(kind, op):
+    for seed in SEEDS:
+        a, b = (m.to_json() for m in _draw(kind, op, seed))
+        assert unfolded_limit(a, b) == limit(a, b), f"seed {seed}"
+    for pair in DEMO_LIMITS:
+        a, b = map(_doc, pair)
+        if a["kind"] == kind.value:
+            assert unfolded_limit(a, b) == limit(a, b), pair
+
+
+def _multi_id_draw(kind, op, texts, seed):
+    rng = random.Random(seed)
+    if op == "behaviour":
+        return gen_models_on(rng, kind, texts, rng.randint(2, 6), rng.randint(1, 4))
+    return gen_systems_on(rng, kind, texts, rng.randint(2, 5), rng.randint(2, 5))
+
+
+@pytest.mark.parametrize("texts", [*MULTI_ID, "TF"], ids=lambda t: "|".join(t) if type(t) is list else t)
+@pytest.mark.parametrize("op", list(RUN))
+@pytest.mark.parametrize("kind", [B, T], ids=lambda k: k.value)
+def test_engine_meets_the_unfolded_reference(kind, op, texts):
+    """A converged run is the reference, and a run on its budget lies above it."""
+    reasons = []
+    for seed in SEEDS:
+        if texts == "TF" and (kind, op, seed) in SKIPPED:
+            continue
+        a, b = _draw(kind, op, seed) if texts == "TF" else _multi_id_draw(kind, op, texts, seed)
+        report = RUN[op](a, b)
+        reasons.append(report.stop_reason)
+        try:
+            _check(kind, report, unfolded_limit(a.to_json(), b.to_json()))
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}: {exc}") from None
+    assert reasons.count("converged") >= len(reasons) // 2

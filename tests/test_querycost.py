@@ -85,3 +85,19 @@ def test_phases_mode_prints_each_phase_and_leaves_out_bisim():
     assert all(float(line[1]) > 0.0 for line in lines[1:])
     assert abs(sum(float(line[1]) for line in lines[1:5]) - float(lines[5][1])) < 0.01
     assert lines[5][2:] == ["(18", "queries,", "7", "left", "out)"]  # the seven bisim queries
+
+
+def test_phases_mode_writes_each_query_s_phases_to_stderr():
+    proc = subprocess.run([sys.executable, str(_PATH), "--workload", "pairs", "--phases",
+                           "--reps", "1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split() for line in proc.stderr.splitlines()]
+    assert header == ["query", *(f"{name}_us" for name in (*querycost.PHASES, "total"))]
+    assert len(rows) == 18 and all(row[0].startswith(("pairs.", "demo.")) for row in rows)
+    for row in rows:
+        us = [float(x) for x in row[1:]]
+        assert all(t > 0.0 for t in us) and abs(sum(us[:-1]) - us[-1]) < 0.5
+    # the summary's phases are the sums of the rows', in milliseconds
+    summary = {line.split()[0]: float(line.split()[1]) for line in proc.stdout.splitlines()[1:]}
+    for i, name in enumerate(querycost.PHASES, 1):
+        assert abs(sum(float(row[i]) for row in rows) / 1e3 - summary[name]) < 0.01

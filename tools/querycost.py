@@ -33,10 +33,13 @@ With ``--phases`` it splits the cold call of each ``behaviour`` and
 and ``to_csv`` run in turn: the stack check (``check_spec`` or
 ``check_pair``), compiling the program (``engine._walker``), the fixpoint
 (``engine._run_fixpoint``) and rendering (``to_csv``).  ``--reps`` times,
-right after ``gc.collect()``, it runs the four back to back, timing each;
-it prints each phase's median milliseconds summed over the queries, and
-their total.  ``bisim`` queries run none of these phases and are left out,
-as is a query that raises.
+right after ``gc.collect()``, it runs the four back to back, timing each.
+As it times each query, it writes the query's median microseconds in each
+phase, and their sum, as a row to standard error: the benchmark's
+``query_ref.p50`` is one query's cost, so its phases are visible there.
+Then it prints each phase's median milliseconds summed over the queries,
+and their total.  ``bisim`` queries run none of these phases and are left
+out, as is a query that raises.
 
 The package is imported from ``CHECKOUT/src`` (by default the checkout
 that holds this script); the queries come from this checkout's
@@ -143,6 +146,8 @@ def print_phases(ltbe, workload: str, seed: int, reps: int) -> None:
     import workloads
 
     totals, timed, left_out = [0.0] * len(PHASES), 0, 0
+    print(f"{'query':<40}" + "".join(f" {name + '_us':>11}" for name in (*PHASES, "total")),
+          file=sys.stderr)
     for q in workloads.build(workload, seed):
         if q.op == "bisim":
             left_out += 1
@@ -153,7 +158,10 @@ def print_phases(ltbe, workload: str, seed: int, reps: int) -> None:
         except Exception:
             left_out += 1
             continue
-        totals = [t + ms for t, ms in zip(totals, phase_ms(call, reps))]
+        ms = phase_ms(call, reps)
+        print(f"{q.name:<40}" + "".join(f" {t * 1e3:11.1f}" for t in (*ms, sum(ms))),
+              file=sys.stderr)
+        totals = [t + x for t, x in zip(totals, ms)]
         timed += 1
     print(f"{'phase':<9} {'cold_ms':>9}")
     for name, ms in zip(PHASES, totals):
