@@ -26,9 +26,15 @@ position that changed are re-evaluated, by the same operations in the
 same order, so every iterate is the full pass's bit for bit.
 
 Iteration is truncated at finitely many steps.  Bool converges exactly on
-finite carriers; prob converges up to a tolerance; a tropical entry whose
-limit is infinity climbs by its lap cost forever, so its run ends on the
-budget (or on a threshold) with an honest "not converged" report.
+finite carriers, and a bool run from the top relation is not iterated: it
+counts, per cell, the reads that are still true, and a cell falls in the
+round its count reaches zero, the round in which the iterate first makes
+it false, so the run gives the iteration's matrix, rounds and stop for one
+decrement per read of a fallen cell (counter-based propagation, as Dowling
+and Gallier decide Horn formulae in linear time).  Prob converges up to a
+tolerance; a tropical entry whose limit is infinity climbs by its lap cost
+forever, so its run ends on the budget (or on a threshold) with an honest
+"not converged" report.
 ``bisimilarity`` is partition refinement, round for round the forall-exists chain.
 """
 
@@ -135,10 +141,7 @@ def _walker(left: System, right: System) -> list:
     own value, at the two models' top positions, so its cells are the
     relation's.  The program is the list of fused layers; the first reads
     and the last writes the relation, a row-major payload list over the two
-    state sets.  One pass from the top makes each layer ``(cells, users,
-    live)``: ``users[p]`` lists the live cells that read position ``p``, and
-    ``live`` the layer's live cells, all of the last layer's and below it
-    those that a live cell above reads, each ascending.
+    state sets, each layer given its readers by ``_readers``.
     """
     rows, cols = len(left.states), len(right.states)
     kind, j = left.stack.kind, len(right.stack.layers)
@@ -167,8 +170,19 @@ def _walker(left: System, right: System) -> list:
         else:
             program.append([cells, rows * cols, pure])
         rows, cols = len(mine), len(theirs)
-    out, live = [], range(len(program[-1][0]))  # every cell of the last layer is the relation's
-    for cells, size, _ in reversed(program):  # top down
+    return _readers(program)
+
+
+def _readers(layers: list) -> list:
+    """Each ``(cells, source size, ...)`` of ``layers``, bottom up, as ``(cells, users, live)``.
+
+    One pass from the top gives each layer its live cells, ``live``: all of
+    the last layer's and below it those that a live cell above reads; and
+    ``users[p]`` lists the live cells that read position ``p``, each
+    ascending.
+    """
+    out, live = [], range(len(layers[-1][0]))  # every cell of the last layer is the relation's
+    for cells, size, *_ in reversed(layers):  # top down
         if out:  # the cells that a live cell above reads
             live = [p for p, ks in enumerate(out[-1][1]) if ks]
         users = [[] for _ in range(size + 2)]  # and the two constants' slots, dropped below
@@ -224,6 +238,50 @@ def _rounds(program: list, kind: SemiringKind, flat: list) -> Iterator[tuple[lis
         yield cur, olds, news
 
 
+def _counted(program: list, n: int, limit: int) -> tuple[list, int, str]:
+    """A bool run of ``program`` from the top relation, by counting falls.
+
+    Each live cell counts its reads that are still true.  A fold counts
+    those that are not ``ZERO``; a read or a product counts one, as its
+    first read to fall makes it false, or none if it reads ``ZERO``: its
+    value on an all-true source.  A read of ``ONE`` is never taken off, so a
+    fold that reads ``ONE`` never falls, and a product only when another of
+    its reads does.  A cell falls in the round its count reaches 0, one that
+    starts there in round 1.  Round ``r`` takes one off the readers of the
+    cells of the layer below that fell in it, and in the first layer off
+    the readers of the relation cells that fell in round ``r - 1``, so a
+    cell falls in the round in which the iterate first makes it false.
+    Gives the last relation, the number of rounds and why the run stopped:
+    ``converged`` in the first round in which no relation cell falls,
+    otherwise ``budget`` after ``limit``.
+    """
+    run, layers, firsts = kernel(SemiringKind.BOOL), [], []
+    for cells, users, live in program:
+        every = len(live) == len(cells)  # as in the last layer, every cell is live
+        if type(cells) is Folds:
+            at = cells.positions if every else map(cells.positions.__getitem__, live)
+            true = [len(p) - p.count(ZERO) for p in at]
+        else:
+            true = run(cells, live, [True] * len(users) + [False, True])
+        layers.append((true if every else dict(zip(live, true)), users))
+        firsts.append([k for k, c in zip(live, true) if not c])
+    rel, falls = [True] * n, []
+    for i in range(1, limit + 1):
+        for counts, users in layers:
+            fell = firsts.pop(0) if firsts else []  # the cells at 0 fall in round 1
+            for p in falls:
+                for k in users[p]:
+                    counts[k] = c = counts[k] - 1
+                    if not c:
+                        fell.append(k)
+            falls = fell
+        if not falls:
+            return rel, i, "converged"
+        for p in falls:
+            rel[p] = False
+    return rel, limit, "budget"
+
+
 def _chain(program: list, start: ValRel, steps: int) -> list[ValRel]:
     if plain_int("steps", steps) < 0:
         raise ValueError("steps must be >= 0")
@@ -248,10 +306,13 @@ def _run_fixpoint(program: list, kind: SemiringKind, rows: tuple, cols: tuple,
                   opts: FixpointOptions | None, start: list | None = None) -> FixpointReport:
     """Iterate ``program`` from ``start`` (one everywhere by default) and box the last iterate.
 
-    The checks read each round's old and new values of the changed cells
-    only, since an unchanged cell has gap 0 and is below itself.  A bool or
-    tropical run converges on a round that changes no cell, the exact
-    repeat it needs, so its gap is computed for the report alone.
+    A bool run from the top relation counts instead (``_counted``): it
+    converges, at gap 0, on the first round in which no relation cell
+    falls, or stops on the budget at gap 1, as the iteration would.  The
+    iteration's checks read each round's old and new values of the changed
+    cells only, since an unchanged cell has gap 0 and is below itself.  A
+    bool or tropical run converges on a round that changes no cell, the
+    exact repeat it needs, so its gap is computed for the report alone.
     """
     ops = OPS[kind]
     opts = opts or _DEFAULTS
@@ -260,6 +321,10 @@ def _run_fixpoint(program: list, kind: SemiringKind, rows: tuple, cols: tuple,
         raise KindMismatch(f"cannot combine {kind.value} with {threshold.kind.value}")
     n = len(rows) * len(cols)
     limit = opts.max_iterations or 10 * n + 10
+    if kind is SemiringKind.BOOL and start is None:
+        flat, i, reason = _counted(program, n, limit)
+        return FixpointReport(ValRel._wrap(kind, rows, cols, flat), i,
+                              0.0 if reason == "converged" else 1.0, reason)
     prob = kind is SemiringKind.PROB
 
     def report(cur: list, i: int, reason: str):  # the gap of the last round's changes

@@ -20,6 +20,14 @@ F_EXPRS = ("{*} + {a} * Id", "{*} + {a,b} * Id", "{a,b} * Id")
 G_EXPRS = ("{o1,o2} * Id", "({*} + Id)^{i}")
 SHAPES = ("TF", "GT", "GTF")
 
+#: Stacks with several ``Id`` in a summand, where ``limitref.limit`` reads no model.
+MULTI_ID = (
+    ["{n,y} * Id^{a,b}", "T"],
+    ["Id^{a,b,c}", "T"],
+    ["({*} + Id)^{go,halt}", "T", "{*} + {a} * Id"],
+    ["{*} + {a} * Id * Id", "T"],
+)
+
 
 # --- hand-built models -------------------------------------------------------
 
@@ -370,6 +378,29 @@ def with_unit_branching(spec, sys_model):
     doc["stack"] = sys_model.stack.layer_texts()
     layers = sys_model.stack.layers
     doc["transitions"] = {z: wrap(layers, raw) for z, raw in doc["transitions"].items()}
+    return parse_system(json.dumps(doc))
+
+
+def with_free_copies(rng, model, spec):
+    """``model``, a tropical system whose last layer is ``T``, with a copy of
+    each state of ``spec`` that branches by the unit, so at weight 0 on every
+    ``Id``, and with each branching of its own states given one more step, at
+    a random weight, to a random copy, where the copy is not there already."""
+    copies = with_unit_branching(spec, model).to_json()
+    doc = model.to_json()
+
+    def widen(raw):
+        if type(raw) is list and raw and "weight" in raw[0]:  # a branching over states
+            step = {"state": rng.choice(copies["states"])}
+            if all(t["term"] != step for t in raw):
+                raw.append({"term": step, "weight": rng.randint(0, 8)})
+        elif type(raw) in (list, dict):
+            for v in raw.values() if type(raw) is dict else raw:
+                widen(v)
+
+    widen(doc["transitions"])
+    doc["states"] += copies["states"]
+    doc["transitions"].update(copies["transitions"])
     return parse_system(json.dumps(doc))
 
 

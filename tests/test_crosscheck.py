@@ -6,7 +6,8 @@ liftings, from the innermost layer outwards, and reads it back with
 engine fuses layers and re-evaluates only the cells whose inputs changed,
 so its iterates must equal the full pass's, payload for payload, and a
 run's report must equal the one its stop rules give over the full pass's
-whole matrices.
+whole matrices.  A bool run from the top relation counts each cell's
+falls instead of iterating, so its report must equal the iteration's.
 """
 
 import json
@@ -36,12 +37,16 @@ from ltbe import (
     step_operator,
     value_key,
 )
+from ltbe import engine
 from modelgen import (
     LTS_F,
+    MULTI_ID,
     SHAPES,
     corpus,
+    gen_model_pair,
     gen_models_on,
     gen_system_pair,
+    gen_systems_on,
     random_valrel,
     step_term,
     stop_term,
@@ -267,3 +272,39 @@ def test_bisimilarity_matches_full_pass(case):
         if case in BISIM_EDGES:
             assert report.iterations == BISIM_EDGES[case][2]
         assert exact([report.result]) == exact(chain[-1:])
+
+
+def _counted_draws(op, case):
+    """80 bool pairs for ``op`` (a system and a spec for ``behaviour``, two
+    systems for ``common``) drawn on a shape or on ``MULTI_ID[case]``."""
+    rng = random.Random(f"counted:{op}:{case}")
+    if case in SHAPES:
+        gen = gen_model_pair if op == "behaviour" else gen_system_pair
+        return [gen(rng, SemiringKind.BOOL, case) for _ in range(80)]
+    texts = MULTI_ID[case]
+    if op == "behaviour":
+        return [gen_models_on(rng, SemiringKind.BOOL, texts, rng.randint(2, 6), rng.randint(1, 4))
+                for _ in range(80)]
+    return [gen_systems_on(rng, SemiringKind.BOOL, texts, rng.randint(2, 5), rng.randint(2, 5))
+            for _ in range(80)]
+
+
+@pytest.mark.parametrize("case", [*SHAPES, *range(len(MULTI_ID))])
+@pytest.mark.parametrize("op", ["behaviour", "common"])
+def test_counted_bool_run_is_the_iteration(op, case):
+    """A bool run from the top relation counts falls; from an explicit start
+    it iterates.  Both give the same bits, rounds, stop and gap, on every
+    budget."""
+    reasons = []
+    for left, right in _counted_draws(op, case):
+        program = engine._walker(left, right)
+        n = len(left.states) * len(right.states)
+        for budget in (None, 1, 2, 3, 4, 5):
+            opts = FixpointOptions(max_iterations=budget)
+            runs = [engine._run_fixpoint(program, SemiringKind.BOOL, left.states, right.states,
+                                         opts, start) for start in (None, [True] * n)]
+            got = [(exact([r.result]), r.iterations, r.stop_reason, repr(r.final_gap))
+                   for r in runs]
+            assert got[0] == got[1]
+            reasons.append(runs[0].stop_reason)
+    assert reasons.count("budget") >= 80 and reasons.count("converged") >= 240

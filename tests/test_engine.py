@@ -32,7 +32,7 @@ from ltbe import (
     zero,
 )
 from ltbe import engine
-from ltbe.engine import _run_fixpoint
+from ltbe.engine import _readers, _run_fixpoint
 from ltbe.relation import ONE, ZERO, Folds, reads
 from modelgen import (
     LTS_F,
@@ -469,6 +469,86 @@ class TestMonotonicityGuard:
                                FixpointOptions(), start)
         assert report.converged and report.iterations == 2
         assert report.result == ValRel.from_payloads(P, ["x"], ["z"], [0.5 * (1 + 2e-10)])
+
+
+def _program(size, *layers):
+    """A hand-built program: ``layers`` from the one that reads the ``size``
+    relation cells to the one that writes them, given their readers as
+    ``_walker`` gives them."""
+    sizes = [size] + [len(cells) for cells in layers[:-1]]
+    return _readers(list(zip(layers, sizes)))
+
+
+def _folds(*positions):
+    """A bool layer of folds: bool folds carry no weights."""
+    return Folds([()] * len(positions), list(positions), [()] * len(positions))
+
+
+class TestCountedRun:
+    """A bool run from the top relation counts each cell's first false round;
+    from an explicit start it iterates.  Both give the same report."""
+
+    @staticmethod
+    def _run(program, max_iterations=None):
+        n = len(program[-1][0])
+        rows, opts = tuple(f"r{i}" for i in range(n)), FixpointOptions(max_iterations)
+        counted = _run_fixpoint(program, B, rows, ("z",), opts)
+        iterated = _run_fixpoint(program, B, rows, ("z",), opts, [True] * n)
+        got = [(r.result.payloads(), r.iterations, r.stop_reason, repr(r.final_gap))
+               for r in (counted, iterated)]
+        assert got[0] == got[1]
+        return got[0]
+
+    def test_a_fold_that_reads_one_never_falls(self):
+        program = _program(3, _folds([2, ONE], [2], []))
+        assert self._run(program) == ([True, False, False], 3, "converged", "0.0")
+
+    def test_a_zero_read_in_a_fold_is_already_false(self):
+        program = _program(2, _folds([ZERO, 1], [ZERO]))
+        assert self._run(program) == ([False, False], 3, "converged", "0.0")
+
+    def test_an_empty_fold_falls_in_round_one(self):
+        program = _program(2, _folds([], [0, 0]))  # r1 reads r0 twice, and falls after it
+        assert self._run(program) == ([False, False], 3, "converged", "0.0")
+
+    def test_a_repeated_position_falls_once(self):
+        # r0 is (r1 and r1) or r0: the product reads r1 twice, and falls once,
+        # so r0 keeps its own read
+        program = _program(2, [(1, 1), 0], _folds([0, 1], []))
+        assert self._run(program) == ([True, False], 2, "converged", "0.0")
+
+    def test_products_with_a_zero_and_a_one_factor(self):
+        program = _program(2, [(ZERO, 0), (ONE, 0), (ONE, ONE)], _folds([1], [0, 2]))
+        assert self._run(program) == ([True, True], 1, "converged", "0.0")
+        program = _program(2, [(ZERO, 0), (ONE, 1)], _folds([1], [0]))
+        assert self._run(program) == ([False, False], 3, "converged", "0.0")
+
+    def test_a_nested_product(self):
+        program = _program(2, [(0, (1, ONE))], _folds([0], []))
+        assert self._run(program) == ([False, False], 3, "converged", "0.0")
+
+    def test_a_layer_of_single_reads(self):
+        # r0 reads r2, r1 reads ZERO or r0, r2 reads ONE or r3, and r3 nothing
+        program = _program(4, [2, ZERO, ONE, 0, 3], _folds([0], [1, 3], [2, 4], []))
+        assert self._run(program) == ([True, True, True, False], 2, "converged", "0.0")
+
+    def test_three_layers_fall_in_one_round(self):
+        # r1 falls in round 1, then in round 2 the fold over it, the product
+        # over that and r0; the bottom layer's last cell is dead
+        program = _program(2, _folds([1], [0], []), [(0, 1)], _folds([0], []))
+        assert [len(live) for _, _, live in program] == [2, 1, 2]
+        assert self._run(program) == ([False, False], 3, "converged", "0.0")
+        assert self._run(program, 2) == ([False, False], 2, "budget", "1.0")
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_a_budget_stop(self, budget):
+        # r4 falls in round 1 and r<i> in round 5 - i
+        program = _program(5, _folds([1], [2], [3], [4], []))
+        falls = [False] * budget
+        assert self._run(program, budget) == ([True] * (5 - budget) + falls, budget, "budget",
+                                              "1.0")
+        assert self._run(program, 5) == ([False] * 5, 5, "budget", "1.0")
+        assert self._run(program, 6) == ([False] * 5, 6, "converged", "0.0")
 
 
 class TestCommonTrace:

@@ -30,6 +30,7 @@ from ltbe import (
 )
 from modelgen import (
     LTS_F,
+    MULTI_ID,
     gen_layered_spec,
     gen_model_pair,
     gen_models_on,
@@ -38,6 +39,7 @@ from modelgen import (
     omega_spec,
     step_term,
     stop_term,
+    with_free_copies,
     with_unit_branching,
 )
 
@@ -308,15 +310,6 @@ def test_two_layer_near_one_run_reaches_the_limit():
 
 # --- the unfolded reference, on every bool and tropical stack -------------
 
-# stacks with several ``Id`` in a summand, where ``limit`` reads no model
-MULTI_ID = (
-    ["{n,y} * Id^{a,b}", "T"],
-    ["Id^{a,b,c}", "T"],
-    ["({*} + Id)^{go,halt}", "T", "{*} + {a} * Id"],
-    ["{*} + {a} * Id * Id", "T"],
-)
-
-
 @pytest.mark.parametrize("op", list(RUN))
 @pytest.mark.parametrize("kind", [B, T], ids=lambda k: k.value)
 def test_unfolded_reference_is_the_linear_reference(kind, op):
@@ -353,3 +346,32 @@ def test_engine_meets_the_unfolded_reference(kind, op, texts):
         except AssertionError as exc:
             raise AssertionError(f"seed {seed}: {exc}") from None
     assert reasons.count("converged") >= len(reasons) // 2
+
+
+@pytest.mark.parametrize("op", list(RUN))
+def test_engine_meets_finite_unfolded_costs(op):
+    """Every term of ``MULTI_ID[0]`` holds two ``Id``s and no stop, so its
+    seeded tropical draws cost ``inf`` everywhere; with copies of the spec's
+    states that step at weight 0 on both ``Id``s, the converged runs meet
+    finite entries, at 0 and above it."""
+    reasons, finite = [], []
+    for seed in SEEDS:
+        rng = random.Random(f"free-copies:{seed}")
+        a, spec = gen_models_on(rng, T, MULTI_ID[0], rng.randint(2, 6), rng.randint(1, 4))
+        a = with_free_copies(rng, a, spec)
+        if op == "behaviour":
+            b = spec
+        else:
+            other, _ = gen_models_on(rng, T, MULTI_ID[0], rng.randint(2, 5), 1)
+            b = with_free_copies(rng, other, spec)
+        report = RUN[op](a, b)
+        ref = unfolded_limit(a.to_json(), b.to_json())
+        reasons.append(report.stop_reason)
+        try:
+            _check(T, report, ref)
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}: {exc}") from None
+        if report.converged:
+            finite += [v for v in ref.values() if v != math.inf]
+    assert reasons.count("converged") >= len(reasons) // 2
+    assert finite.count(0) >= 100 and len(finite) - finite.count(0) >= 50
